@@ -26,7 +26,7 @@ from .disorder import BUFFER_MIN, DisorderLaw, couple, draw_base
 from .geometry import hausdorff
 from .gibbs import PinningModel, concentration_probability
 from .polymer import PolymerEnvironment, polymer_beta_critical
-from .renewal import build_law, renewal_function, subexp_diagnostics, tilt
+from .renewal import build_law, renewal_function, tilt
 from .streams import substream
 from .subordinator import MarkedPointSet, band_process, edge_jump_times, edge_process, growth_check
 from .varmax import EnergyLandscape, beta_critical, solve_dp
@@ -115,6 +115,8 @@ class ExperimentConfig:
                 raise ConfigError("gibbs.log_partition requires the horizon within n_max")
         if self.n_samples < 1:
             raise ConfigError("gibbs.concentration_probability requires n_samples >= 1")
+        if self.experiment == "renewal-asymptotics" and self.n_eval < 3:
+            raise ConfigError("renewal.subexp_diagnostics requires n_eval >= 3")
         if self.experiment == "renewal-asymptotics" and self.n_eval + 1 > self.n_max:
             raise ConfigError("renewal.subexp_diagnostics requires n + k_shift <= n_max")
         if self.experiment == "subordinator-growth":
@@ -236,7 +238,10 @@ def _ensure_cell(path: str, header: list[str], compute) -> list[list]:
 def _workers() -> int:
     env = os.environ.get("PINLAB_THREADS", "")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"PINLAB_THREADS must be an integer, got {env!r}") from None
     return max(1, os.cpu_count() or 1)
 
 
@@ -450,7 +455,10 @@ def _run_renewal_asymptotics(cfg: ExperimentConfig, out: str) -> tuple[dict, lis
     path = os.path.join(out, "renewal_asymptotics.csv")
     header = ["n", "K", "u", "u_over_K", "q2_over_q", "q3_over_q"]
     rows = _ensure_cell(path, header, cell_rows)
-    diag = subexp_diagnostics(law, n_eval, 1)
+    # the n = n_eval row already holds renewal.subexp_diagnostics' ratios, and
+    # its repr-written floats read back exactly
+    diag = dict(zip(("u_over_K", "conv2_ratio", "conv3_ratio"), map(float, rows[-1][3:])))
+    diag["shift_ratio"] = float(law.q[n_eval + 1] / law.q[n_eval])
     target = 1.0 / law.K_inf**2 if law.K_inf > 0 else math.inf
     summary = {
         "n_eval": n_eval,

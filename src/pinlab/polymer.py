@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chain import chain_dp, enumerate_best, min_ratio
+
 ON_PATH_TOL = 1e-12
 
-ENUM_MAX = 20  # threshold enumeration cap; the DP handles anything larger
-BISECT_TOL = 1e-9
-_PRECOMP_MAX = 4096
+ENUM_MAX = 20  # enumeration cap (oracle and threshold); the DP handles anything larger
 
 
 def binary_entropy_rate(x):
@@ -166,69 +166,30 @@ def tent_entropy(x: float, y: float) -> float:
 
 
 def _sorted_nodes(env: PolymerEnvironment):
+    """Charges in (x, y) order as endpoint-augmented coordinates, and weights."""
     order = np.lexsort((env.y, env.x))
-    return env.x[order], env.y[order], env.w[order], order
+    ex = np.concatenate(([0.0], env.x[order], [1.0]))
+    ey = np.concatenate(([0.0], env.y[order], [0.0]))
+    return ex, ey, env.w[order]
 
 
-def _segment_entropy_matrix(xs, ys) -> np.ndarray:
-    """Entropy cost between endpoint-augmented nodes; +inf where infeasible."""
-    ex = np.concatenate(([0.0], xs, [1.0]))
-    ey = np.concatenate(([0.0], ys, [0.0]))
-    dx = ex[None, :] - ex[:, None]
-    dy = ey[None, :] - ey[:, None]
+def _segment_entropy(dx, dy):
+    """Entropy cost dx * e(dy/dx) of straight segments; +inf where infeasible."""
     feasible = (dx > 0.0) & (np.abs(dy) <= dx)
     slope = np.where(feasible, dy / np.where(dx > 0.0, dx, 1.0), 0.0)
-    cost = dx * binary_entropy_rate(slope)
-    return np.where(feasible, cost, np.inf)
+    return np.where(feasible, dx * binary_entropy_rate(slope), np.inf)
 
 
-def _polymer_dp(xs, ys, ws, beta, seg=None):
-    """Best-path DP over charges in x order; returns selected sorted indices.
-
-    Ties broken by fewer vertices, then smallest predecessor.
-    """
-    m = xs.size
-    best = np.empty(m + 2)
-    best[0] = 0.0
-    cnt = np.zeros(m + 2, dtype=np.int64)
-    bp = np.zeros(m + 2, dtype=np.int64)
-    ex = np.concatenate(([0.0], xs, [1.0]))
-    ey = np.concatenate(([0.0], ys, [0.0]))
-    for j in range(1, m + 2):
-        if seg is not None:
-            cost = seg[:j, j]
-        else:
-            dx = ex[j] - ex[:j]
-            dy = ey[j] - ey[:j]
-            feas = (dx > 0.0) & (np.abs(dy) <= dx)
-            slope = np.where(feas, dy / np.where(dx > 0.0, dx, 1.0), 0.0)
-            cost = np.where(feas, dx * binary_entropy_rate(slope), np.inf)
-        gain = beta * ws[j - 1] if j <= m else 0.0
-        cand = best[:j] + gain - cost
-        vmax = cand.max()
-        if vmax == -np.inf:
-            best[j] = -np.inf
-            bp[j] = 0
-            continue
-        tie = np.flatnonzero(cand == vmax)
-        i = int(tie[np.argmin(cnt[tie])])
-        best[j] = vmax
-        cnt[j] = cnt[i] + (1 if j <= m else 0)
-        bp[j] = i
-    sel = []
-    node = m + 1
-    while node != 0:
-        node = int(bp[node])
-        if node != 0:
-            sel.append(node - 1)
-    return tuple(reversed(sel))
+def _segment_entropy_matrix(ex, ey) -> np.ndarray:
+    """Entropy cost between endpoint-augmented nodes; +inf where infeasible."""
+    return _segment_entropy(ex[None, :] - ex[:, None], ey[None, :] - ey[:, None])
 
 
-def _path_from_selection(xs, ys, sel) -> PolymerPath:
-    if not sel:
-        return PolymerPath.flat()
-    pts = np.column_stack([xs[list(sel)], ys[list(sel)]])
-    return PolymerPath.through(pts)
+def _solution(ex, ey, ws, beta, sel) -> tuple[PolymerPath, float]:
+    """Path through the selected charges and its value."""
+    nodes = [0, *(i + 1 for i in sel), ex.size - 1]
+    path = PolymerPath(np.column_stack([ex[nodes], ey[nodes]]))
+    return path, beta * float(np.sum(ws[list(sel)])) - path_entropy(path)
 
 
 def solve_polymer(env: PolymerEnvironment, beta: float) -> tuple[PolymerPath, float]:
@@ -236,61 +197,23 @@ def solve_polymer(env: PolymerEnvironment, beta: float) -> tuple[PolymerPath, fl
 
     Vertices are restricted to charge locations: straightening a path
     between the charges it touches never loses energy and never raises the
-    entropy, by convexity of the slope rate.
+    entropy, by convexity of the slope rate.  Segment costs are computed one
+    column at a time, so memory stays linear.
     """
     if beta < 0.0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    if env.size == 0:
-        return PolymerPath.flat(), 0.0
-    xs, ys, ws, _ = _sorted_nodes(env)
-    sel = _polymer_dp(xs, ys, ws, beta)
-    path = _path_from_selection(xs, ys, sel)
-    value = beta * float(np.sum(ws[list(sel)])) - path_entropy(path)
-    return path, value
+    ex, ey, ws = _sorted_nodes(env)
+    sel = chain_dp(ws, beta, lambda j: _segment_entropy(ex[j] - ex[:j], ey[j] - ey[:j]))
+    return _solution(ex, ey, ws, beta, sel)
 
 
 def solve_polymer_bruteforce(env: PolymerEnvironment, beta: float) -> tuple[PolymerPath, float]:
     """Exhaustive search over feasible charge chains (oracle, small k only)."""
     if env.size > ENUM_MAX:
         raise ValueError(f"brute force capped at {ENUM_MAX} charges")
-    xs, ys, ws, _ = _sorted_nodes(env)
-    m = xs.size
-    seg = _segment_entropy_matrix(xs, ys)
-    best = (-math.inf, 0, ())
-    stack = [(0, 0.0, 0.0, ())]
-    while stack:
-        last, wsum, eo, sel = stack.pop()
-        if math.isfinite(seg[last, m + 1]):
-            val = beta * wsum - (eo + seg[last, m + 1])
-            key = (-val, len(sel), sel)
-            if key < (-best[0], best[1], best[2]):
-                best = (val, len(sel), sel)
-        for j in range(last, m):
-            if math.isfinite(seg[last, j + 1]):
-                stack.append((j + 1, wsum + ws[j], eo + seg[last, j + 1], sel + (j,)))
-    sel = best[2]
-    path = _path_from_selection(xs, ys, sel)
-    value = beta * float(np.sum(ws[list(sel)])) - path_entropy(path)
-    return path, value
-
-
-def _polymer_dp_sums(ws, beta, seg):
-    """Lean DP: (value, weight sum, entropy) of one maximizing chain."""
-    m = ws.size
-    best = np.empty(m + 2)
-    wsum = np.empty(m + 2)
-    esum = np.empty(m + 2)
-    best[0] = 0.0
-    wsum[0] = 0.0
-    esum[0] = 0.0
-    for j in range(1, m + 2):
-        gain = beta * ws[j - 1] if j <= m else 0.0
-        cand = best[:j] + gain - seg[:j, j]
-        i = int(np.argmax(cand))
-        best[j] = cand[i]
-        wsum[j] = wsum[i] + (ws[j - 1] if j <= m else 0.0)
-        esum[j] = esum[i] + seg[i, j]
-    return float(best[m + 1]), float(wsum[m + 1]), float(esum[m + 1])
+    ex, ey, ws = _sorted_nodes(env)
+    sel = enumerate_best(ws, beta, _segment_entropy_matrix(ex, ey))
+    return _solution(ex, ey, ws, beta, sel)
 
 
 def polymer_beta_critical(env: PolymerEnvironment, method: str = "auto") -> float:
@@ -298,57 +221,14 @@ def polymer_beta_critical(env: PolymerEnvironment, method: str = "auto") -> floa
 
     min over feasible nonempty chains of path entropy / collected weight;
     0 as soon as a charge sits on the axis, +inf for an empty environment.
-    Ratio enumeration up to 20 charges; above that a parametric iteration on
-    the chain DP lands on the minimizing ratio exactly ("bisect" forces
-    plain bisection via the DP, tolerance 1e-9, for cross-validation).
+    Ratio enumeration up to 20 charges; above that a parametric
+    (Dinkelbach) iteration on the chain DP lands on the minimizing ratio
+    exactly.  "bisect" is kept as a cross-check oracle: plain bisection on
+    the coupling via the chain DP, tolerance 1e-9.
     """
     if env.size == 0:
         return math.inf
     if np.any(np.abs(env.y) <= ON_PATH_TOL):
         return 0.0
-    if method not in ("auto", "enumerate", "parametric", "bisect"):
-        raise ValueError(f"unknown method {method!r}")
-    xs, ys, ws, _ = _sorted_nodes(env)
-    m = xs.size
-    if method == "enumerate" or (method == "auto" and m <= ENUM_MAX):
-        if m > ENUM_MAX:
-            raise ValueError(f"enumeration capped at {ENUM_MAX} charges")
-        seg = _segment_entropy_matrix(xs, ys)
-        best = math.inf
-        stack = [(0, 0.0, 0.0)]
-        while stack:
-            last, wsum, eo = stack.pop()
-            if last != 0 and math.isfinite(seg[last, m + 1]):
-                best = min(best, (eo + seg[last, m + 1]) / wsum)
-            for j in range(last, m):
-                if math.isfinite(seg[last, j + 1]):
-                    stack.append((j + 1, wsum + ws[j], eo + seg[last, j + 1]))
-        return best
-    seg = _segment_entropy_matrix(xs, ys)
-    tents = np.array([tent_entropy(x, y) for x, y in zip(xs, ys)])
-    if method == "bisect":
-        hi = float((tents / ws).min()) * (1.0 + 1e-6) + 1e-12
-        lo = 0.0
-
-        def nonflat(beta: float) -> bool:
-            return len(_polymer_dp(xs, ys, ws, beta, seg)) > 0
-
-        if not nonflat(hi):  # numerical guard; widen once
-            hi *= 1.0 + 1e-3
-        while hi - lo > BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            if nonflat(mid):
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
-    beta = float((tents / ws).min())
-    for _ in range(100):
-        value, wsum, esum = _polymer_dp_sums(ws, beta, seg)
-        if wsum <= 0.0 or value <= 0.0:
-            return beta
-        new_beta = esum / wsum
-        if new_beta >= beta - 1e-15 * max(1.0, beta):
-            return new_beta
-        beta = new_beta
-    return beta
+    ex, ey, ws = _sorted_nodes(env)
+    return min_ratio(ws, _segment_entropy_matrix(ex, ey), 1.0, method, ENUM_MAX)

@@ -11,19 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
+from .chain import chain_dp, enumerate_best, min_ratio
 from .geometry import PinnedSet, hausdorff, set_entropy
 
 MEMBER_TOL = 1e-12
 
 #: enumeration is capped at 2^25 subsets
 BRUTEFORCE_MAX = 25
-_VECTOR_MAX = 20  # above this the enumeration switches to depth-first search
-
-BISECT_TOL = 1e-9
-_PRECOMP_MAX = 4096  # largest instance for which the gap-power matrix is cached
 
 
 @dataclass(frozen=True)
@@ -117,120 +115,31 @@ def _gap_powers(L: EnergyLandscape) -> np.ndarray:
     """(m+2)x(m+2) matrix of (p_j - p_i)^gamma over endpoint-augmented nodes."""
     ext = np.concatenate(([0.0], L.positions, [1.0]))
     diff = ext[None, :] - ext[:, None]
-    with np.errstate(invalid="ignore"):
-        gp = np.where(diff > 0.0, np.abs(diff) ** L.gamma, 0.0)
-    return gp
-
-
-def _enumerate_values(L: EnergyLandscape) -> np.ndarray:
-    """Objective of every subset, indexed by bitmask over positions."""
-    m = L.size
-    gp = _gap_powers(L)
-    size = 1 << m
-    wsum = np.zeros(size)
-    e_open = np.zeros(size)  # entropy of the path 0 -> highest chosen position
-    topnode = np.zeros(size, dtype=np.int64)  # 0 = left endpoint
-    for hb in range(m):
-        lo = 1 << hb
-        sl = slice(lo, 2 * lo)
-        wsum[sl] = wsum[:lo] + L.weights[hb]
-        e_open[sl] = e_open[:lo] + gp[topnode[:lo], hb + 1]
-        topnode[sl] = hb + 1
-    closing = gp[topnode, m + 1]
-    return L.beta * wsum - L.c_entropy * (e_open + closing)
-
-
-def _mask_indices(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
-
-
-def _best_masks_dfs(L: EnergyLandscape):
-    """Depth-first enumeration for instances too large to vectorize."""
-    m = L.size
-    gp = _gap_powers(L)
-    w = L.weights
-    beta, c = L.beta, L.c_entropy
-    best = (-math.inf, 0, ())
-    stack = [(0, 0.0, 0.0, ())]  # (last node, wsum, open entropy, indices)
-    while stack:
-        last, wsum, eo, idx = stack.pop()
-        val = beta * wsum - c * (eo + gp[last, m + 1])
-        key = (-val, len(idx), idx)
-        if key < (-best[0], best[1], best[2]):
-            best = (val, len(idx), idx)
-        for j in range(last, m):
-            stack.append((j + 1, wsum + w[j], eo + gp[last, j + 1], idx + (j,)))
-    return best
+    return np.where(diff > 0.0, np.abs(diff) ** L.gamma, 0.0)
 
 
 def solve_bruteforce(L: EnergyLandscape) -> VarSolution:
     """Exact maximizer by exhaustive subset enumeration (<= 25 positions).
 
-    Ties are broken by fewer points, then lexicographically smallest index
-    set; exact ties have probability zero in theory but do occur in floating
-    point for symmetric instances.
+    Ties are broken as in solve_dp: fewer points, then the smallest last
+    index, then the smallest index before it, and so on; exact ties have
+    probability zero in theory but do occur in floating point for symmetric
+    instances.
     """
     m = L.size
     if m > BRUTEFORCE_MAX:
         raise ValueError(f"instance has {m} positions, enumeration capped at {BRUTEFORCE_MAX}")
-    if m > _VECTOR_MAX:
-        val, _, idx = _best_masks_dfs(L)
-        return VarSolution(_pinned_from_indices(L, idx), _canonical_value(L, idx), idx)
-    values = _enumerate_values(L)
-    vmax = values.max()
-    ties = np.flatnonzero(values == vmax)
-    idx = min((_mask_indices(int(t)) for t in ties), key=lambda ix: (len(ix), ix))
+    idx = enumerate_best(L.weights, L.beta, _gap_powers(L), L.c_entropy)
     return VarSolution(_pinned_from_indices(L, idx), _canonical_value(L, idx), idx)
 
 
-def _dp_best(L: EnergyLandscape, gp: np.ndarray | None = None):
-    """Quadratic DP over endpoint-augmented nodes; returns (value, indices).
+def solve_dp(L: EnergyLandscape) -> VarSolution:
+    """Exact maximizer by dynamic programming; agrees with solve_bruteforce.
 
-    best[j] = max_i best[i] + beta*w_j - c*(p_j - p_i)^gamma with ties broken
-    by fewer selected points, then by smallest predecessor.
+    Gap powers are computed one column at a time, so memory stays linear.
     """
-    m = L.size
     ext = np.concatenate(([0.0], L.positions, [1.0]))
-    w_ext = np.concatenate(([0.0], L.weights, [0.0]))
-    best = np.empty(m + 2)
-    best[0] = 0.0
-    cnt = np.zeros(m + 2, dtype=np.int64)
-    bp = np.zeros(m + 2, dtype=np.int64)
-    c, beta = L.c_entropy, L.beta
-    for j in range(1, m + 2):
-        if gp is not None:
-            gaps = gp[:j, j]
-        else:
-            gaps = (ext[j] - ext[:j]) ** L.gamma
-        cand = best[:j] + beta * w_ext[j] - c * gaps
-        vmax = cand.max()
-        tie = np.flatnonzero(cand == vmax)
-        i = int(tie[np.argmin(cnt[tie])])
-        best[j] = vmax
-        cnt[j] = cnt[i] + (1 if j <= m else 0)
-        bp[j] = i
-    idx = []
-    node = m + 1
-    while node != 0:
-        node = int(bp[node])
-        if node != 0:
-            idx.append(node - 1)
-    return tuple(reversed(idx))
-
-
-def solve_dp(L: EnergyLandscape, _gap_matrix: np.ndarray | None = None) -> VarSolution:
-    """Exact maximizer by dynamic programming; agrees with solve_bruteforce."""
-    if L.size == 0:
-        trivial = PinnedSet([0.0, 1.0])
-        return VarSolution(trivial, -L.c_entropy, ())
-    idx = _dp_best(L, _gap_matrix)
+    idx = chain_dp(L.weights, L.beta, lambda j: (ext[j] - ext[:j]) ** L.gamma, L.c_entropy)
     return VarSolution(_pinned_from_indices(L, idx), _canonical_value(L, idx), idx)
 
 
@@ -245,107 +154,12 @@ def constrained_max(L: EnergyLandscape, ref: VarSolution, delta: float) -> float
         raise ValueError(f"instance has {m} positions, enumeration capped at {BRUTEFORCE_MAX}")
     ref_pts = ref.maximizer.points
     best = -math.inf
-    for mask in range(1 << m):
-        idx = _mask_indices(mask)
-        I = _pinned_from_indices(L, idx)
-        if hausdorff(I.points, ref_pts) >= delta:
-            best = max(best, _canonical_value(L, idx))
+    for r in range(m + 1):
+        for idx in combinations(range(m), r):
+            I = _pinned_from_indices(L, idx)
+            if hausdorff(I.points, ref_pts) >= delta:
+                best = max(best, _canonical_value(L, idx))
     return best
-
-
-def _min_ratio_enumerated(pos, w, gamma, c):
-    L = EnergyLandscape(pos, w, 0.0, gamma, c)
-    gp = _gap_powers(L)
-    m = pos.size
-    if m <= _VECTOR_MAX:
-        size = 1 << m
-        wsum = np.zeros(size)
-        e_open = np.zeros(size)
-        topnode = np.zeros(size, dtype=np.int64)
-        for hb in range(m):
-            lo = 1 << hb
-            sl = slice(lo, 2 * lo)
-            wsum[sl] = wsum[:lo] + w[hb]
-            e_open[sl] = e_open[:lo] + gp[topnode[:lo], hb + 1]
-            topnode[sl] = hb + 1
-        entropy_closed = e_open + gp[topnode, m + 1]
-        ratios = c * (entropy_closed[1:] - 1.0) / wsum[1:]
-        return float(ratios.min())
-    best = math.inf
-    stack = [(0, 0.0, 0.0)]
-    while stack:
-        last, wsum, eo = stack.pop()
-        if last != 0:
-            best = min(best, c * (eo + gp[last, m + 1] - 1.0) / wsum)
-        for j in range(last, m):
-            stack.append((j + 1, wsum + w[j], eo + gp[last, j + 1]))
-    return best
-
-
-def _dp_argmax_sums(pos, w, beta, c, gp):
-    """Lean DP: returns (value, weight sum, entropy) of one maximizing subset."""
-    m = pos.size
-    best = np.empty(m + 2)
-    wsum = np.empty(m + 2)
-    esum = np.empty(m + 2)
-    best[0] = 0.0
-    wsum[0] = 0.0
-    esum[0] = 0.0
-    for j in range(1, m + 2):
-        gain = beta * w[j - 1] if j <= m else 0.0
-        cand = best[:j] + gain - c * gp[:j, j]
-        i = int(np.argmax(cand))
-        best[j] = cand[i]
-        wsum[j] = wsum[i] + (w[j - 1] if j <= m else 0.0)
-        esum[j] = esum[i] + gp[i, j]
-    return float(best[m + 1]), float(wsum[m + 1]), float(esum[m + 1])
-
-
-def _min_ratio_parametric(pos, w, gamma, c):
-    """Exact threshold by parametric (ratio-root) iteration on the DP.
-
-    Starting above the threshold, each step jumps to the ratio of the
-    current maximizing subset; the iterate decreases strictly and lands on
-    the minimizing ratio after finitely many DP solves (typically < 10).
-    """
-    base = EnergyLandscape(pos, w, 0.0, gamma, c)
-    gp = _gap_powers(base)
-    single = c * ((pos**gamma + (1.0 - pos) ** gamma) - 1.0) / w
-    beta = float(single.min())
-    for _ in range(100):
-        value, wsum, esum = _dp_argmax_sums(pos, w, beta, c, gp)
-        # the trivial set {0,1} scores exactly -c in this DP
-        if wsum <= 0.0 or value <= -c:
-            return beta
-        new_beta = c * (esum - 1.0) / wsum
-        if new_beta >= beta - 1e-15 * max(1.0, beta):
-            return new_beta
-        beta = new_beta
-    return beta
-
-
-def _min_ratio_bisect(pos, w, gamma, c):
-    m = pos.size
-    # the cheapest single-position subset bounds the threshold from above
-    single = c * ((pos**gamma + (1.0 - pos) ** gamma) - 1.0) / w
-    hi = float(single.min()) * (1.0 + 1e-6) + 1e-12
-    lo = 0.0
-    base = EnergyLandscape(pos, w, 0.0, gamma, c)
-    gp = _gap_powers(base) if m <= _PRECOMP_MAX else None
-
-    def leaves_trivial(beta: float) -> bool:
-        sol = solve_dp(EnergyLandscape(pos, w, beta, gamma, c), gp)
-        return len(sol.selected) > 0
-
-    if not leaves_trivial(hi):  # numerical guard; widen once
-        hi *= 1.0 + 1e-3
-    while hi - lo > BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if leaves_trivial(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
 
 
 def beta_critical(positions, weights, gamma: float, c_entropy: float = 1.0,
@@ -354,23 +168,12 @@ def beta_critical(positions, weights, gamma: float, c_entropy: float = 1.0,
 
     Equals min over nonempty subsets A of c * (E(Y_A) - 1) / sum of weights
     in A; computed by exact ratio enumeration up to 25 positions and by the
-    parametric DP iteration above that ("bisect" forces plain bisection on
-    the coupling via solve_dp, tolerance 1e-9; it agrees to that tolerance
-    but needs ~10x more DP solves).  Returns +inf for an empty landscape.
+    parametric (Dinkelbach) DP iteration above that.  "bisect" is kept as a
+    cross-check oracle: plain bisection on the coupling via the chain DP,
+    tolerance 1e-9, about 10x more DP solves.  Returns +inf for an empty
+    landscape.
     """
-    pos = np.asarray(positions, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    order = np.argsort(pos)
-    pos, w = pos[order], w[order]
-    m = pos.size
-    if m == 0:
+    L = EnergyLandscape.from_marks(positions, weights, 0.0, gamma, c_entropy)
+    if L.size == 0:
         return math.inf
-    if method not in ("auto", "enumerate", "parametric", "bisect"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "enumerate" or (method == "auto" and m <= BRUTEFORCE_MAX):
-        if m > BRUTEFORCE_MAX:
-            raise ValueError(f"enumeration capped at {BRUTEFORCE_MAX} positions")
-        return _min_ratio_enumerated(pos, w, gamma, c_entropy)
-    if method == "bisect":
-        return _min_ratio_bisect(pos, w, gamma, c_entropy)
-    return _min_ratio_parametric(pos, w, gamma, c_entropy)
+    return min_ratio(L.weights, _gap_powers(L), c_entropy, method, BRUTEFORCE_MAX)

@@ -58,6 +58,8 @@ def test_validation_names_module_preconditions():
         config_from_mapping({"experiment": "concentration", "h": 0.0})
     with pytest.raises(ConfigError, match="subordinator.growth_check"):
         config_from_mapping({"experiment": "subordinator-growth", "q": 0.5})
+    with pytest.raises(ConfigError, match="renewal.subexp_diagnostics"):
+        config_from_mapping({"experiment": "renewal-asymptotics", "n_eval": 2, "n_max": 2000})
     # polymer admits alpha up to 2
     cfg = config_from_mapping({"experiment": "threshold-polymer", "alpha": 1.5})
     assert cfg.alpha == 1.5
@@ -166,6 +168,26 @@ def test_cli_exit_codes(tmp_path, capsys):
         "out_dir": "/proc/definitely/not/writable",
     }))
     assert main(["run", "--config", str(unwritable)]) == 3
+
+
+def test_bad_input_exits_2(tmp_path, monkeypatch):
+    pooled = tmp_path / "pooled.json"
+    pooled.write_text(json.dumps({
+        "experiment": "threshold-pinning", "k_list": [4], "replicas": 2,
+        "out_dir": str(tmp_path / "pooled"),
+    }))
+    monkeypatch.setenv("PINLAB_THREADS", "abc")
+    assert main(["run", "--config", str(pooled)]) == 2
+    monkeypatch.delenv("PINLAB_THREADS")
+
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({
+        "experiment": "renewal-asymptotics", "n_eval": 2, "n_max": 2000,
+        "out_dir": str(tmp_path / "short"),
+    }))
+    assert main(["validate", "--config", str(short)]) == 2
+    assert main(["run", "--config", str(short)]) == 2
+    assert not (tmp_path / "short").exists()  # rejected before any cell is written
 
 
 def test_gibbs_sample_serialization_contract(tmp_path):

@@ -215,21 +215,6 @@ def test_small_beta_keeps_maximizer_near_edges():
             assert np.all((inner <= eps) | (inner >= 1 - eps))
 
 
-def test_dfs_fallback_paths_agree(monkeypatch):
-    # force the depth-first enumeration used above the vectorization cap
-    import pinlab.varmax as vm
-
-    rng = np.random.default_rng(77)
-    landscapes = [_random_landscape(rng, int(rng.integers(2, 10))) for _ in range(10)]
-    expected = [(solve_bruteforce(L).selected, solve_bruteforce(L).value) for L in landscapes]
-    ratios = [beta_critical(L.positions, L.weights, L.gamma) for L in landscapes]
-    monkeypatch.setattr(vm, "_VECTOR_MAX", 1)
-    for L, (sel, val), r in zip(landscapes, expected, ratios):
-        dfs_sol = solve_bruteforce(L)
-        assert dfs_sol.selected == sel and dfs_sol.value == val
-        assert beta_critical(L.positions, L.weights, L.gamma) == pytest.approx(r, abs=1e-13)
-
-
 def test_landscape_validation():
     with pytest.raises(ValueError):
         EnergyLandscape(np.array([0.0, 0.5]), np.array([1.0, 1.0]), 1.0, 0.5)
