@@ -66,39 +66,52 @@ def _argmax_sums(w, beta: float, cost: np.ndarray, c: float):
     return best[m + 1], wsum[m + 1], csum[m + 1]
 
 
-def _subsets(w, cost: np.ndarray):
-    """Yield (first mask, weight sums, chain costs) over all 2^m subsets.
+def _subsets(w, cost, beta=None, c=1.0):
+    """Yield (first mask, weight sums, chain costs, scores) over all 2^m subsets.
 
     Bit i of a mask selects node i+1.  The low CHUNK_BITS bits are built
     once by doubling; each chunk extends them by one fixed set of high bits.
+    Scores are None unless beta is given; then each chain is scored as
+    chain_dp scores it, (v + beta * w_j) - c * C[i,j] node by node, closed
+    by (v + beta * 0.0) - c * C[last, m+1].
     """
     m = w.size
     b = min(m, CHUNK_BITS)
     wsum = np.zeros(1 << b)
     csum = np.zeros(1 << b)
+    score = None if beta is None else np.zeros(1 << b)
     top = np.zeros(1 << b, dtype=np.int64)  # last chosen node, 0 = left endpoint
     for hb in range(b):
         lo = 1 << hb
+        edge = cost[top[:lo], hb + 1]
         wsum[lo : 2 * lo] = wsum[:lo] + w[hb]
-        csum[lo : 2 * lo] = csum[:lo] + cost[top[:lo], hb + 1]
+        csum[lo : 2 * lo] = csum[:lo] + edge
+        if score is not None:
+            score[lo : 2 * lo] = (score[:lo] + beta * w[hb]) - c * edge
         top[lo : 2 * lo] = hb + 1
     for high in range(1 << (m - b)):
-        hw, hc, last = wsum, csum, top
+        hw, hc, hs, last = wsum, csum, score, top
         for p in range(b, m):
             if high >> (p - b) & 1:
+                edge = cost[last, p + 1]
                 hw = hw + w[p]
-                hc = hc + cost[last, p + 1]
+                hc = hc + edge
+                if hs is not None:
+                    hs = (hs + beta * w[p]) - c * edge
                 last = p + 1
-        yield high << b, hw, hc + cost[last, m + 1]
+        edge = cost[last, m + 1]
+        if hs is not None:
+            hs = (hs + beta * 0.0) - c * edge
+        yield high << b, hw, hc + edge, hs
 
 
 def enumerate_best(w, beta: float, cost: np.ndarray, c: float = 1.0) -> tuple[int, ...]:
-    """Maximizing chain by exhaustive enumeration, with chain_dp's ranking
-    of ties: fewer points, then the smallest last index, then the smallest
-    index before it, and so on (the smallest predecessor at every node)."""
+    """Maximizing chain by exhaustive enumeration, with chain_dp's scores
+    and its ranking of ties: fewer points, then the smallest last index,
+    then the smallest index before it, and so on (the smallest predecessor
+    at every node)."""
     best, ties = -math.inf, []
-    for first, wsum, csum in _subsets(w, cost):
-        values = beta * wsum - c * csum
+    for first, _, _, values in _subsets(w, cost, beta, c):
         vmax = values.max()
         if vmax > best:
             best, ties = vmax, []
@@ -127,7 +140,7 @@ def min_ratio(w, cost: np.ndarray, c: float, method: str, enum_max: int) -> floa
         if m > enum_max:
             raise ValueError(f"enumeration capped at {enum_max} points")
         best = math.inf
-        for first, wsum, csum in _subsets(w, cost):
+        for first, wsum, csum, _ in _subsets(w, cost):
             skip = 1 if first == 0 else 0  # the empty chain has no ratio
             best = min(best, float((c * (csum[skip:] - base) / wsum[skip:]).min()))
         return best

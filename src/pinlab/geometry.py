@@ -73,12 +73,17 @@ def set_entropy(I: PinnedSet, gamma: float) -> float:
     return float(np.sum(I.gaps**gamma))
 
 
+def nearest_distances(x: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Distance from each entry of x to the nearest entry of sorted pts."""
+    idx = np.searchsorted(pts, x)
+    left = pts[np.maximum(idx - 1, 0)]
+    right = pts[np.minimum(idx, pts.size - 1)]
+    return np.minimum(np.abs(x - left), np.abs(x - right))
+
+
 def _directed(a: np.ndarray, b: np.ndarray) -> float:
     # sup over a of distance to b, both arrays sorted
-    idx = np.searchsorted(b, a)
-    left = b[np.clip(idx - 1, 0, b.size - 1)]
-    right = b[np.clip(idx, 0, b.size - 1)]
-    return float(np.max(np.minimum(np.abs(a - left), np.abs(a - right))))
+    return float(np.max(nearest_distances(a, b)))
 
 
 def hausdorff(A, B) -> float:

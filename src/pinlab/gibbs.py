@@ -86,6 +86,34 @@ class GibbsSample:
         return list(self.indices)
 
 
+def _logsumexp(a: np.ndarray) -> np.float64:
+    """scipy.special.logsumexp of a 1-d float array, step for step.
+
+    The maxima are split off and counted, the rest is summed shifted, and
+    a non-finite result falls back to log(sum(exp(a))), as scipy does; the
+    floats are scipy's, without its array-API dispatch.  Call it under
+    np.errstate(all="ignore") for scipy's silence on -inf and nan rows.
+    """
+    a_max = a.max()
+    top = a == a_max
+    cnt = np.float64(np.count_nonzero(top))
+    s = np.exp(np.where(top, -np.inf, a) - a_max).sum()
+    if s != 0:
+        s = s / cnt
+    out = np.log1p(s) + np.log(cnt) + a_max
+    if not np.isfinite(out):
+        out = np.log(np.exp(a).sum())
+    return out
+
+
+def _log_kernel(model: PinningModel) -> np.ndarray:
+    """log K(0..N), with log K(0) = -inf."""
+    N = model.N
+    logK = np.full(N + 1, -np.inf)
+    logK[1:] = np.log(model.law.K[1 : N + 1])
+    return logK
+
+
 def forward_table(model: PinningModel) -> np.ndarray:
     """log Z_0..log Z_N where Z_n sums path weights of bridges ending at n.
 
@@ -95,14 +123,15 @@ def forward_table(model: PinningModel) -> np.ndarray:
     N = model.N
     if N > model.law.n_max:
         raise ValueError(f"horizon N={N} exceeds law support n_max={model.law.n_max}")
-    logK = np.full(N + 1, -np.inf)
-    logK[1:] = np.log(model.law.K[1 : N + 1])
+    logK = _log_kernel(model)
     site = model.site_log_weights
     logZ = np.empty(N + 1)
     logZ[0] = 0.0
-    for n in range(1, N + 1):
-        inner = logsumexp(logZ[:n] + logK[n:0:-1])
-        logZ[n] = inner + (site[n - 1] if n < N else 0.0)
+    # each row needs every row before it, so the loop over n stays
+    with np.errstate(all="ignore"):
+        for n in range(1, N + 1):
+            inner = _logsumexp(logZ[:n] + logK[n:0:-1])
+            logZ[n] = inner + (site[n - 1] if n < N else 0.0)
     return logZ
 
 
@@ -130,6 +159,40 @@ def set_log_weight(model: PinningModel, sample) -> float:
     return out
 
 
+def _backward_cdf(table: np.ndarray, logK: np.ndarray, n: int) -> np.ndarray:
+    """CDF over the point m < n before n, P(m) proportional to Z_m * K(n-m).
+
+    Built with the arithmetic of Generator.choice(n, p=p): normalize p,
+    cumsum, then divide by the last entry.
+    """
+    logits = table[:n] + logK[n:0:-1]
+    p = np.exp(logits - logits.max())
+    total = p.sum()
+    if not total >= 1.0:  # the largest term is exp(0) = 1, so only nan fails
+        raise ValueError("backward probabilities contain NaN")
+    p /= total
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(table: np.ndarray, logK: np.ndarray, cdf_N: np.ndarray,
+          rng: np.random.Generator) -> tuple[int, ...]:
+    """Indices 0..N of one exact draw, starting from the CDF of row N.
+
+    One uniform per step, mapped as Generator.choice maps it, so the
+    draws and the generator's state match rng.choice(n, p=p) step by step.
+    """
+    points = [table.size - 1]
+    cdf = cdf_N
+    while True:
+        n = int(cdf.searchsorted(rng.random(), side="right"))
+        points.append(n)
+        if n == 0:
+            return tuple(reversed(points))
+        cdf = _backward_cdf(table, logK, n)
+
+
 def exact_sample(model: PinningModel, rng: np.random.Generator,
                  table: np.ndarray | None = None) -> GibbsSample:
     """Draw exactly from the pinned Gibbs measure by backward decomposition.
@@ -140,19 +203,9 @@ def exact_sample(model: PinningModel, rng: np.random.Generator,
     """
     if table is None:
         table = forward_table(model)
-    N = model.N
-    logK = np.full(N + 1, -np.inf)
-    logK[1:] = np.log(model.law.K[1 : N + 1])
-    points = [N]
-    n = N
-    while n > 0:
-        logits = table[:n] + logK[n:0:-1]
-        p = np.exp(logits - logits.max())
-        p /= p.sum()
-        m = int(rng.choice(n, p=p))
-        points.append(m)
-        n = m
-    return GibbsSample(indices=tuple(reversed(points)), N=N)
+    logK = _log_kernel(model)
+    indices = _draw(table, logK, _backward_cdf(table, logK, model.N), rng)
+    return GibbsSample(indices=indices, N=model.N)
 
 
 def enumerate_distribution(model: PinningModel) -> dict[tuple[int, ...], float]:
@@ -198,10 +251,13 @@ def concentration_probability(model: PinningModel, ref: PinnedSet, delta: float,
         raise ValueError("n_samples must be >= 1")
     if table is None:
         table = forward_table(model)
+    N = model.N
+    logK = _log_kernel(model)
+    cdf_N = _backward_cdf(table, logK, N)  # every draw starts at N
     exceed = 0
     for _ in range(n_samples):
-        s = exact_sample(model, rng, table)
-        if hausdorff(s.set, ref) > delta:
+        indices = _draw(table, logK, cdf_N, rng)
+        if hausdorff(np.asarray(indices) / N, ref) > delta:
             exceed += 1
     lo, hi = wilson_interval(exceed, n_samples)
     return ConcentrationEstimate(exceed / n_samples, lo, hi, exceed, n_samples)

@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from .chain import chain_dp, enumerate_best, min_ratio
-from .geometry import PinnedSet, hausdorff, set_entropy
+from .geometry import PinnedSet, hausdorff, nearest_distances, set_entropy
 
 MEMBER_TOL = 1e-12
 
@@ -82,11 +82,7 @@ def energy(L: EnergyLandscape, I: PinnedSet) -> float:
     """Total weight of landscape positions captured by I (tolerance 1e-12)."""
     if L.size == 0:
         return 0.0
-    pts = I.points
-    idx = np.searchsorted(pts, L.positions)
-    left = pts[np.clip(idx - 1, 0, pts.size - 1)]
-    right = pts[np.clip(idx, 0, pts.size - 1)]
-    dist = np.minimum(np.abs(L.positions - left), np.abs(L.positions - right))
+    dist = nearest_distances(L.positions, I.points)
     return float(np.sum(L.weights[dist <= MEMBER_TOL]))
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pinlab.chain as chain
@@ -15,7 +15,13 @@ from pinlab.polymer import (
     solve_polymer_bruteforce,
 )
 from pinlab.streams import substream
-from pinlab.varmax import EnergyLandscape, _gap_powers, beta_critical, solve_bruteforce
+from pinlab.varmax import (
+    EnergyLandscape,
+    _gap_powers,
+    beta_critical,
+    solve_bruteforce,
+    solve_dp,
+)
 
 
 def test_chunked_enumeration_matches_one_chunk(monkeypatch):
@@ -119,3 +125,23 @@ def test_dp_tie_breaks_match_enumeration_exact_costs(m, beta, data):
     cost = np.array(flat).reshape(m + 2, m + 2)
     cost[0, m + 1] = 2.0  # the empty chain stays feasible
     assert chain_dp(w, beta, lambda j: cost[:j, j]) == enumerate_best(w, beta, cost)
+
+
+@given(
+    half=st.lists(st.integers(1, 31), min_size=1, max_size=4, unique=True),
+    weights=st.lists(st.integers(1, 8), min_size=4, max_size=4),
+)
+@example(half=[2], weights=[1, 1, 1, 1])
+@settings(max_examples=200, deadline=None)
+def test_dp_and_enumeration_agree_at_the_critical_coupling(half, weights):
+    # at beta = beta_c the empty chain and the critical chain tie exactly in
+    # theory; both solvers must round that tie the same way, so the
+    # enumeration scores chains in the DP's order of accumulation
+    p = np.sort(np.array(half, dtype=float)) / 64.0
+    pos = np.concatenate([p, 1.0 - p[::-1]])
+    wh = np.array(weights[: p.size], dtype=float)
+    w = np.concatenate([wh, wh[::-1]])
+    L = EnergyLandscape(pos, w, beta_critical(pos, w, 0.5), 0.5)
+    cost = _gap_powers(L)
+    assert chain_dp(w, L.beta, lambda j: cost[:j, j]) == enumerate_best(w, L.beta, cost)
+    assert solve_dp(L).selected == solve_bruteforce(L).selected

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from pinlab.disorder import DisorderLaw, sample_coupled, truncation_residual
-from pinlab.geometry import PinnedSet
+from pinlab.geometry import PinnedSet, hausdorff
 from pinlab.gibbs import (
     GibbsSample,
+    _logsumexp,
     PinningModel,
     concentration_probability,
     enumerate_distribution,
@@ -220,3 +224,127 @@ def test_model_validation(term):
     s = GibbsSample(indices=(0, 3, 8), N=8)
     assert s.to_index_list() == [0, 3, 8]
     assert s.set == PinnedSet([0, 3 / 8, 1])
+
+
+# Oracles: the per-call forms the fast paths replaced.  The fast paths must
+# reproduce their floats and their use of the generator bit for bit.
+
+
+def _forward_table_oracle(model):
+    N = model.N
+    logK = np.full(N + 1, -np.inf)
+    logK[1:] = np.log(model.law.K[1 : N + 1])
+    site = model.site_log_weights
+    logZ = np.empty(N + 1)
+    logZ[0] = 0.0
+    for n in range(1, N + 1):
+        logZ[n] = logsumexp(logZ[:n] + logK[n:0:-1]) + (site[n - 1] if n < N else 0.0)
+    return logZ
+
+
+def _exact_sample_oracle(model, rng, table):
+    N = model.N
+    logK = np.full(N + 1, -np.inf)
+    logK[1:] = np.log(model.law.K[1 : N + 1])
+    points = [N]
+    n = N
+    while n > 0:
+        logits = table[:n] + logK[n:0:-1]
+        p = np.exp(logits - logits.max())
+        p /= p.sum()
+        n = int(rng.choice(n, p=p))
+        points.append(n)
+    return tuple(reversed(points))
+
+
+def _hausdorff_oracle(A, B):
+    def directed(a, b):
+        idx = np.searchsorted(b, a)
+        left = b[np.clip(idx - 1, 0, b.size - 1)]
+        right = b[np.clip(idx, 0, b.size - 1)]
+        return float(np.max(np.minimum(np.abs(a - left), np.abs(a - right))))
+
+    return max(directed(A.points, B.points), directed(B.points, A.points))
+
+
+def _heavy_tailed_model(law, N, beta, h, alpha, zeros, seed):
+    # Pareto(alpha) site rewards with a fraction of exact zeros
+    rng = np.random.default_rng(seed)
+    omega = rng.random(N - 1) ** (-1.0 / alpha) - 1.0
+    omega[rng.random(N - 1) < zeros] = 0.0
+    return PinningModel(law=tilt(law, h), omega=omega, beta=beta, h=0.0, N=N)
+
+
+model_params = dict(
+    N=st.integers(2, 300),
+    beta=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+    h=st.sampled_from((0.0, 1.0)),
+    alpha=st.sampled_from((0.3, 0.5, 0.9)),
+    zeros=st.sampled_from((0.0, 0.5, 0.95)),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@given(st.lists(st.one_of(
+    st.sampled_from((0.0, 1.0, -2.5, 700.0, -745.0, 1e308, -np.inf, np.inf, np.nan)),
+    st.floats(-800.0, 800.0)), min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_logsumexp_rows_match_scipy(values):
+    # repeated maxima, +-inf and nan rows: every branch of scipy's steps
+    a = np.array(values)
+    with np.errstate(all="ignore"):
+        got, want = _logsumexp(a), logsumexp(a)
+    assert got == want or (np.isnan(got) and np.isnan(want))
+
+
+@given(**model_params)
+@settings(max_examples=100, deadline=None)
+def test_forward_table_matches_scipy_logsumexp(law, N, beta, h, alpha, zeros, seed):
+    model = _heavy_tailed_model(law, N, beta, h, alpha, zeros, seed)
+    assert np.array_equal(forward_table(model), _forward_table_oracle(model))
+
+
+def test_forward_table_matches_scipy_logsumexp_at_infinite_site_weight(law):
+    # beta * omega overflows to +inf at one site; every row after it is +inf
+    omega = np.zeros(49)
+    omega[20] = 1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        model = PinningModel(law=law, omega=omega, beta=10.0, h=0.0, N=50)
+        table = forward_table(model)
+        assert np.array_equal(table, _forward_table_oracle(model))
+        # the backward probabilities are nan; both samplers refuse them
+        with pytest.raises(ValueError):
+            _exact_sample_oracle(model, np.random.default_rng(0), table)
+        with pytest.raises(ValueError):
+            exact_sample(model, np.random.default_rng(0), table)
+    assert np.isinf(table[21:]).all() and np.isfinite(table[:21]).all()
+
+
+@given(**model_params, draws=st.integers(1, 20))
+@settings(max_examples=100, deadline=None)
+def test_exact_sample_matches_choice_sampler(law, N, beta, h, alpha, zeros, seed, draws):
+    model = _heavy_tailed_model(law, N, beta, h, alpha, zeros, seed)
+    table = forward_table(model)
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(draws):
+        assert exact_sample(model, fast, table).indices == _exact_sample_oracle(model, slow, table)
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+@given(**model_params, n_samples=st.integers(1, 40), delta=st.floats(0.0, 0.6))
+@settings(max_examples=100, deadline=None)
+def test_concentration_probability_matches_per_draw_pinned_sets(
+        law, N, beta, h, alpha, zeros, seed, n_samples, delta):
+    model = _heavy_tailed_model(law, N, beta, h, alpha, zeros, seed)
+    table = forward_table(model)
+    ref = PinnedSet(np.linspace(0.0, 1.0, 2 + seed % 5))
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    est = concentration_probability(model, ref, delta, n_samples, fast, table)
+    exceed = 0
+    for _ in range(n_samples):
+        s = GibbsSample(_exact_sample_oracle(model, slow, table), N)
+        d = _hausdorff_oracle(s.set, ref)
+        assert hausdorff(s.set, ref) == d
+        exceed += d > delta
+    assert est.exceed == exceed
+    assert fast.bit_generator.state == slow.bit_generator.state
