@@ -36,9 +36,11 @@ def chain_dp(w, beta: float, column, c: float = 1.0) -> tuple[int, ...]:
     bp = np.zeros(m + 2, dtype=np.int64)
     for j in range(1, m + 2):
         cand = best[:j] + beta * wx[j - 1] - c * column(j)
-        vmax = cand.max()
-        tie = np.flatnonzero(cand == vmax)
-        i = int(tie[np.argmin(cnt[tie])])
+        i = int(cand.argmax())
+        vmax = cand[i]
+        tie = (cand == vmax).nonzero()[0]
+        if tie.size > 1:
+            i = int(tie[cnt[tie].argmin()])
         best[j] = vmax
         cnt[j] = cnt[i] + 1
         bp[j] = i
@@ -50,19 +52,24 @@ def chain_dp(w, beta: float, column, c: float = 1.0) -> tuple[int, ...]:
     return tuple(reversed(sel))
 
 
-def _argmax_sums(w, beta: float, cost: np.ndarray, c: float):
-    """(value, weight sum, cost sum) of the first-argmax chain, no tie-breaks."""
+def _argmax_sums(w, beta: float, costT: np.ndarray, c: float):
+    """(value, weight sum, cost sum) of the first-argmax chain, no tie-breaks.
+
+    costT is the transposed cost matrix, so row j holds the column C[:, j]
+    contiguously.
+    """
     m = w.size
     wx = np.append(w, 0.0)
     best = np.zeros(m + 2)
     wsum = np.zeros(m + 2)
     csum = np.zeros(m + 2)
     for j in range(1, m + 2):
-        cand = best[:j] + beta * wx[j - 1] - c * cost[:j, j]
-        i = int(np.argmax(cand))
+        row = costT[j, :j]
+        cand = best[:j] + beta * wx[j - 1] - c * row
+        i = int(cand.argmax())
         best[j] = cand[i]
         wsum[j] = wsum[i] + wx[j - 1]
-        csum[j] = csum[i] + cost[i, j]
+        csum[j] = csum[i] + row[i]
     return best[m + 1], wsum[m + 1], csum[m + 1]
 
 
@@ -160,8 +167,9 @@ def min_ratio(w, cost: np.ndarray, c: float, method: str, enum_max: int) -> floa
     # the current maximizing chain; the iterate decreases strictly and lands
     # on the minimizing ratio after finitely many DP solves (typically < 10)
     beta = float(single.min())
+    costT = np.ascontiguousarray(cost.T)
     for _ in range(100):
-        value, wsum, csum = _argmax_sums(w, beta, cost, c)
+        value, wsum, csum = _argmax_sums(w, beta, costT, c)
         # the empty chain scores exactly -c * C(empty)
         if wsum <= 0.0 or value <= -c * base:
             return beta

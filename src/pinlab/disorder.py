@@ -83,31 +83,37 @@ def draw_base(size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarr
     return T, Y
 
 
+def _find(nxt: list[int], j: int) -> int:
+    """Follow "next free slot" pointers from j, halving the path as it goes."""
+    while nxt[j] != j:
+        nxt[j] = nxt[nxt[j]]
+        j = nxt[j]
+    return j
+
+
 def _assign_grid(y_inf: np.ndarray, N: int) -> np.ndarray:
     """Snap each rank's uniform position to the nearest free interior grid slot.
 
-    Slots are tried in order of distance to N*y, scanning outward and
-    preferring the left side on exact distance ties; with N-1 ranks and N-1
-    slots this is a bijection.
+    Slots are taken in order of distance to x = N*y, preferring the left
+    side on exact distance ties; with N-1 ranks and N-1 slots this is a
+    bijection.  The nearest free slot L <= floor(x) and R > floor(x) come
+    from union-find pointers over the slots (0 and N are sentinels for "no
+    free slot"), and L wins when x - L <= R - x: float subtraction is
+    monotone, so this is exactly the slot an outward scan would reach first.
     """
-    occupied = np.zeros(N, dtype=bool)  # slots 1..N-1
+    left = list(range(N + 1))   # left[j]: largest free slot <= j, or 0
+    right = list(range(N + 1))  # right[j]: smallest free slot >= j, or N
+    left[N] = N - 1
+    right[0] = 1
     slots = np.empty(N - 1, dtype=np.int64)
-    for i in range(N - 1):
-        x = N * y_inf[i]
-        lo = int(np.floor(x))
-        hi = lo + 1
-        while True:
-            lo_in = lo >= 1
-            hi_in = hi <= N - 1
-            if lo_in and (not hi_in or (x - lo) <= (hi - x)):
-                j = lo
-                lo -= 1
-            else:
-                j = hi
-                hi += 1
-            if 1 <= j <= N - 1 and not occupied[j]:
-                break
-        occupied[j] = True
+    xs = N * y_inf[: N - 1]
+    for i, (x, lo) in enumerate(zip(xs.tolist(), np.floor(xs).tolist())):
+        lo = int(lo)
+        L = _find(left, min(max(lo, 0), N))
+        R = _find(right, min(max(lo + 1, 0), N))
+        j = L if R == N or (L != 0 and x - L <= R - x) else R
+        left[j] = j - 1
+        right[j] = j + 1
         slots[i] = j
     return slots
 

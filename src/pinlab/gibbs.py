@@ -40,14 +40,22 @@ class PinningModel:
             raise ValueError(f"N must be >= 2, got {self.N}")
         if om.shape != (self.N - 1,):
             raise ValueError(f"omega must have length N-1 = {self.N - 1}")
+        if not np.all(np.isfinite(om)):
+            raise ValueError("omega must be finite")
         if np.any(om < 0.0):
             raise ValueError("omega must be nonnegative")
+        if not (math.isfinite(self.beta) and math.isfinite(self.h)):
+            raise ValueError(f"beta and h must be finite, got {self.beta}, {self.h}")
         if self.beta < 0.0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
         if self.k is not None and self.k < 0:
             raise ValueError(f"truncation k must be >= 0, got {self.k}")
         om.setflags(write=False)
         object.__setattr__(self, "omega", om)
+        with np.errstate(over="ignore"):
+            finite = np.all(np.isfinite(self.site_log_weights))
+        if not finite:
+            raise ValueError("site log-weights beta*omega - h overflow; they must be finite")
 
     @property
     def effective_omega(self) -> np.ndarray:

@@ -3,8 +3,8 @@
 Each experiment writes per-cell CSV files (atomically, skipping cells that
 already exist) plus a summary JSON embedding the config and library
 version.  Reports are a pure function of (config, seed): replica r of
-experiment E always uses the RNG substream (seed, E, cell, r), and rows
-are emitted in replica order regardless of how many workers ran them.
+experiment E always uses the RNG substream (seed, E, cell, r), and
+replicas run one after another in replica order.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,9 @@ from .gibbs import PinningModel, concentration_probability
 from .polymer import PolymerEnvironment, polymer_beta_critical
 from .renewal import build_law, renewal_function, tilt
 from .streams import substream
-from .subordinator import MarkedPointSet, band_process, edge_jump_times, edge_process, growth_check
+from .subordinator import (
+    MarkedPointSet, band_process, edge_evaluator, edge_jump_times, growth_check,
+)
 from .varmax import EnergyLandscape, beta_critical, solve_dp
 
 EXPERIMENTS = (
@@ -204,11 +205,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_cell(path: str, header: list[str], rows: list[list]) -> None:
-    """Atomic CSV write; concurrent reruns see either nothing or the full file."""
-    text = ",".join(header) + "\n"
-    for row in rows:
-        text += ",".join(_fmt(v) for v in row) + "\n"
+def _fmt_column(column) -> list[str]:
+    """_fmt of every entry; a float array goes through repr in one pass."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        return list(map(repr, column.tolist()))
+    return [_fmt(v) for v in column]
+
+
+def _write_cell(path: str, header: list[str], rows: list[tuple[str, ...]]) -> None:
+    """Atomic CSV write of formatted rows; concurrent reruns see either
+    nothing or the full file."""
+    text = "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
@@ -226,29 +233,30 @@ def _read_cell(path: str) -> list[list[str]]:
     return [line.split(",") for line in lines[1:]]
 
 
-def _ensure_cell(path: str, header: list[str], compute) -> list[list]:
-    """Return the cell's rows, computing and writing them only if absent."""
+def _ensure_cell(path: str, header: list[str], compute) -> list:
+    """Return the cell's rows as strings, computing and writing them only if
+    absent; compute() returns the cell's columns, each value is formatted once."""
     if os.path.exists(path):
         return _read_cell(path)
-    rows = compute()
+    rows = list(zip(*map(_fmt_column, compute())))
     _write_cell(path, header, rows)
-    return [[_fmt(v) for v in row] for row in rows]
+    return rows
 
 
-def _workers() -> int:
+def _check_threads() -> None:
+    """PINLAB_THREADS, if set, must be an integer; replicas run serially in
+    this process whatever its value, so results never depend on it."""
     env = os.environ.get("PINLAB_THREADS", "")
     if env:
         try:
-            return max(1, int(env))
+            int(env)
         except ValueError:
             raise ConfigError(f"PINLAB_THREADS must be an integer, got {env!r}") from None
-    return max(1, os.cpu_count() or 1)
 
 
-def _replica_map(fn, replicas: int) -> list:
-    """Run fn(replica) for each replica, results in replica order."""
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        return list(pool.map(fn, range(replicas)))
+def _replica_columns(size: int, one, replicas: int) -> list:
+    """Columns (size, replica, one(size, replica)) of a one-value-per-replica cell."""
+    return [[size] * replicas, range(replicas), [one(size, r) for r in range(replicas)]]
 
 
 def _median_ci(values: np.ndarray, level: float = 0.95) -> tuple[float, float]:
@@ -273,25 +281,24 @@ def _run_convergence(cfg: ExperimentConfig, out: str) -> tuple[dict, list[str]]:
     medians = {}
     cis = {}
 
-    def cell_rows(N: int) -> list[list]:
-        def one(r: int) -> float:
-            rng = substream(cfg.seed, "convergence", r)
-            T, Y = draw_base(max(max(cfg.N_list), k, BUFFER_MIN), rng)
+    refs = {}  # replica -> continuum maximizer, which does not depend on N
+
+    def one(N: int, r: int) -> float:
+        rng = substream(cfg.seed, "convergence", r)
+        T, Y = draw_base(max(max(cfg.N_list), k, BUFFER_MIN), rng)
+        if r not in refs:
             ref_land = EnergyLandscape.from_marks(
                 Y[:k], T[:k] ** (-1.0 / cfg.alpha), cfg.beta_hat, cfg.gamma
             )
-            ref = solve_dp(ref_land).maximizer
-            d = couple(law, T, Y, N, k)
-            land = EnergyLandscape.from_marks(d.Y_disc, d.M_disc, cfg.beta_hat, cfg.gamma)
-            sol = solve_dp(land)
-            return hausdorff(sol.maximizer, ref)
-
-        values = _replica_map(one, cfg.replicas)
-        return [[N, r, v] for r, v in enumerate(values)]
+            refs[r] = solve_dp(ref_land).maximizer
+        d = couple(law, T, Y, N, k)
+        land = EnergyLandscape.from_marks(d.Y_disc, d.M_disc, cfg.beta_hat, cfg.gamma)
+        return hausdorff(solve_dp(land).maximizer, refs[r])
 
     for N in cfg.N_list:
         path = os.path.join(out, f"convergence_N{N}.csv")
-        rows = _ensure_cell(path, ["N", "replica", "d_H"], lambda N=N: cell_rows(N))
+        rows = _ensure_cell(path, ["N", "replica", "d_H"],
+                            lambda N=N: _replica_columns(N, one, cfg.replicas))
         cells.append(path)
         vals = np.array([float(r[2]) for r in rows])
         medians[str(N)] = float(np.median(vals))
@@ -322,7 +329,7 @@ def _run_concentration(cfg: ExperimentConfig, out: str) -> tuple[dict, list[str]
     cells = []
     rows_all = []
 
-    def cell_rows(N: int) -> list[list]:
+    def cell_rows(N: int) -> list:
         rng_dis = substream(cfg.seed, "concentration", "disorder")
         law = DisorderLaw(cfg.alpha)
         T, Y = draw_base(max(max(cfg.N_list), BUFFER_MIN), rng_dis)
@@ -337,7 +344,7 @@ def _run_concentration(cfg: ExperimentConfig, out: str) -> tuple[dict, list[str]
         est = concentration_probability(
             model, ref, cfg.delta, cfg.n_samples, substream(cfg.seed, "concentration", N)
         )
-        return [[N, est.n_samples, est.exceed, est.estimate, est.lo, est.hi]]
+        return [[v] for v in (N, est.n_samples, est.exceed, est.estimate, est.lo, est.hi)]
 
     header = ["N", "n_samples", "exceed", "p_hat", "wilson_lo", "wilson_hi"]
     for N in cfg.N_list:
@@ -369,18 +376,15 @@ def _run_threshold_pinning(cfg: ExperimentConfig, out: str) -> tuple[dict, list[
     cells = []
     per_k = {}
 
-    def cell_rows(k: int) -> list[list]:
-        def one(r: int) -> float:
-            rng = substream(cfg.seed, "threshold-pinning", r)
-            T, Y = draw_base(max(max(cfg.k_list), BUFFER_MIN), rng)
-            return beta_critical(Y[:k], T[:k] ** (-1.0 / cfg.alpha), cfg.gamma)
-
-        values = _replica_map(one, cfg.replicas)
-        return [[k, r, v] for r, v in enumerate(values)]
+    def one(k: int, r: int) -> float:
+        rng = substream(cfg.seed, "threshold-pinning", r)
+        T, Y = draw_base(max(max(cfg.k_list), BUFFER_MIN), rng)
+        return beta_critical(Y[:k], T[:k] ** (-1.0 / cfg.alpha), cfg.gamma)
 
     for k in cfg.k_list:
         path = os.path.join(out, f"threshold_pinning_k{k}.csv")
-        rows = _ensure_cell(path, ["k", "replica", "beta_c"], lambda k=k: cell_rows(k))
+        rows = _ensure_cell(path, ["k", "replica", "beta_c"],
+                            lambda k=k: _replica_columns(k, one, cfg.replicas))
         cells.append(path)
         per_k[k] = np.array([float(r[2]) for r in rows])
 
@@ -407,18 +411,15 @@ def _run_threshold_polymer(cfg: ExperimentConfig, out: str) -> tuple[dict, list[
     cells = []
     per_k = {}
 
-    def cell_rows(k: int) -> list[list]:
-        def one(r: int) -> float:
-            rng = substream(cfg.seed, "threshold-polymer", r)
-            env = PolymerEnvironment.sample(cfg.alpha, max(cfg.k_list), rng)
-            return polymer_beta_critical(env.truncate(k))
-
-        values = _replica_map(one, cfg.replicas)
-        return [[k, r, v] for r, v in enumerate(values)]
+    def one(k: int, r: int) -> float:
+        rng = substream(cfg.seed, "threshold-polymer", r)
+        env = PolymerEnvironment.sample(cfg.alpha, max(cfg.k_list), rng)
+        return polymer_beta_critical(env.truncate(k))
 
     for k in cfg.k_list:
         path = os.path.join(out, f"threshold_polymer_k{k}.csv")
-        rows = _ensure_cell(path, ["k", "replica", "beta_c"], lambda k=k: cell_rows(k))
+        rows = _ensure_cell(path, ["k", "replica", "beta_c"],
+                            lambda k=k: _replica_columns(k, one, cfg.replicas))
         cells.append(path)
         per_k[k] = np.array([float(r[2]) for r in rows])
 
@@ -437,20 +438,16 @@ def _run_renewal_asymptotics(cfg: ExperimentConfig, out: str) -> tuple[dict, lis
     law = build_law(cfg.gamma, cfg.c, cfg.rho, cfg.k_inf, n_max=cfg.n_max)
     n_eval = cfg.n_eval
 
-    def cell_rows() -> list[list]:
-        u = renewal_function(law, n_eval)
+    def cell_rows() -> list:
+        u = renewal_function(law, n_eval)[1:]
+        K = law.K[1 : n_eval + 1]
         q = law.q[1 : n_eval + 1]
         conv2 = np.convolve(q, q)
         conv3 = np.convolve(conv2[: n_eval + 1], q)
-        rows = []
-        for n in range(1, n_eval + 1):
-            q2 = conv2[n - 2] if n >= 2 else 0.0
-            q3 = conv3[n - 3] if n >= 3 else 0.0
-            qn = q[n - 1]
-            rows.append([
-                n, law.K[n], u[n], u[n] / law.K[n], q2 / qn, q3 / qn,
-            ])
-        return rows
+        # row n holds q*2(n) = conv2[n - 2] and q*3(n) = conv3[n - 3], 0 below
+        q2 = np.concatenate(([0.0], conv2[: n_eval - 1]))
+        q3 = np.concatenate(([0.0, 0.0], conv3[: n_eval - 2]))
+        return [range(1, n_eval + 1), K, u, u / K, q2 / q, q3 / q]
 
     path = os.path.join(out, "renewal_asymptotics.csv")
     header = ["n", "K", "u", "u_over_K", "q2_over_q", "q3_over_q"]
@@ -482,7 +479,7 @@ def _run_subordinator_growth(cfg: ExperimentConfig, out: str) -> tuple[dict, lis
         T, Y = draw_base(k, rng)
         mps = MarkedPointSet(T ** (-1.0 / cfg.alpha), Y)
         jumps = edge_jump_times(mps)
-        ev = lambda t: edge_process(mps, t)
+        ev = edge_evaluator(mps)  # shared by both grids
         sup_c = growth_check(ev, cfg.alpha, cfg.q, coarse, jumps)
         sup_f = growth_check(ev, cfg.alpha, cfg.q, fine, jumps)
         env = PolymerEnvironment.sample(cfg.alpha, k, substream(cfg.seed, "subordinator-band", r))
@@ -500,7 +497,7 @@ def _run_subordinator_growth(cfg: ExperimentConfig, out: str) -> tuple[dict, lis
 
     path = os.path.join(out, "subordinator_growth.csv")
     header = ["replica", "sup_coarse", "sup_fine", "min_w_minus_u", "inc0", "inc1", "inc2"]
-    rows = _ensure_cell(path, header, lambda: _replica_map(one, cfg.replicas))
+    rows = _ensure_cell(path, header, lambda: zip(*map(one, range(cfg.replicas))))
 
     sup_c = np.array([float(r[1]) for r in rows])
     sup_f = np.array([float(r[2]) for r in rows])
@@ -549,6 +546,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run one experiment end to end, reusing any cells already on disk."""
     cfg = cfg.with_defaults()
     cfg.validate()
+    _check_threads()
     out = os.path.join(cfg.out_dir, cfg.experiment, _config_key(cfg))
     try:
         os.makedirs(out, exist_ok=True)

@@ -72,6 +72,29 @@ def edge_process(points: MarkedPointSet, t: float) -> float:
     return float(np.sum(points.marks[inside]))
 
 
+def edge_evaluator(points: MarkedPointSet):
+    """t -> edge_process(points, t), evaluated once per distinct edge set.
+
+    The set (loc <= t) | (loc >= 1 - t) is fixed by two counts over the
+    sorted locations, those <= t and those < 1 - t; equal counts select
+    the same marks in the same order, so the memoized sum is the same float.
+    """
+    loc = np.sort(points.locations)
+    if loc.ndim != 1:
+        raise ValueError("edge_process needs interval locations")
+    memo = {}
+
+    def evaluate(t: float) -> float:
+        if not 0.0 <= t <= 0.5:
+            raise ValueError(f"t must lie in [0, 1/2], got {t}")
+        key = (int(loc.searchsorted(t, "right")), int(loc.searchsorted(1.0 - t, "left")))
+        if key not in memo:
+            memo[key] = edge_process(points, t)
+        return memo[key]
+
+    return evaluate
+
+
 def edge_jump_times(points: MarkedPointSet) -> np.ndarray:
     """Sorted t values at which the edge process jumps."""
     loc = points.locations

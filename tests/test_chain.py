@@ -145,3 +145,53 @@ def test_dp_and_enumeration_agree_at_the_critical_coupling(half, weights):
     cost = _gap_powers(L)
     assert chain_dp(w, L.beta, lambda j: cost[:j, j]) == enumerate_best(w, L.beta, cost)
     assert solve_dp(L).selected == solve_bruteforce(L).selected
+
+
+def _argmax_sums_strided(w, beta, cost, c):
+    # the Dinkelbach step reading the strided column cost[:j, j]
+    m = w.size
+    wx = np.append(w, 0.0)
+    best, wsum, csum = np.zeros(m + 2), np.zeros(m + 2), np.zeros(m + 2)
+    for j in range(1, m + 2):
+        cand = best[:j] + beta * wx[j - 1] - c * cost[:j, j]
+        i = int(np.argmax(cand))
+        best[j] = cand[i]
+        wsum[j] = wsum[i] + wx[j - 1]
+        csum[j] = csum[i] + cost[i, j]
+    return best[m + 1], wsum[m + 1], csum[m + 1]
+
+
+@given(m=st.integers(1, 40), beta=st.floats(0.0, 4.0), c=st.sampled_from((0.5, 1.0)),
+       inf_share=st.sampled_from((0.0, 0.3)), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200)
+def test_argmax_sums_on_transposed_costs_match_strided_columns(m, beta, c, inf_share, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.pareto(0.7, m) + 0.1
+    cost = rng.random((m + 2, m + 2))
+    cost[rng.random(cost.shape) < inf_share] = np.inf
+    cost[0, m + 1] = 1.0
+    got = chain._argmax_sums(w, beta, np.ascontiguousarray(cost.T), c)
+    assert got == _argmax_sums_strided(w, beta, cost, c)
+
+
+@given(m=st.integers(1, 30), beta=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200)
+def test_chain_dp_matches_flatnonzero_tie_rule(m, beta, seed):
+    # exact integer costs, so most rows have several maximal candidates
+    rng = np.random.default_rng(seed)
+    w = rng.integers(1, 4, m).astype(float)
+    cost = rng.integers(0, 4, (m + 2, m + 2)).astype(float)
+    wx = np.append(w, 0.0)
+    best = np.zeros(m + 2)
+    cnt = np.zeros(m + 2, dtype=np.int64)
+    bp = np.zeros(m + 2, dtype=np.int64)
+    for j in range(1, m + 2):
+        cand = best[:j] + beta * wx[j - 1] - cost[:j, j]
+        tie = np.flatnonzero(cand == cand.max())
+        i = int(tie[np.argmin(cnt[tie])])
+        best[j], cnt[j], bp[j] = cand.max(), cnt[i] + 1, i
+    sel, node = [], int(bp[m + 1])
+    while node != 0:
+        sel.append(node - 1)
+        node = int(bp[node])
+    assert chain_dp(w, beta, lambda j: cost[:j, j]) == tuple(reversed(sel))

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from pinlab.disorder import (
     CoupledDisorder,
     DisorderLaw,
+    _assign_grid,
     compute_b_N,
     continuum_residual,
     couple,
@@ -185,3 +188,42 @@ def test_replica_streams_reproducible():
     c = sample_coupled(law, 16, 8, substream(5, "tag", 4))
     assert np.array_equal(a.M_disc, b.M_disc) and np.array_equal(a.Y_disc, b.Y_disc)
     assert not np.array_equal(a.M_disc, c.M_disc)
+
+
+def _assign_grid_scan(y_inf, N):
+    # the outward scan: slots in order of distance to N*y, left on exact ties
+    occupied = np.zeros(N, dtype=bool)
+    slots = np.empty(N - 1, dtype=np.int64)
+    for i in range(N - 1):
+        x = N * y_inf[i]
+        lo = int(np.floor(x))
+        hi = lo + 1
+        while True:
+            lo_in = lo >= 1
+            hi_in = hi <= N - 1
+            if lo_in and (not hi_in or (x - lo) <= (hi - x)):
+                j = lo
+                lo -= 1
+            else:
+                j = hi
+                hi += 1
+            if 1 <= j <= N - 1 and not occupied[j]:
+                break
+        occupied[j] = True
+        slots[i] = j
+    return slots
+
+
+@given(N=st.integers(2, 300), extra=st.integers(0, 8), half=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300)
+def test_assign_grid_matches_outward_scan(N, extra, half, seed):
+    # buffers longer than N; a share `half` of positions sit on exact
+    # half-integers (and integers) of N*y, where the left-on-ties rule decides
+    rng = np.random.default_rng(seed)
+    y = rng.uniform(0.0, 1.0, N - 1 + extra)
+    on_grid = rng.random(y.size) < half
+    y[on_grid] = rng.integers(0, 2 * N, on_grid.sum()) / (2.0 * N)
+    slots = _assign_grid(y, N)
+    assert np.array_equal(slots, _assign_grid_scan(y, N))
+    assert sorted(slots.tolist()) == list(range(1, N))

@@ -305,19 +305,25 @@ def test_forward_table_matches_scipy_logsumexp(law, N, beta, h, alpha, zeros, se
 
 
 def test_forward_table_matches_scipy_logsumexp_at_infinite_site_weight(law):
-    # beta * omega overflows to +inf at one site; every row after it is +inf
+    # beta * omega overflows to +inf at one site: the model refuses it, as it
+    # refuses non-finite omega, beta and h
     omega = np.zeros(49)
     omega[20] = 1e308
-    with np.errstate(over="ignore", invalid="ignore"):
-        model = PinningModel(law=law, omega=omega, beta=10.0, h=0.0, N=50)
-        table = forward_table(model)
-        assert np.array_equal(table, _forward_table_oracle(model))
-        # the backward probabilities are nan; both samplers refuse them
-        with pytest.raises(ValueError):
-            _exact_sample_oracle(model, np.random.default_rng(0), table)
-        with pytest.raises(ValueError):
-            exact_sample(model, np.random.default_rng(0), table)
-    assert np.isinf(table[21:]).all() and np.isfinite(table[:21]).all()
+    with pytest.raises(ValueError, match="overflow"):
+        PinningModel(law=law, omega=omega, beta=10.0, h=0.0, N=50)
+    bad = ({"omega": np.where(np.arange(49) == 7, np.nan, 1.0)},
+           {"omega": np.where(np.arange(49) == 7, np.inf, 1.0)},
+           {"beta": np.inf}, {"beta": np.nan}, {"h": -np.inf}, {"h": np.nan})
+    for kwargs in bad:
+        with pytest.raises(ValueError, match="finite"):
+            PinningModel(**{"law": law, "omega": np.ones(49), "beta": 1.0, "h": 0.0,
+                            "N": 50, **kwargs})
+    # a forward-table row past such a site mixes +inf with finite and -inf
+    # entries; the row kernel still gives scipy's value
+    for row in ([-3.0, np.inf, 1.5, -np.inf], [np.inf, np.inf], [np.inf, -np.inf, np.inf, 2.0]):
+        a = np.array(row)
+        with np.errstate(all="ignore"):
+            assert _logsumexp(a) == logsumexp(a) == np.inf
 
 
 @given(**model_params, draws=st.integers(1, 20))

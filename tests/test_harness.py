@@ -1,8 +1,10 @@
 """Config parsing, CLI exit codes, determinism, and resumability."""
 
+import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
 from pinlab.cli import main
@@ -14,6 +16,7 @@ from pinlab.harness import (
     parse_config_text,
     run_experiment,
 )
+from pinlab.renewal import build_law, renewal_function
 
 
 def _tiny_convergence(out_dir, seed=3):
@@ -117,12 +120,59 @@ def test_resumability_skips_completed_cells(tmp_path):
         assert open(c, "rb").read() == first_bytes[c]
 
 
+def _cell_bytes(report):
+    return [open(c, "rb").read() for c in report.cells]
+
+
 def test_thread_env_respected(tmp_path, monkeypatch):
-    monkeypatch.setenv("PINLAB_THREADS", "1")
-    rep1 = run_experiment(_tiny_convergence(tmp_path / "one"))
-    monkeypatch.setenv("PINLAB_THREADS", "4")
-    rep2 = run_experiment(_tiny_convergence(tmp_path / "four"))
-    assert rep1.summary == rep2.summary  # worker count never changes results
+    # PINLAB_THREADS is validated but never changes a byte of the results
+    monkeypatch.delenv("PINLAB_THREADS", raising=False)
+    rep0 = run_experiment(_tiny_convergence(tmp_path / "unset"))
+    for n in ("1", "4"):
+        monkeypatch.setenv("PINLAB_THREADS", n)
+        rep = run_experiment(_tiny_convergence(tmp_path / n))
+        assert rep.summary == rep0.summary
+        assert _cell_bytes(rep) == _cell_bytes(rep0)
+
+
+def test_resumed_convergence_matches_fresh_run(tmp_path):
+    # a resumed run recomputes the middle cell with the reference maximizers
+    # computed lazily from the replicas, and writes the same bytes
+    cfg = ExperimentConfig(experiment="convergence", N_list=(16, 32, 64), k_list=(16,),
+                           replicas=5, seed=11, out_dir=str(tmp_path / "resumed"))
+    first = run_experiment(cfg)
+    os.unlink(first.cells[1])
+    resumed = run_experiment(cfg)
+    fresh = run_experiment(dataclasses.replace(cfg, out_dir=str(tmp_path / "fresh")))
+    assert _cell_bytes(resumed) == _cell_bytes(fresh)
+    assert resumed.summary == fresh.summary
+
+
+def _renewal_cell_by_rows(cfg):
+    # the row-by-row cell: one scalar division per value, written value by value
+    law = build_law(cfg.gamma, cfg.c, cfg.rho, cfg.k_inf, n_max=cfg.n_max)
+    n_eval = cfg.n_eval
+    u = renewal_function(law, n_eval)
+    q = law.q[1 : n_eval + 1]
+    conv2 = np.convolve(q, q)
+    conv3 = np.convolve(conv2[: n_eval + 1], q)
+    text = "n,K,u,u_over_K,q2_over_q,q3_over_q\n"
+    for n in range(1, n_eval + 1):
+        q2 = conv2[n - 2] if n >= 2 else 0.0
+        q3 = conv3[n - 3] if n >= 3 else 0.0
+        qn = q[n - 1]
+        row = [n, law.K[n], u[n], u[n] / law.K[n], q2 / qn, q3 / qn]
+        text += ",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+                         for v in row) + "\n"
+    return text.encode()
+
+
+@pytest.mark.parametrize("n_eval", [3, 300, 2000])
+def test_renewal_cell_matches_row_loop(tmp_path, n_eval):
+    cfg = ExperimentConfig(experiment="renewal-asymptotics", n_eval=n_eval, n_max=4000,
+                           out_dir=str(tmp_path))
+    rep = run_experiment(cfg)
+    assert _cell_bytes(rep) == [_renewal_cell_by_rows(rep.config)]
 
 
 def test_all_experiments_run_small(tmp_path):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from pinlab.disorder import DisorderLaw, draw_base, sample_coupled
@@ -14,6 +16,7 @@ from pinlab.subordinator import (
     band_area_phi,
     band_process,
     band_u,
+    edge_evaluator,
     edge_jump_times,
     edge_process,
     growth_check,
@@ -167,3 +170,33 @@ def test_marked_point_set_validation():
     d = sample_coupled(DisorderLaw(0.5), 8, 16, substream(1, "mpsa"))
     mps = MarkedPointSet.from_pinning(d)
     assert mps.size == 16
+
+
+@given(k=st.integers(0, 60), dup=st.floats(0.0, 1.0), mirror=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300)
+def test_memoized_growth_supremum_matches_per_point_edge_process(k, dup, mirror, seed):
+    # locations on a coarse grid (duplicates), mirrored pairs loc / 1 - loc,
+    # and heavy-tailed marks, so the summation order shows in the last bits
+    rng = np.random.default_rng(seed)
+    loc = rng.uniform(0.0, 1.0, k)
+    on_grid = rng.random(k) < dup
+    loc[on_grid] = rng.integers(0, 41, on_grid.sum()) / 40.0
+    mirrored = rng.random(k) < mirror
+    loc = np.concatenate([loc, 1.0 - loc[mirrored]])
+    marks = rng.pareto(0.5, loc.size) + 1e-3
+    mps = MarkedPointSet(marks, rng.permutation(loc))
+    jumps = edge_jump_times(mps)
+    coarse = np.geomspace(1e-3, 1e-1, 12)
+    fine = np.geomspace(1e-3, 1e-1, 120)
+    oracle = lambda t: edge_process(mps, t)
+    ev = edge_evaluator(mps)  # one memo across both grids, as the harness uses it
+    for grid in (coarse, fine):
+        want = growth_check(oracle, 0.5, 1.5, grid, jumps)
+        assert growth_check(ev, 0.5, 1.5, grid, jumps) == want
+    # every jump time, the values just below it, and the ends of [0, 1/2]
+    for t in [*jumps.tolist(), *np.nextafter(jumps, -1.0).tolist(), 0.0, 0.5]:
+        t = min(max(t, 0.0), 0.5)
+        assert ev(t) == edge_process(mps, t)
+    with pytest.raises(ValueError):
+        ev(0.6)
