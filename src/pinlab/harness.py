@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import logging
 import math
 import os
 import tempfile
@@ -31,6 +32,8 @@ from .subordinator import (
     MarkedPointSet, band_process, edge_evaluator, edge_jump_times, growth_check,
 )
 from .varmax import EnergyLandscape, beta_critical, solve_dp
+
+log = logging.getLogger(__name__)
 
 EXPERIMENTS = (
     "convergence",
@@ -227,17 +230,22 @@ def _write_cell(path: str, header: list[str], rows: list[tuple[str, ...]]) -> No
         raise
 
 
-def _read_cell(path: str) -> list[list[str]]:
+def _read_cell(path: str) -> tuple[list[str], list[list[str]]]:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    return [line.split(",") for line in lines[1:]]
+    return (lines[0].split(",") if lines else []), [line.split(",") for line in lines[1:]]
 
 
 def _ensure_cell(path: str, header: list[str], compute) -> list:
     """Return the cell's rows as strings, computing and writing them only if
-    absent; compute() returns the cell's columns, each value is formatted once."""
+    absent or malformed; compute() returns the cell's columns, each value is
+    formatted once.  A cell on disk is reused only if its header is the
+    expected one and every row has the header's width."""
     if os.path.exists(path):
-        return _read_cell(path)
+        found, rows = _read_cell(path)
+        if found == header and all(len(r) == len(header) for r in rows):
+            return rows
+        log.warning("recomputing malformed cell %s", path)
     rows = list(zip(*map(_fmt_column, compute())))
     _write_cell(path, header, rows)
     return rows

@@ -174,10 +174,14 @@ def _sorted_nodes(env: PolymerEnvironment):
 
 
 def _segment_entropy(dx, dy):
-    """Entropy cost dx * e(dy/dx) of straight segments; +inf where infeasible."""
-    feasible = (dx > 0.0) & (np.abs(dy) <= dx)
-    slope = np.where(feasible, dy / np.where(dx > 0.0, dx, 1.0), 0.0)
-    return np.where(feasible, dx * binary_entropy_rate(slope), np.inf)
+    """Entropy cost dx * e(dy/dx) of straight segments; +inf where infeasible.
+
+    The entropy rate is evaluated on the feasible segments only (about a
+    quarter of all node pairs)."""
+    f = (dx > 0.0) & (np.abs(dy) <= dx)
+    out = np.full(dx.shape, np.inf)
+    out[f] = dx[f] * binary_entropy_rate(dy[f] / dx[f])
+    return out
 
 
 def _segment_entropy_matrix(ex, ey) -> np.ndarray:

@@ -173,14 +173,3 @@ def subexp_diagnostics(law: RenewalLaw, n: int, k_shift: int = 1) -> dict[str, f
         "conv3_ratio": q3_at_n / qn,
         "u_over_K": float(u[n] / law.K[n]),
     }
-
-
-def convolution_power(law: RenewalLaw, m: int, n: int) -> np.ndarray:
-    """Table K^{*m}(0..n) by repeated direct convolution (test oracle)."""
-    base = np.zeros(n + 1)
-    base[1 : min(law.n_max, n) + 1] = law.K[1 : min(law.n_max, n) + 1]
-    out = np.zeros(n + 1)
-    out[0] = 1.0
-    for _ in range(m):
-        out = np.convolve(out, base)[: n + 1]
-    return out

@@ -129,13 +129,83 @@ def solve_bruteforce(L: EnergyLandscape) -> VarSolution:
     return VarSolution(_pinned_from_indices(L, idx), _canonical_value(L, idx), idx)
 
 
+def _prune(positions, weights, beta: float, gamma: float, c: float) -> np.ndarray:
+    """Indices of the positions that may lie on a maximizing chain at beta.
+
+    Exactness.  Let j lie on a maximizer I, with gaps a and b to its
+    neighbours in I.  Removing j must not raise the objective, so
+    beta * w_j >= c * D(a, b) with D(a, b) = a^gamma + b^gamma - (a+b)^gamma.
+    D grows in a and in b, and the neighbours of j in I lie in every
+    superset of I (or are the endpoints 0 and 1), so the gaps to the
+    nearest kept candidates bound D(a, b) from below.  Each pass therefore
+    drops every j with beta * w_j < c * D(nearest kept gaps), recomputes the
+    gaps over the kept set, and the passes repeat until nothing is dropped;
+    no maximizer loses a point.  More: take any chain S through dropped
+    points and remove them in the order of the pass that dropped them,
+    earliest first.  Every point left in S is still kept when the pass that
+    drops the next one starts, so each removal raises the exact score by at
+    least G = c * D(nearest kept gaps) - beta * w_j, and S without its
+    dropped points scores at least G above S.  The gain c * D - b * w_j only
+    grows as b falls, so this holds at every coupling b <= beta as well.
+
+    The float margin.  A position is dropped only when the computed
+    c * D - beta * w_j exceeds tol = 8 (m + 16) u P, with u = 2^-53 and
+    P = beta * sum(w) + c * (m + 1)^(1 - gamma).  P bounds the captured
+    weight times beta and the entropy c * C(S) of every chain S (a chain has
+    at most m + 1 gaps, and sum(gap^gamma) over n gaps is at most
+    n^(1 - gamma)), so it bounds every partial sum the chain DP forms.
+    - Each float gap power is within 16u of the exact power of the exact
+      gap: the difference rounds by u (less after the power gamma < 1), and
+      the budget allows numpy's pow 4 ulp (at most 0.68 ulp was measured
+      against mpmath; gamma = 0.5 takes the correctly rounded sqrt).
+    - The test itself: D is summed from three such powers, each at most 1,
+      so the computed c * D - beta * w_j is off by at most 57u P.  The true
+      gain of a dropped point is thus G > tol - 57u P = (8m + 71) u P.
+    - The DP scores a chain node by node, two roundings per node on sums
+      bounded by P, one per product, plus the gap powers: its float score
+      is within (2m + 19) u P of the exact one.  G exceeds twice that, so
+      every chain through a dropped point scores strictly below the same
+      chain without them, in floats as in exact arithmetic.
+    - A ratio c * (C(S) - 1) / W(S) scanned by the enumeration is off by at
+      most (2m + 19) u P / W(S).  beta_critical explains why a gain of
+      three times that suffices.
+    Ties keep a position, and an infinite or NaN bound (from an infinite
+    weight) keeps every position.
+    """
+    m = positions.size
+    P = beta * float(np.sum(weights)) + c * (m + 1) ** (1.0 - gamma)
+    tol = 8 * (m + 16) * 2.0**-53 * P
+    keep = np.arange(m)
+    while keep.size:
+        ext = np.concatenate(([0.0], positions[keep], [1.0]))
+        # the same float gap powers the DP forms: differences of the same
+        # floats, raised by the same operator
+        gp = np.diff(ext) ** gamma
+        gain = c * ((gp[:-1] + gp[1:]) - (ext[2:] - ext[:-2]) ** gamma) - beta * weights[keep]
+        drop = gain > tol
+        if not drop.any():
+            break
+        keep = keep[~drop]
+    return keep
+
+
 def solve_dp(L: EnergyLandscape) -> VarSolution:
     """Exact maximizer by dynamic programming; agrees with solve_bruteforce.
 
-    Gap powers are computed one column at a time, so memory stays linear.
+    The chain DP runs on the positions that _prune keeps at L.beta, and
+    returns the same indices as the DP over all positions.  Every chain
+    through a dropped position scores strictly below a chain of kept ones
+    in floats (see _prune), so no maximal-score chain uses one.  The DP's
+    value at a node that lies on a maximal-score chain is then attained by
+    kept predecessors only, and its tie sets (equal scores, then fewer
+    points, then the smallest predecessor) are the same over both sets, in
+    the same order.  Gap powers are computed one column at a time, so
+    memory stays linear.
     """
-    ext = np.concatenate(([0.0], L.positions, [1.0]))
-    idx = chain_dp(L.weights, L.beta, lambda j: (ext[j] - ext[:j]) ** L.gamma, L.c_entropy)
+    keep = _prune(L.positions, L.weights, L.beta, L.gamma, L.c_entropy)
+    ext = np.concatenate(([0.0], L.positions[keep], [1.0]))
+    sel = chain_dp(L.weights[keep], L.beta, lambda j: (ext[j] - ext[:j]) ** L.gamma, L.c_entropy)
+    idx = tuple(int(keep[i]) for i in sel)
     return VarSolution(_pinned_from_indices(L, idx), _canonical_value(L, idx), idx)
 
 
@@ -165,11 +235,41 @@ def beta_critical(positions, weights, gamma: float, c_entropy: float = 1.0,
     Equals min over nonempty subsets A of c * (E(Y_A) - 1) / sum of weights
     in A; computed by exact ratio enumeration up to 25 positions and by the
     parametric (Dinkelbach) DP iteration above that.  "bisect" is kept as a
-    cross-check oracle: plain bisection on the coupling via the chain DP,
-    tolerance 1e-9, about 10x more DP solves.  Returns +inf for an empty
-    landscape.
+    cross-check oracle: plain bisection on the coupling via the chain DP
+    over all positions, tolerance 1e-9, about 10x more DP solves.  Returns
+    +inf for an empty landscape.
+
+    The enumerate and parametric branches run on the positions that _prune
+    keeps at beta0, the best single-point ratio, and return the same float
+    as over all positions.  The branch and the 25-point cap follow the full
+    count.  beta0 is computed with the arithmetic of the threshold's own
+    single-point bound, so the point p0 attaining it survives (its computed
+    gain is at most 77u P, below the margin).
+    - Parametric: Dinkelbach starts at beta0 and solves the DP only at
+      couplings at or below it.  At each, every chain through a dropped
+      point scores below a kept chain (see _prune), so the DP over the
+      survivors selects the same chain with the same sums.
+    - Enumerate: a chain whose computed ratio is at least beta0 does no
+      better than {p0}.  Take a chain S through dropped points with a computed ratio
+      below beta0, let S' be S without them, and h(b) the exact gain in
+      score of S' over S at coupling b, at least the smallest gain G at
+      b = beta0 and linear in b.  The exact ratio r of S lies below beta0
+      plus its error, so h(r) >= G - (2m + 19) u P > 0, which rules out an
+      empty S' (there h(r) = 0).  Then
+      W(S') * (r(S) - r(S')) = h(r) > 2 (2m + 19) u P, more than the two
+      ratios' errors: S' computes a smaller ratio than S does.  Hence the
+      least computed ratio is attained by a chain of survivors.
     """
     L = EnergyLandscape.from_marks(positions, weights, 0.0, gamma, c_entropy)
-    if L.size == 0:
+    m = L.size
+    if m == 0:
         return math.inf
+    if method == "auto":
+        method = "enumerate" if m <= BRUTEFORCE_MAX else "parametric"
+    if method == "parametric" or (method == "enumerate" and m <= BRUTEFORCE_MAX):
+        p, w = L.positions, L.weights
+        # min_ratio's single-point bound, with the same floats
+        beta0 = float((c_entropy * (p**gamma + (1.0 - p) ** gamma - 1.0) / w).min())
+        keep = _prune(p, w, beta0, gamma, c_entropy)
+        L = EnergyLandscape(p[keep], w[keep], 0.0, gamma, c_entropy)
     return min_ratio(L.weights, _gap_powers(L), c_entropy, method, BRUTEFORCE_MAX)

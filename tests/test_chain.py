@@ -76,8 +76,12 @@ def test_dp_tie_breaks_match_enumeration_pinning(half, beta, gamma):
     p = np.sort(np.array(half, dtype=float)) / 128.0
     pos = np.concatenate([p, 1.0 - p[::-1]])
     w = np.ones(pos.size)
-    cost = _gap_powers(EnergyLandscape(pos, w, beta, gamma))
-    assert chain_dp(w, beta, lambda j: cost[:j, j]) == enumerate_best(w, beta, cost)
+    L = EnergyLandscape(pos, w, beta, gamma)
+    cost = _gap_powers(L)
+    best = chain_dp(w, beta, lambda j: cost[:j, j])
+    assert best == enumerate_best(w, beta, cost)
+    assert solve_dp(L).selected == best  # on the pruned candidates
+    assert beta_critical(pos, w, gamma) == chain.min_ratio(w, cost, 1.0, "enumerate", 25)
 
 
 @given(
@@ -143,6 +147,7 @@ def test_dp_and_enumeration_agree_at_the_critical_coupling(half, weights):
     w = np.concatenate([wh, wh[::-1]])
     L = EnergyLandscape(pos, w, beta_critical(pos, w, 0.5), 0.5)
     cost = _gap_powers(L)
+    assert L.beta == chain.min_ratio(w, cost, 1.0, "enumerate", 25)  # unpruned
     assert chain_dp(w, L.beta, lambda j: cost[:j, j]) == enumerate_best(w, L.beta, cost)
     assert solve_dp(L).selected == solve_bruteforce(L).selected
 

@@ -120,6 +120,28 @@ def test_resumability_skips_completed_cells(tmp_path):
         assert open(c, "rb").read() == first_bytes[c]
 
 
+def test_malformed_cells_are_recomputed(tmp_path, caplog):
+    # a cell with a foreign header and a cell with a short row are not
+    # reused: a rerun rewrites both with the fresh bytes and logs each path
+    cfg = _tiny_convergence(tmp_path)
+    rep1 = run_experiment(cfg)
+    fresh = {c: open(c, "rb").read() for c in rep1.cells}
+    foreign, short = rep1.cells[0], rep1.cells[1]
+    with open(foreign, "w", encoding="utf-8") as fh:
+        fh.write(fresh[foreign].decode().replace("d_H", "beta_c", 1))
+    lines = fresh[short].decode().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0]
+    with open(short, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with caplog.at_level("WARNING", logger="pinlab.harness"):
+        rep2 = run_experiment(cfg)
+    assert rep2.summary == rep1.summary
+    for c in rep2.cells:
+        assert open(c, "rb").read() == fresh[c]
+    logged = " ".join(r.getMessage() for r in caplog.records)
+    assert foreign in logged and short in logged
+
+
 def _cell_bytes(report):
     return [open(c, "rb").read() for c in report.cells]
 

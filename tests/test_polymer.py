@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pinlab.polymer import (
     PolymerEnvironment,
     PolymerPath,
+    _segment_entropy_matrix,
     binary_entropy_rate,
     env_energy,
     path_entropy,
@@ -205,3 +208,48 @@ def test_truncate_keeps_heaviest_prefix():
     assert sub.size == 8
     assert np.array_equal(sub.w, env.w[:8])
     assert sub.w.min() >= env.w[8:].max()
+
+
+def _segment_entropy_matrix_where(ex, ey):
+    # the former form: the entropy rate over every pair, masked afterwards
+    dx = ex[None, :] - ex[:, None]
+    dy = ey[None, :] - ey[:, None]
+    feasible = (dx > 0.0) & (np.abs(dy) <= dx)
+    slope = np.where(feasible, dy / np.where(dx > 0.0, dx, 1.0), 0.0)
+    return np.where(feasible, dx * binary_entropy_rate(slope), np.inf)
+
+
+@st.composite
+def _charges(draw):
+    # x on a 1/64 grid (duplicates allowed) or anywhere; y on the axis, on
+    # the diamond's edge (slope +-1 from an endpoint), on the 1/64 grid
+    # (slope +-1 between charges) or a drawn fraction of the height
+    n = draw(st.integers(0, 24))
+    xs, ys = [], []
+    for _ in range(n):
+        x = draw(st.one_of(st.integers(1, 63).map(lambda k: k / 64.0), st.floats(0.001, 0.999)))
+        h = min(x, 1.0 - x)
+        kind = draw(st.sampled_from(("axis", "edge", "grid", "frac")))
+        if kind == "axis":
+            y = 0.0
+        elif kind == "edge":
+            y = h
+        elif kind == "grid":
+            y = math.floor(h * 64.0) / 64.0
+        else:
+            y = draw(st.floats(0.0, 1.0)) * h
+        xs.append(x)
+        ys.append(draw(st.sampled_from((1.0, -1.0))) * y)
+    return np.array(xs), np.array(ys)
+
+
+@given(_charges())
+@example((np.array([0.25, 0.25, 0.5, 0.75]), np.array([0.25, -0.25, 0.0, 0.0])))
+@settings(max_examples=150, deadline=None)
+def test_segment_entropy_matrix_matches_where_form(charges):
+    x, y = charges
+    order = np.lexsort((y, x))
+    ex = np.concatenate(([0.0], x[order], [1.0]))
+    ey = np.concatenate(([0.0], y[order], [0.0]))
+    got = _segment_entropy_matrix(ex, ey)
+    assert got.tobytes() == _segment_entropy_matrix_where(ex, ey).tobytes()

@@ -4,11 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pinlab.disorder import draw_base
+from pinlab.chain import chain_dp, min_ratio
+from pinlab.disorder import BUFFER_MIN, draw_base
 from pinlab.geometry import PinnedSet, set_entropy
+from pinlab.streams import substream
 from pinlab.varmax import (
+    BRUTEFORCE_MAX,
     EnergyLandscape,
+    _canonical_value,
+    _gap_powers,
+    _prune,
     beta_critical,
     constrained_max,
     energy,
@@ -17,6 +25,7 @@ from pinlab.varmax import (
     solve_dp,
 )
 
+GRID = (0.3, 0.5, 0.8)
 SQ3, SQ4, SQ5, SQ7 = math.sqrt(0.3), math.sqrt(0.4), math.sqrt(0.5), math.sqrt(0.7)
 
 
@@ -226,3 +235,168 @@ def test_landscape_validation():
         EnergyLandscape(np.array([0.5]), np.array([1.0]), -1.0, 0.5)
     with pytest.raises(ValueError):
         EnergyLandscape(np.array([0.5]), np.array([1.0]), 1.0, 1.5)
+
+
+# --- candidate pruning: differential tests against the unpruned kernels ---
+
+
+def _full_dp(L):
+    cost = _gap_powers(L)
+    return chain_dp(L.weights, L.beta, lambda j: cost[:j, j], L.c_entropy)
+
+
+def _full_threshold(L, method="auto"):
+    return min_ratio(L.weights, _gap_powers(L), L.c_entropy, method, BRUTEFORCE_MAX)
+
+
+def _margin(L):
+    # the tolerance _prune states: 8 (m + 16) u P
+    m = L.size
+    P = L.beta * float(np.sum(L.weights)) + L.c_entropy * (m + 1) ** (1.0 - L.gamma)
+    return 8 * (m + 16) * 2.0**-53 * P
+
+
+def _prune_one_at_a_time(L):
+    # oracle: drop one position at a time, the first one the margin of
+    # _prune lets go, until none is left; the iteration is monotone, so any
+    # removal order ends at the same (greatest) fixed point
+    tol = _margin(L)
+    keep = list(range(L.size))
+    while keep:
+        ext = np.concatenate(([0.0], L.positions[keep], [1.0]))
+        gp = np.diff(ext) ** L.gamma
+        gain = L.c_entropy * ((gp[:-1] + gp[1:]) - (ext[2:] - ext[:-2]) ** L.gamma)
+        over = np.flatnonzero(gain - L.beta * L.weights[keep] > tol)
+        if over.size == 0:
+            break
+        del keep[over[0]]
+    return keep
+
+
+@given(m=st.integers(0, 64), alpha=st.sampled_from(GRID), gamma=st.sampled_from(GRID),
+       beta=st.floats(0.0, 5.0), c=st.sampled_from((0.5, 1.0, 2.0)),
+       seed=st.integers(0, 2**32 - 1))
+@example(m=64, alpha=0.5, gamma=0.5, beta=0.0, c=1.0, seed=1)
+@example(m=64, alpha=0.8, gamma=0.8, beta=5.0, c=0.5, seed=2)
+@settings(max_examples=300, deadline=None)
+def test_pruned_solve_dp_matches_full_dp(m, alpha, gamma, beta, c, seed):
+    rng = np.random.default_rng(seed)
+    T, Y = draw_base(m, rng)
+    L = EnergyLandscape.from_marks(Y, T ** (-1.0 / alpha), beta, gamma, c)
+    ref = _full_dp(L)
+    sol = solve_dp(L)
+    assert sol.selected == ref
+    assert sol.value == _canonical_value(L, ref)
+    keep = _prune(L.positions, L.weights, beta, gamma, c)
+    assert keep.tolist() == _prune_one_at_a_time(L)
+    if beta == 0.0:  # no point pays its entropy
+        assert keep.size == 0 and sol.selected == ()
+
+
+@given(m=st.integers(1, 40), alpha=st.sampled_from(GRID), gamma=st.sampled_from(GRID),
+       c=st.sampled_from((0.5, 1.0, 2.0)), flat=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(m=25, alpha=0.5, gamma=0.5, c=1.0, flat=False, seed=3)
+@example(m=26, alpha=0.5, gamma=0.5, c=1.0, flat=False, seed=3)
+@example(m=26, alpha=0.8, gamma=0.8, c=1.0, flat=True, seed=4)
+@settings(max_examples=150, deadline=None)
+def test_pruned_beta_critical_matches_full_threshold(m, alpha, gamma, c, flat, seed):
+    # flat weights keep many candidates and give multi-point critical chains
+    rng = np.random.default_rng(seed)
+    T, Y = draw_base(m, rng)
+    w = rng.uniform(0.9, 1.1, m) if flat else T ** (-1.0 / alpha)
+    L = EnergyLandscape.from_marks(Y, w, 0.0, gamma, c)
+    if m <= 18 or m == BRUTEFORCE_MAX:  # the full enumeration costs 2^m
+        assert beta_critical(Y, w, gamma, c) == _full_threshold(L)
+        assert beta_critical(Y, w, gamma, c, method="enumerate") == _full_threshold(L, "enumerate")
+    if m > BRUTEFORCE_MAX:
+        assert beta_critical(Y, w, gamma, c) == _full_threshold(L)
+        with pytest.raises(ValueError):
+            beta_critical(Y, w, gamma, c, method="enumerate")
+    assert beta_critical(Y, w, gamma, c, method="parametric") == _full_threshold(L, "parametric")
+
+
+def test_branch_follows_the_full_count():
+    # {0.45} and {0.45, 0.55} have the same exact ratio at this w2, and the
+    # enumeration and the parametric iteration round that tie to different
+    # floats.  24 light points bring m to 26; pruning leaves the heavy two,
+    # so a branch chosen from the survivors would enumerate
+    w2 = 0.5950639282703815
+    heavy = EnergyLandscape(np.array([0.45, 0.55]), np.array([1.0, w2]), 0.0, 0.5)
+    cost = _gap_powers(heavy)
+    enum = min_ratio(heavy.weights, cost, 1.0, "enumerate", BRUTEFORCE_MAX)
+    par = min_ratio(heavy.weights, cost, 1.0, "parametric", BRUTEFORCE_MAX)
+    assert enum != par
+    assert beta_critical(heavy.positions, heavy.weights, 0.5) == enum
+    light = np.linspace(0.02, 0.98, 24)
+    L = EnergyLandscape.from_marks(np.concatenate(([0.45, 0.55], light)),
+                                   np.concatenate(([1.0, w2], np.full(24, 1e-9))), 0.0, 0.5)
+    beta0 = float(((L.positions**0.5 + (1.0 - L.positions) ** 0.5 - 1.0) / L.weights).min())
+    assert L.positions[_prune(L.positions, L.weights, beta0, 0.5, 1.0)].tolist() == [0.45, 0.55]
+    assert beta_critical(L.positions, L.weights, 0.5) == _full_threshold(L) == par
+
+
+@given(log_a=st.floats(-11.0, -6.0), ulps=st.integers(-4, 4),
+       t=st.sampled_from((-2.0, -1.5, -0.5, 0.0, 0.5, 2.0)),
+       gamma=st.sampled_from(GRID), beta=st.sampled_from((0.5, 1.0, 3.0)))
+@settings(max_examples=200, deadline=None)
+def test_pruning_margin_where_the_entropy_gain_cancels(log_a, ulps, t, gamma, beta):
+    # x2 sits a << b from the heavy x1, so D(a, b) = a^g + (b^g - (a+b)^g)
+    # cancels; w2 puts beta * w2 within a few ulps, or a few margins, of
+    # c * D as _prune computes it
+    x1 = 0.25
+    x2 = x1 + 10.0**log_a
+    ext = np.array([0.0, x1, x2, 1.0])
+    gp = np.diff(ext) ** gamma
+    d = float((gp[1] + gp[2]) - (ext[3] - ext[1]) ** gamma)
+    tol = _margin(EnergyLandscape(ext[1:3], np.array([10.0, d / beta]), beta, gamma))
+    w2 = (d + ulps * math.ulp(d) + t * tol) / beta
+    L = EnergyLandscape(np.array([x1, x2]), np.array([10.0, w2]), beta, gamma)
+    keep = _prune(L.positions, L.weights, beta, gamma, 1.0)
+    assert 0 in keep
+    if t >= -0.5:  # within the margin: kept
+        assert 1 in keep
+    if t <= -1.5:
+        assert 1 not in keep
+    assert solve_dp(L).selected == _full_dp(L)
+
+
+def _gap_powers_in_one_buffer(L):
+    # _gap_powers(L) built in place, as the transpose of a C-ordered array,
+    # so that min_ratio's contiguous transpose is a view: one (m+2)^2 buffer
+    ext = np.concatenate(([0.0], L.positions, [1.0]))
+    costT = ext[:, None] - ext[None, :]
+    np.maximum(costT, 0.0, out=costT)
+    costT **= L.gamma
+    return costT.T
+
+
+def test_threshold_at_large_k():
+    """beta_c^(k) for k = 512, 10^4, 10^5 on one base per replica, drawn as
+    the threshold-pinning runner draws it, over the nine (alpha, gamma) of
+    criterion 6; then the pruned threshold at m = 4096 against the unpruned
+    parametric iteration on the full gap-power matrix.
+
+    Measured: 2.8 s on 2 cores (Python 3.11, numpy 2.4), about 1 s of it in
+    the three unpruned m = 4096 thresholds; the process peaks at 230 MB.  The
+    full-matrix parametric iteration at m = 10^5 would need 80 GB."""
+    R = 20
+    ks = (512, 10_000, 100_000)
+    for r in range(R):
+        T, Y = draw_base(max(max(ks), BUFFER_MIN), substream(6, "threshold-pinning", r))
+        for alpha in GRID:
+            for gamma in GRID:
+                prev = math.inf
+                for k in ks:
+                    bc = beta_critical(Y[:k], T[:k] ** (-1.0 / alpha), gamma)
+                    # a longer prefix only adds chains, so the minimum ratio can only fall
+                    assert 0.0 < bc <= prev * (1.0 + 1e-12)
+                    prev = bc
+    T, Y = draw_base(300, np.random.default_rng(0))
+    small = EnergyLandscape.from_marks(Y, T ** -2.0, 0.0, 0.8)
+    assert np.array_equal(_gap_powers_in_one_buffer(small), _gap_powers(small))
+    for r in range(3):
+        T, Y = draw_base(4096, substream(6, "threshold-pinning", r))
+        w = T ** -2.0
+        L = EnergyLandscape.from_marks(Y, w, 0.0, 0.5)
+        full = min_ratio(L.weights, _gap_powers_in_one_buffer(L), 1.0, "parametric", BRUTEFORCE_MAX)
+        assert beta_critical(Y, w, 0.5) == full
