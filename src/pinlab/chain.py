@@ -23,6 +23,12 @@ BISECT_TOL = 1e-9
 METHODS = ("auto", "enumerate", "parametric", "bisect")
 
 
+def check_method(method: str) -> None:
+    """Reject an unknown threshold method, before any cost matrix is built."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+
+
 def chain_dp(w, beta: float, column, c: float = 1.0) -> tuple[int, ...]:
     """Indices (into w) of a maximizing chain; column(j) gives C[:j, j].
 
@@ -137,8 +143,7 @@ def min_ratio(w, cost: np.ndarray, c: float, method: str, enum_max: int) -> floa
     verdict (empty or not) is pinned to BISECT_TOL.  "auto" enumerates up
     to enum_max points and iterates above.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
+    check_method(method)
     m = w.size
     base = cost[0, m + 1]
     # each single point bounds the threshold from above

@@ -9,16 +9,7 @@ import argparse
 import json
 import sys
 
-from .harness import EXPERIMENTS, ConfigError, load_config, run_experiment
-
-_DESCRIPTIONS = {
-    "convergence": "coupled discrete maximizers vs the truncated continuum one",
-    "concentration": "Gibbs exceedance probability of the favorite set vs N",
-    "threshold-pinning": "distribution of the pinning critical coupling over realizations",
-    "threshold-polymer": "distribution of the polymer critical coupling over environments",
-    "renewal-asymptotics": "renewal-function and convolution-ratio diagnostics",
-    "subordinator-growth": "growth envelopes and band-process checks",
-}
+from .harness import SPECS, ConfigError, load_config, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -35,8 +26,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "list-experiments":
-        for name in EXPERIMENTS:
-            print(f"{name}: {_DESCRIPTIONS[name]}")
+        for name, spec in SPECS.items():
+            print(f"{name}: {spec.description}")
         return 0
     try:
         cfg = load_config(args.config)

@@ -1,10 +1,15 @@
 """Batch experiment runner: seeded, resumable, file-based workflows.
 
-Each experiment writes per-cell CSV files (atomically, skipping cells that
-already exist) plus a summary JSON embedding the config and library
-version.  Reports are a pure function of (config, seed): replica r of
-experiment E always uses the RNG substream (seed, E, cell, r), and
-replicas run one after another in replica order.
+The experiments are one table, SPECS, keyed by name.  Each entry holds a
+description, the default grids, cells(cfg) and summarize(cfg, tables).
+cells(cfg) lists every CSV cell as (file name, header, row count, compute),
+where compute() returns the cell's columns.  run_experiment is the only cell
+loop: it reuses each well-formed cell on disk, computes and atomically
+writes the others, hands summarize the cells' float columns by header name,
+and writes a summary JSON embedding the config and library version.
+Reports are a pure function of (config, seed): replica r of experiment E
+always uses the RNG substream (seed, E, cell, r), and replicas run one
+after another in replica order.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import logging
 import math
 import os
 import tempfile
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +32,7 @@ from .disorder import BUFFER_MIN, DisorderLaw, couple, draw_base
 from .geometry import hausdorff
 from .gibbs import PinningModel, concentration_probability
 from .polymer import PolymerEnvironment, polymer_beta_critical
-from .renewal import build_law, renewal_function, tilt
+from .renewal import build_law, ratio_table, tilt
 from .streams import substream
 from .subordinator import (
     MarkedPointSet, band_process, edge_evaluator, edge_jump_times, growth_check,
@@ -34,15 +40,6 @@ from .subordinator import (
 from .varmax import EnergyLandscape, beta_critical, solve_dp
 
 log = logging.getLogger(__name__)
-
-EXPERIMENTS = (
-    "convergence",
-    "concentration",
-    "threshold-pinning",
-    "threshold-polymer",
-    "renewal-asymptotics",
-    "subordinator-growth",
-)
 
 
 class ConfigError(ValueError):
@@ -75,18 +72,9 @@ class ExperimentConfig:
 
     def with_defaults(self) -> "ExperimentConfig":
         """Fill experiment-specific default grids where none were given."""
-        defaults = {
-            "convergence": {"N_list": (64, 256, 1024), "k_list": (256,), "replicas": 200},
-            "concentration": {"N_list": (64, 128, 256, 512, 1024, 2048), "replicas": 1},
-            "threshold-pinning": {"k_list": (128, 512), "replicas": 500},
-            "threshold-polymer": {"k_list": (32, 128, 512), "replicas": 200},
-            "renewal-asymptotics": {"replicas": 1},
-            "subordinator-growth": {"k_list": (1000,), "replicas": 1000},
-        }.get(self.experiment, {})
-        updates = {}
-        for key, val in defaults.items():
-            if not getattr(self, key):
-                updates[key] = val
+        spec = SPECS.get(self.experiment)
+        updates = {key: val for key, val in (spec.defaults.items() if spec else ())
+                   if not getattr(self, key)}
         return dataclasses.replace(self, **updates) if updates else self
 
     def validate(self) -> None:
@@ -198,6 +186,13 @@ class ExperimentReport:
     cells: tuple[str, ...] = ()
 
 
+#: One CSV cell of an experiment; compute() returns its columns.
+Cell = namedtuple("Cell", "name header rows compute")
+#: One experiment; summarize(cfg, tables) reads the float columns of
+#: cells(cfg), in order, each a dict keyed by header name.
+Spec = namedtuple("Spec", "description defaults cells summarize")
+
+
 # ---------------------------------------------------------------------------
 # file plumbing
 
@@ -230,41 +225,35 @@ def _write_cell(path: str, header: list[str], rows: list[tuple[str, ...]]) -> No
         raise
 
 
-def _read_cell(path: str) -> tuple[list[str], list[list[str]]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    return (lines[0].split(",") if lines else []), [line.split(",") for line in lines[1:]]
-
-
-def _ensure_cell(path: str, header: list[str], compute) -> list:
-    """Return the cell's rows as strings, computing and writing them only if
-    absent or malformed; compute() returns the cell's columns, each value is
-    formatted once.  A cell on disk is reused only if its header is the
-    expected one and every row has the header's width."""
+def _ensure_cell(path: str, cell: Cell) -> dict:
+    """Return the cell's float columns by header name, computing and writing
+    the cell only if it is absent or malformed.  A cell on disk is reused only
+    with the expected header and row count, every row of the header's width
+    and every value a float; repr-written floats read back exactly.  Computed
+    values are formatted once and converted to float without a parse-back."""
     if os.path.exists(path):
-        found, rows = _read_cell(path)
-        if found == header and all(len(r) == len(header) for r in rows):
-            return rows
+        with open(path, "r", encoding="utf-8") as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()]
+        if (rows[:1] == [cell.header] and len(rows) == cell.rows + 1
+                and all(len(r) == len(cell.header) for r in rows)):
+            try:
+                return {h: np.array([float(v) for v in col])
+                        for h, col in zip(cell.header, zip(*rows[1:]))}
+            except ValueError:
+                pass
         log.warning("recomputing malformed cell %s", path)
-    rows = list(zip(*map(_fmt_column, compute())))
-    _write_cell(path, header, rows)
-    return rows
+    columns = list(cell.compute())
+    _write_cell(path, cell.header, list(zip(*map(_fmt_column, columns))))
+    return {h: np.asarray(col, dtype=float) for h, col in zip(cell.header, columns)}
 
 
-def _check_threads() -> None:
-    """PINLAB_THREADS, if set, must be an integer; replicas run serially in
-    this process whatever its value, so results never depend on it."""
-    env = os.environ.get("PINLAB_THREADS", "")
-    if env:
-        try:
-            int(env)
-        except ValueError:
-            raise ConfigError(f"PINLAB_THREADS must be an integer, got {env!r}") from None
-
-
-def _replica_columns(size: int, one, replicas: int) -> list:
-    """Columns (size, replica, one(size, replica)) of a one-value-per-replica cell."""
-    return [[size] * replicas, range(replicas), [one(size, r) for r in range(replicas)]]
+def _replica_cells(cfg: ExperimentConfig, stem: str, header: list[str], sizes, one) -> list[Cell]:
+    """One cell per size of a one-value-per-replica experiment, with the rows
+    (size, replica, one(size, replica))."""
+    n = cfg.replicas
+    return [Cell(f"{stem}{s}.csv", header, n,
+                 lambda s=s: [[s] * n, range(n), [one(s, r) for r in range(n)]])
+            for s in sizes]
 
 
 def _median_ci(values: np.ndarray, level: float = 0.95) -> tuple[float, float]:
@@ -282,13 +271,9 @@ def _median_ci(values: np.ndarray, level: float = 0.95) -> tuple[float, float]:
 # experiments
 
 
-def _run_convergence(cfg: ExperimentConfig, out: str) -> tuple[dict, list[str]]:
+def _convergence_cells(cfg: ExperimentConfig) -> list[Cell]:
     law = DisorderLaw(cfg.alpha)
     k = cfg.k_list[0]
-    cells = []
-    medians = {}
-    cis = {}
-
     refs = {}  # replica -> continuum maximizer, which does not depend on N
 
     def one(N: int, r: int) -> float:
@@ -303,15 +288,15 @@ def _run_convergence(cfg: ExperimentConfig, out: str) -> tuple[dict, list[str]]:
         land = EnergyLandscape.from_marks(d.Y_disc, d.M_disc, cfg.beta_hat, cfg.gamma)
         return hausdorff(solve_dp(land).maximizer, refs[r])
 
-    for N in cfg.N_list:
-        path = os.path.join(out, f"convergence_N{N}.csv")
-        rows = _ensure_cell(path, ["N", "replica", "d_H"],
-                            lambda N=N: _replica_columns(N, one, cfg.replicas))
-        cells.append(path)
-        vals = np.array([float(r[2]) for r in rows])
-        medians[str(N)] = float(np.median(vals))
-        cis[str(N)] = _median_ci(vals)
+    return _replica_cells(cfg, "convergence_N", ["N", "replica", "d_H"], cfg.N_list, one)
 
+
+def _convergence_summary(cfg: ExperimentConfig, tables: list[dict]) -> dict:
+    medians = {}
+    cis = {}
+    for N, t in zip(cfg.N_list, tables):
+        medians[str(N)] = float(np.median(t["d_H"]))
+        cis[str(N)] = _median_ci(t["d_H"])
     ordered = [medians[str(N)] for N in cfg.N_list]
     inversions = []
     for i in range(len(ordered) - 1):
@@ -322,22 +307,19 @@ def _run_convergence(cfg: ExperimentConfig, out: str) -> tuple[dict, list[str]]:
                 "from_N": cfg.N_list[i], "to_N": cfg.N_list[i + 1],
                 "within_mc_error": bool(lo_next <= hi_prev),
             })
-    summary = {
+    return {
         "medians": medians,
         "median_ci95": {k_: list(v) for k_, v in cis.items()},
         "inversions": inversions,
         "monotone_ok": len(inversions) <= 1 and all(i["within_mc_error"] for i in inversions),
     }
-    return summary, cells
 
 
-def _run_concentration(cfg: ExperimentConfig, out: str) -> tuple[dict, list[str]]:
+def _concentration_cells(cfg: ExperimentConfig) -> list[Cell]:
     law0 = build_law(cfg.gamma, cfg.c, cfg.rho, 0.0, n_max=cfg.n_max)
     terminating = tilt(law0, cfg.h)
-    cells = []
-    rows_all = []
 
-    def cell_rows(N: int) -> list:
+    def columns(N: int) -> list:
         rng_dis = substream(cfg.seed, "concentration", "disorder")
         law = DisorderLaw(cfg.alpha)
         T, Y = draw_base(max(max(cfg.N_list), BUFFER_MIN), rng_dis)
@@ -355,15 +337,12 @@ def _run_concentration(cfg: ExperimentConfig, out: str) -> tuple[dict, list[str]
         return [[v] for v in (N, est.n_samples, est.exceed, est.estimate, est.lo, est.hi)]
 
     header = ["N", "n_samples", "exceed", "p_hat", "wilson_lo", "wilson_hi"]
-    for N in cfg.N_list:
-        path = os.path.join(out, f"concentration_N{N}.csv")
-        rows = _ensure_cell(path, header, lambda N=N: cell_rows(N))
-        cells.append(path)
-        rows_all.extend(rows)
+    return [Cell(f"concentration_N{N}.csv", header, 1, lambda N=N: columns(N))
+            for N in cfg.N_list]
 
-    Ns = np.array([float(r[0]) for r in rows_all])
-    p = np.array([float(r[3]) for r in rows_all])
-    n_s = np.array([float(r[1]) for r in rows_all])
+
+def _concentration_summary(cfg: ExperimentConfig, tables: list[dict]) -> dict:
+    Ns, n_s, p = (np.concatenate([t[h] for t in tables]) for h in ("N", "n_samples", "p_hat"))
     p_eff = np.maximum(p, 0.5 / n_s)  # zero counts enter at half a count
     x = Ns**cfg.gamma
     summary = {"p_by_N": {str(int(N)): float(pp) for N, pp in zip(Ns, p)}}
@@ -377,25 +356,20 @@ def _run_concentration(cfg: ExperimentConfig, out: str) -> tuple[dict, list[str]
             "slope_ci95": list(ci),
             "negative_at_95": bool(ci[1] < 0.0),
         })
-    return summary, cells
+    return summary
 
 
-def _run_threshold_pinning(cfg: ExperimentConfig, out: str) -> tuple[dict, list[str]]:
-    cells = []
-    per_k = {}
-
+def _threshold_pinning_cells(cfg: ExperimentConfig) -> list[Cell]:
     def one(k: int, r: int) -> float:
         rng = substream(cfg.seed, "threshold-pinning", r)
         T, Y = draw_base(max(max(cfg.k_list), BUFFER_MIN), rng)
         return beta_critical(Y[:k], T[:k] ** (-1.0 / cfg.alpha), cfg.gamma)
 
-    for k in cfg.k_list:
-        path = os.path.join(out, f"threshold_pinning_k{k}.csv")
-        rows = _ensure_cell(path, ["k", "replica", "beta_c"],
-                            lambda k=k: _replica_columns(k, one, cfg.replicas))
-        cells.append(path)
-        per_k[k] = np.array([float(r[2]) for r in rows])
+    return _replica_cells(cfg, "threshold_pinning_k", ["k", "replica", "beta_c"], cfg.k_list, one)
 
+
+def _threshold_pinning_summary(cfg: ExperimentConfig, tables: list[dict]) -> dict:
+    per_k = {k: t["beta_c"] for k, t in zip(cfg.k_list, tables)}
     summary = {"per_k": {}, "all_positive": True}
     for k, vals in per_k.items():
         summary["per_k"][str(k)] = {
@@ -412,70 +386,63 @@ def _run_threshold_pinning(cfg: ExperimentConfig, out: str) -> tuple[dict, list[
         summary["p05_rel_change"] = [
             abs(b - a) / a if a > 0 else math.inf for a, b in zip(p05, p05[1:])
         ]
-    return summary, cells
+    return summary
 
 
-def _run_threshold_polymer(cfg: ExperimentConfig, out: str) -> tuple[dict, list[str]]:
-    cells = []
-    per_k = {}
-
+def _threshold_polymer_cells(cfg: ExperimentConfig) -> list[Cell]:
     def one(k: int, r: int) -> float:
         rng = substream(cfg.seed, "threshold-polymer", r)
         env = PolymerEnvironment.sample(cfg.alpha, max(cfg.k_list), rng)
         return polymer_beta_critical(env.truncate(k))
 
-    for k in cfg.k_list:
-        path = os.path.join(out, f"threshold_polymer_k{k}.csv")
-        rows = _ensure_cell(path, ["k", "replica", "beta_c"],
-                            lambda k=k: _replica_columns(k, one, cfg.replicas))
-        cells.append(path)
-        per_k[k] = np.array([float(r[2]) for r in rows])
+    return _replica_cells(cfg, "threshold_polymer_k", ["k", "replica", "beta_c"], cfg.k_list, one)
 
+
+def _threshold_polymer_summary(cfg: ExperimentConfig, tables: list[dict]) -> dict:
+    per_k = {k: t["beta_c"] for k, t in zip(cfg.k_list, tables)}
     ks = sorted(per_k)
     medians = {str(k): float(np.median(per_k[k])) for k in ks}
     med = [medians[str(k)] for k in ks]
-    summary = {
+    return {
         "medians": medians,
         "median_rel_change": [abs(b - a) / a for a, b in zip(med, med[1:])],
         "strictly_decreasing": all(b < a for a, b in zip(med, med[1:])),
     }
-    return summary, cells
 
 
-def _run_renewal_asymptotics(cfg: ExperimentConfig, out: str) -> tuple[dict, list[str]]:
-    law = build_law(cfg.gamma, cfg.c, cfg.rho, cfg.k_inf, n_max=cfg.n_max)
-    n_eval = cfg.n_eval
+def _renewal_law(cfg: ExperimentConfig):
+    return build_law(cfg.gamma, cfg.c, cfg.rho, cfg.k_inf, n_max=cfg.n_max)
 
-    def cell_rows() -> list:
-        u = renewal_function(law, n_eval)[1:]
-        K = law.K[1 : n_eval + 1]
-        q = law.q[1 : n_eval + 1]
-        conv2 = np.convolve(q, q)
-        conv3 = np.convolve(conv2[: n_eval + 1], q)
-        # row n holds q*2(n) = conv2[n - 2] and q*3(n) = conv3[n - 3], 0 below
-        q2 = np.concatenate(([0.0], conv2[: n_eval - 1]))
-        q3 = np.concatenate(([0.0, 0.0], conv3[: n_eval - 2]))
-        return [range(1, n_eval + 1), K, u, u / K, q2 / q, q3 / q]
 
-    path = os.path.join(out, "renewal_asymptotics.csv")
+def _renewal_cells(cfg: ExperimentConfig) -> list[Cell]:
+    n = cfg.n_eval
     header = ["n", "K", "u", "u_over_K", "q2_over_q", "q3_over_q"]
-    rows = _ensure_cell(path, header, cell_rows)
-    # the n = n_eval row already holds renewal.subexp_diagnostics' ratios, and
-    # its repr-written floats read back exactly
-    diag = dict(zip(("u_over_K", "conv2_ratio", "conv3_ratio"), map(float, rows[-1][3:])))
-    diag["shift_ratio"] = float(law.q[n_eval + 1] / law.q[n_eval])
+    return [Cell("renewal_asymptotics.csv", header, n,
+                 lambda: [range(1, n + 1), *ratio_table(_renewal_law(cfg), n)])]
+
+
+def _renewal_summary(cfg: ExperimentConfig, tables: list[dict]) -> dict:
+    law = _renewal_law(cfg)
+    n_eval = cfg.n_eval
+    # the n = n_eval row holds renewal.subexp_diagnostics' ratios
+    (t,) = tables
+    diag = {
+        "u_over_K": float(t["u_over_K"][-1]),
+        "conv2_ratio": float(t["q2_over_q"][-1]),
+        "conv3_ratio": float(t["q3_over_q"][-1]),
+        "shift_ratio": float(law.q[n_eval + 1] / law.q[n_eval]),
+    }
     target = 1.0 / law.K_inf**2 if law.K_inf > 0 else math.inf
-    summary = {
+    return {
         "n_eval": n_eval,
         "diagnostics": diag,
         "u_over_K_target": target,
         "u_over_K_rel_err": abs(diag["u_over_K"] - target) / target if math.isfinite(target) else None,
         "conv2_rel_err": abs(diag["conv2_ratio"] - 2.0) / 2.0,
     }
-    return summary, [path]
 
 
-def _run_subordinator_growth(cfg: ExperimentConfig, out: str) -> tuple[dict, list[str]]:
+def _subordinator_cells(cfg: ExperimentConfig) -> list[Cell]:
     k = cfg.k_list[0]
     coarse = np.geomspace(cfg.t_lo, cfg.t_hi, cfg.t_points)
     fine = np.geomspace(cfg.t_lo, cfg.t_hi, cfg.t_points * 10)
@@ -503,43 +470,60 @@ def _run_subordinator_growth(cfg: ExperimentConfig, out: str) -> tuple[dict, lis
             incs.append(w1 - w0)
         return [r, sup_c, sup_f, wu_min] + incs
 
-    path = os.path.join(out, "subordinator_growth.csv")
     header = ["replica", "sup_coarse", "sup_fine", "min_w_minus_u", "inc0", "inc1", "inc2"]
-    rows = _ensure_cell(path, header, lambda: zip(*map(one, range(cfg.replicas))))
+    return [Cell("subordinator_growth.csv", header, cfg.replicas,
+                 lambda: zip(*map(one, range(cfg.replicas))))]
 
-    sup_c = np.array([float(r[1]) for r in rows])
-    sup_f = np.array([float(r[2]) for r in rows])
-    wu = np.array([float(r[3]) for r in rows])
-    incs = np.array([[float(r[4]), float(r[5]), float(r[6])] for r in rows])
-    p95_c = float(np.percentile(sup_c, 95))
-    p95_f = float(np.percentile(sup_f, 95))
+
+def _subordinator_summary(cfg: ExperimentConfig, tables: list[dict]) -> dict:
+    (t,) = tables
+    p95_c = float(np.percentile(t["sup_coarse"], 95))
+    p95_f = float(np.percentile(t["sup_fine"], 95))
     homo = {}
     ok3 = True
     for (i, j) in ((0, 1), (0, 2), (1, 2)):
-        dvals = incs[:, i] - incs[:, j]
+        dvals = t[f"inc{i}"] - t[f"inc{j}"]
         se = float(np.std(dvals, ddof=1) / math.sqrt(len(dvals)))
         z = float(np.mean(dvals) / se) if se > 0 else 0.0
         homo[f"t{i}_vs_t{j}"] = {"mean_diff": float(np.mean(dvals)), "se": se, "z": z}
         ok3 &= abs(z) <= 3.0
-    summary = {
+    return {
         "p95_coarse": p95_c,
         "p95_fine": p95_f,
         "refinement_ratio": p95_f / p95_c if p95_c > 0 else math.inf,
-        "w_ge_u_ok": bool(np.all(wu >= 0.0)),
+        "w_ge_u_ok": bool(np.all(t["min_w_minus_u"] >= 0.0)),
         "homogeneity": homo,
         "homogeneity_ok_3sigma": ok3,
     }
-    return summary, [path]
 
 
-_RUNNERS = {
-    "convergence": _run_convergence,
-    "concentration": _run_concentration,
-    "threshold-pinning": _run_threshold_pinning,
-    "threshold-polymer": _run_threshold_polymer,
-    "renewal-asymptotics": _run_renewal_asymptotics,
-    "subordinator-growth": _run_subordinator_growth,
+SPECS = {
+    "convergence": Spec(
+        "coupled discrete maximizers vs the truncated continuum one",
+        {"N_list": (64, 256, 1024), "k_list": (256,), "replicas": 200},
+        _convergence_cells, _convergence_summary),
+    "concentration": Spec(
+        "Gibbs exceedance probability of the favorite set vs N",
+        {"N_list": (64, 128, 256, 512, 1024, 2048), "replicas": 1},
+        _concentration_cells, _concentration_summary),
+    "threshold-pinning": Spec(
+        "distribution of the pinning critical coupling over realizations",
+        {"k_list": (128, 512), "replicas": 500},
+        _threshold_pinning_cells, _threshold_pinning_summary),
+    "threshold-polymer": Spec(
+        "distribution of the polymer critical coupling over environments",
+        {"k_list": (32, 128, 512), "replicas": 200},
+        _threshold_polymer_cells, _threshold_polymer_summary),
+    "renewal-asymptotics": Spec(
+        "renewal-function and convolution-ratio diagnostics",
+        {"replicas": 1},
+        _renewal_cells, _renewal_summary),
+    "subordinator-growth": Spec(
+        "growth envelopes and band-process checks",
+        {"k_list": (1000,), "replicas": 1000},
+        _subordinator_cells, _subordinator_summary),
 }
+EXPERIMENTS = tuple(SPECS)
 
 
 def _config_key(cfg: ExperimentConfig) -> str:
@@ -554,13 +538,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run one experiment end to end, reusing any cells already on disk."""
     cfg = cfg.with_defaults()
     cfg.validate()
-    _check_threads()
+    spec = SPECS[cfg.experiment]
     out = os.path.join(cfg.out_dir, cfg.experiment, _config_key(cfg))
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
         raise OSError(f"cannot create output directory {out}: {exc}") from exc
-    summary, cells = _RUNNERS[cfg.experiment](cfg, out)
+    cells = [(os.path.join(out, cell.name), cell) for cell in spec.cells(cfg)]
+    summary = spec.summarize(cfg, [_ensure_cell(path, cell) for path, cell in cells])
     report = {
         "config": dataclasses.asdict(cfg),
         "version": __version__,
@@ -571,4 +556,4 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     with os.fdopen(fd, "w", encoding="utf-8") as fh:
         fh.write(payload + "\n")
     os.replace(tmp, os.path.join(out, "summary.json"))
-    return ExperimentReport(config=cfg, summary=summary, cells=tuple(cells))
+    return ExperimentReport(config=cfg, summary=summary, cells=tuple(path for path, _ in cells))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import chain_dp, enumerate_best, min_ratio
+from .chain import chain_dp, check_method, enumerate_best, min_ratio
 
 ON_PATH_TOL = 1e-12
 
@@ -230,6 +230,7 @@ def polymer_beta_critical(env: PolymerEnvironment, method: str = "auto") -> floa
     exactly.  "bisect" is kept as a cross-check oracle: plain bisection on
     the coupling via the chain DP, tolerance 1e-9.
     """
+    check_method(method)
     if env.size == 0:
         return math.inf
     if np.any(np.abs(env.y) <= ON_PATH_TOL):

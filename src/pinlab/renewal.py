@@ -149,27 +149,37 @@ def renewal_function(law: RenewalLaw, n: int) -> np.ndarray:
     return u
 
 
+def ratio_table(law: RenewalLaw, n: int) -> tuple[np.ndarray, ...]:
+    """Columns K, u, u/K, q*2/q and q*3/q over 1..n for q = K/(1-K_inf).
+
+    q*2 and q*3 are summed directly (np.convolve) and read as 0 below 2 and
+    3; needs n >= 3.
+    """
+    if n < 3:
+        raise ValueError("need n >= 3 for the convolution ratios")
+    u = renewal_function(law, n)[1:]
+    K = law.K[1 : n + 1]
+    q = law.q[1 : n + 1]  # q[i] = q(i+1)
+    conv2 = np.convolve(q, q)  # index j <-> mass at j+2
+    conv3 = np.convolve(conv2[: n + 1], q)  # index j <-> mass at j+3
+    q2 = np.concatenate(([0.0], conv2[: n - 1]))
+    q3 = np.concatenate(([0.0, 0.0], conv3[: n - 2]))
+    return K, u, u / K, q2 / q, q3 / q
+
+
 def subexp_diagnostics(law: RenewalLaw, n: int, k_shift: int = 1) -> dict[str, float]:
     """Heavy-tail convolution ratios at n for q = K/(1-K_inf).
 
-    Returns q(n+k)/q(n), q*2(n)/q(n), q*3(n)/q(n) (direct summation) and
-    u(n)/K(n); the first three approach 1, 2, 3 and the last 1/K_inf^2 for
-    terminating laws.
+    Returns q(n+k)/q(n), q*2(n)/q(n), q*3(n)/q(n) (the last row of
+    ratio_table) and u(n)/K(n); the first three approach 1, 2, 3 and the
+    last 1/K_inf^2 for terminating laws.
     """
     if n + k_shift > law.n_max:
         raise ValueError(f"n + k_shift = {n + k_shift} exceeds n_max={law.n_max}")
-    if n < 3:
-        raise ValueError("need n >= 3 for the convolution ratios")
-    q = law.q[1 : n + 1]  # q[i] = q(i+1)
-    conv2 = np.convolve(q, q)          # index j <-> mass at j+2
-    q2_at_n = float(conv2[n - 2])
-    conv3 = np.convolve(conv2[: n + 1], q)  # index j <-> mass at j+3
-    q3_at_n = float(conv3[n - 3])
-    u = renewal_function(law, n)
-    qn = float(q[n - 1])
+    _, _, u_over_K, conv2_ratio, conv3_ratio = ratio_table(law, n)
     return {
-        "shift_ratio": float(law.q[n + k_shift] / qn),
-        "conv2_ratio": q2_at_n / qn,
-        "conv3_ratio": q3_at_n / qn,
-        "u_over_K": float(u[n] / law.K[n]),
+        "shift_ratio": float(law.q[n + k_shift] / law.q[n]),
+        "conv2_ratio": float(conv2_ratio[-1]),
+        "conv3_ratio": float(conv3_ratio[-1]),
+        "u_over_K": float(u_over_K[-1]),
     }

@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .chain import chain_dp, enumerate_best, min_ratio
+from .chain import chain_dp, check_method, enumerate_best, min_ratio
 from .geometry import PinnedSet, hausdorff, nearest_distances, set_entropy
 
 MEMBER_TOL = 1e-12
@@ -260,6 +260,7 @@ def beta_critical(positions, weights, gamma: float, c_entropy: float = 1.0,
       ratios' errors: S' computes a smaller ratio than S does.  Hence the
       least computed ratio is attained by a chain of survivors.
     """
+    check_method(method)
     L = EnergyLandscape.from_marks(positions, weights, 0.0, gamma, c_entropy)
     m = L.size
     if m == 0:

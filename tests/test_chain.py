@@ -6,6 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pinlab.chain as chain
+import pinlab.polymer as polymer
+import pinlab.varmax as varmax
 from pinlab.chain import chain_dp, enumerate_best
 from pinlab.disorder import draw_base
 from pinlab.polymer import (
@@ -200,3 +202,18 @@ def test_chain_dp_matches_flatnonzero_tie_rule(m, beta, seed):
         sel.append(node - 1)
         node = int(bp[node])
     assert chain_dp(w, beta, lambda j: cost[:j, j]) == tuple(reversed(sel))
+
+
+def test_unknown_method_is_rejected_before_any_cost_is_built(monkeypatch):
+    # the cost matrices take (m+2)^2 floats; a bad method name must not pay for one
+    def never(*args):
+        raise AssertionError("cost matrix built for an unknown method")
+
+    monkeypatch.setattr(varmax, "_gap_powers", never)
+    monkeypatch.setattr(polymer, "_segment_entropy_matrix", never)
+    T, Y = draw_base(64, substream(5, "bogus"))
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        beta_critical(Y, T**-2.0, 0.5, method="bogus")
+    env = PolymerEnvironment.sample(0.8, 64, substream(5, "bogus"))
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        polymer_beta_critical(env, method="bogus")

@@ -19,6 +19,18 @@ from pinlab.harness import (
 from pinlab.renewal import build_law, renewal_function
 
 
+#: small configs of every experiment, with at least three cells where the
+#: experiment has more than one
+_SMALL = {
+    "convergence": dict(N_list=(16, 32, 64), k_list=(16,), replicas=5),
+    "concentration": dict(N_list=(16, 32, 64), n_samples=200, n_max=2000),
+    "threshold-pinning": dict(k_list=(8, 16, 32), replicas=6),
+    "threshold-polymer": dict(k_list=(4, 8, 16), replicas=6),
+    "renewal-asymptotics": dict(n_eval=300, n_max=2000),
+    "subordinator-growth": dict(k_list=(64,), replicas=12, t_points=10),
+}
+
+
 def _tiny_convergence(out_dir, seed=3):
     return ExperimentConfig(
         experiment="convergence", N_list=(16, 32), k_list=(16,), replicas=6,
@@ -121,53 +133,59 @@ def test_resumability_skips_completed_cells(tmp_path):
 
 
 def test_malformed_cells_are_recomputed(tmp_path, caplog):
-    # a cell with a foreign header and a cell with a short row are not
-    # reused: a rerun rewrites both with the fresh bytes and logs each path
-    cfg = _tiny_convergence(tmp_path)
+    # a cell with a foreign header, a short row, a missing row or a value that
+    # is not a float is not reused: a rerun rewrites each with the fresh bytes
+    # and logs its path
+    cfg = dataclasses.replace(_tiny_convergence(tmp_path), N_list=(16, 32, 48, 64))
     rep1 = run_experiment(cfg)
     fresh = {c: open(c, "rb").read() for c in rep1.cells}
-    foreign, short = rep1.cells[0], rep1.cells[1]
-    with open(foreign, "w", encoding="utf-8") as fh:
-        fh.write(fresh[foreign].decode().replace("d_H", "beta_c", 1))
-    lines = fresh[short].decode().splitlines()
-    lines[2] = lines[2].rsplit(",", 1)[0]
-    with open(short, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+
+    def foreign_header(lines):
+        lines[0] = lines[0].replace("d_H", "beta_c")
+
+    def short_row(lines):
+        lines[2] = lines[2].rsplit(",", 1)[0]
+
+    def missing_row(lines):
+        del lines[3]
+
+    def not_a_float(lines):
+        lines[4] = lines[4].rsplit(",", 1)[0] + ",0.5x"
+
+    corruptions = (foreign_header, short_row, missing_row, not_a_float)
+    for cell, corrupt in zip(rep1.cells, corruptions):
+        lines = fresh[cell].decode().splitlines()
+        corrupt(lines)
+        with open(cell, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
     with caplog.at_level("WARNING", logger="pinlab.harness"):
         rep2 = run_experiment(cfg)
     assert rep2.summary == rep1.summary
     for c in rep2.cells:
         assert open(c, "rb").read() == fresh[c]
     logged = " ".join(r.getMessage() for r in caplog.records)
-    assert foreign in logged and short in logged
+    assert all(c in logged for c in rep1.cells)
 
 
 def _cell_bytes(report):
     return [open(c, "rb").read() for c in report.cells]
 
 
-def test_thread_env_respected(tmp_path, monkeypatch):
-    # PINLAB_THREADS is validated but never changes a byte of the results
-    monkeypatch.delenv("PINLAB_THREADS", raising=False)
-    rep0 = run_experiment(_tiny_convergence(tmp_path / "unset"))
-    for n in ("1", "4"):
-        monkeypatch.setenv("PINLAB_THREADS", n)
-        rep = run_experiment(_tiny_convergence(tmp_path / n))
-        assert rep.summary == rep0.summary
-        assert _cell_bytes(rep) == _cell_bytes(rep0)
-
-
-def test_resumed_convergence_matches_fresh_run(tmp_path):
-    # a resumed run recomputes the middle cell with the reference maximizers
-    # computed lazily from the replicas, and writes the same bytes
-    cfg = ExperimentConfig(experiment="convergence", N_list=(16, 32, 64), k_list=(16,),
-                           replicas=5, seed=11, out_dir=str(tmp_path / "resumed"))
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_resumed_run_matches_fresh_run(tmp_path, name):
+    # a resumed run recomputes one deleted cell (for convergence, with the
+    # reference maximizers computed lazily from the replicas) and writes the
+    # same bytes; summaries agree whether their columns were computed or
+    # parsed back from the cells on disk
+    cfg = ExperimentConfig(experiment=name, seed=11, out_dir=str(tmp_path / "resumed"),
+                           **_SMALL[name])
     first = run_experiment(cfg)
-    os.unlink(first.cells[1])
+    os.unlink(first.cells[len(first.cells) // 2])
     resumed = run_experiment(cfg)
     fresh = run_experiment(dataclasses.replace(cfg, out_dir=str(tmp_path / "fresh")))
     assert _cell_bytes(resumed) == _cell_bytes(fresh)
-    assert resumed.summary == fresh.summary
+    assert resumed.summary == fresh.summary == first.summary
+    assert run_experiment(cfg).summary == fresh.summary  # every cell parsed back
 
 
 def _renewal_cell_by_rows(cfg):
@@ -198,16 +216,8 @@ def test_renewal_cell_matches_row_loop(tmp_path, n_eval):
 
 
 def test_all_experiments_run_small(tmp_path):
-    configs = {
-        "convergence": dict(N_list=(16, 32), k_list=(8,), replicas=4),
-        "concentration": dict(N_list=(16, 32, 64), n_samples=200, n_max=2000),
-        "threshold-pinning": dict(k_list=(8, 16), replicas=6),
-        "threshold-polymer": dict(k_list=(4, 8), replicas=6),
-        "renewal-asymptotics": dict(n_eval=300, n_max=2000),
-        "subordinator-growth": dict(k_list=(64,), replicas=12, t_points=10),
-    }
     for name in EXPERIMENTS:
-        cfg = ExperimentConfig(experiment=name, seed=1, out_dir=str(tmp_path), **configs[name])
+        cfg = ExperimentConfig(experiment=name, seed=1, out_dir=str(tmp_path), **_SMALL[name])
         rep = run_experiment(cfg)
         assert rep.cells
         assert isinstance(rep.summary, dict) and rep.summary
@@ -242,16 +252,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", str(unwritable)]) == 3
 
 
-def test_bad_input_exits_2(tmp_path, monkeypatch):
-    pooled = tmp_path / "pooled.json"
-    pooled.write_text(json.dumps({
-        "experiment": "threshold-pinning", "k_list": [4], "replicas": 2,
-        "out_dir": str(tmp_path / "pooled"),
-    }))
-    monkeypatch.setenv("PINLAB_THREADS", "abc")
-    assert main(["run", "--config", str(pooled)]) == 2
-    monkeypatch.delenv("PINLAB_THREADS")
-
+def test_bad_input_exits_2(tmp_path):
     short = tmp_path / "short.json"
     short.write_text(json.dumps({
         "experiment": "renewal-asymptotics", "n_eval": 2, "n_max": 2000,
