@@ -31,16 +31,9 @@ def main(argv=None) -> int:
         return 0
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
-    if args.command == "validate":
-        print(f"ok: {cfg.experiment}")
-        return 0
-    try:
+        if args.command == "validate":
+            print(f"ok: {cfg.experiment}")
+            return 0
         report = run_experiment(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -6,7 +6,7 @@ cells(cfg) lists every CSV cell as (file name, header, row count, compute),
 where compute() returns the cell's columns.  run_experiment is the only cell
 loop: it reuses each well-formed cell on disk, computes and atomically
 writes the others, hands summarize the cells' float columns by header name,
-and writes a summary JSON embedding the config and library version.
+and atomically writes a summary JSON embedding the config and library version.
 Reports are a pure function of (config, seed): replica r of experiment E
 always uses the RNG substream (seed, E, cell, r), and replicas run one
 after another in replica order.
@@ -15,12 +15,14 @@ after another in replica order.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
 import math
 import os
 import tempfile
+import typing
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -116,33 +118,35 @@ class ExperimentConfig:
                 raise ConfigError("subordinator.growth_check requires q > 1")
             if not 0.0 < self.t_lo <= self.t_hi <= 0.1:
                 raise ConfigError("subordinator.growth_check requires the grid in (0, 0.1]")
-
-
-_LIST_KEYS = {"N_list", "k_list"}
-_INT_KEYS = {"replicas", "seed", "n_samples", "n_eval", "n_max", "t_points"}
-_STR_KEYS = {"experiment", "out_dir"}
+            if self.t_points < 1:
+                raise ConfigError("subordinator.growth_check requires t_points >= 1")
+        if self.experiment in ("renewal-asymptotics", "concentration"):
+            try:
+                _renewal_law(self)
+            except ValueError as exc:
+                raise ConfigError(f"renewal law rejected: {exc}") from exc
 
 
 def config_from_mapping(data: dict) -> ExperimentConfig:
-    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(data) - fields
+    """Build and validate a config, coercing each value to its field's
+    annotated type; a tuple field also takes a comma- or space-separated
+    string."""
+    kinds = typing.get_type_hints(ExperimentConfig)
+    unknown = set(data) - set(kinds)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     if "experiment" not in data:
         raise ConfigError("config must name an experiment")
     kwargs = {}
     for key, value in data.items():
+        kind = kinds[key]
         try:
-            if key in _LIST_KEYS:
+            if typing.get_origin(kind) is tuple:
                 if isinstance(value, str):
-                    value = [v for v in value.replace(",", " ").split() if v]
-                kwargs[key] = tuple(int(v) for v in value)
-            elif key in _INT_KEYS:
-                kwargs[key] = int(value)
-            elif key in _STR_KEYS:
-                kwargs[key] = str(value)
+                    value = value.replace(",", " ").split()
+                kwargs[key] = tuple(map(typing.get_args(kind)[0], value))
             else:
-                kwargs[key] = float(value)
+                kwargs[key] = kind(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key}: {value!r}") from exc
     cfg = ExperimentConfig(**kwargs).with_defaults()
@@ -197,23 +201,9 @@ Spec = namedtuple("Spec", "description defaults cells summarize")
 # file plumbing
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def _fmt_column(column) -> list[str]:
-    """_fmt of every entry; a float array goes through repr in one pass."""
-    if isinstance(column, np.ndarray) and column.dtype == np.float64:
-        return list(map(repr, column.tolist()))
-    return [_fmt(v) for v in column]
-
-
-def _write_cell(path: str, header: list[str], rows: list[tuple[str, ...]]) -> None:
-    """Atomic CSV write of formatted rows; concurrent reruns see either
-    nothing or the full file."""
-    text = "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
+def _write_atomic(path: str, text: str) -> None:
+    """Write text to path atomically: concurrent reruns see either the old
+    file or the full new one, and a failed write leaves no temporary file."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
@@ -229,8 +219,9 @@ def _ensure_cell(path: str, cell: Cell) -> dict:
     """Return the cell's float columns by header name, computing and writing
     the cell only if it is absent or malformed.  A cell on disk is reused only
     with the expected header and row count, every row of the header's width
-    and every value a float; repr-written floats read back exactly.  Computed
-    values are formatted once and converted to float without a parse-back."""
+    and every value a float; repr-written floats read back exactly.  A computed
+    column is written as repr over its array's tolist() (str of an int, repr
+    of a float) and returned as float without a parse-back."""
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
             rows = [line.split(",") for line in fh.read().splitlines()]
@@ -242,9 +233,10 @@ def _ensure_cell(path: str, cell: Cell) -> dict:
             except ValueError:
                 pass
         log.warning("recomputing malformed cell %s", path)
-    columns = list(cell.compute())
-    _write_cell(path, cell.header, list(zip(*map(_fmt_column, columns))))
-    return {h: np.asarray(col, dtype=float) for h, col in zip(cell.header, columns)}
+    columns = [np.asarray(col) for col in cell.compute()]
+    rows = zip(*(map(repr, col.tolist()) for col in columns))
+    _write_atomic(path, "\n".join([",".join(cell.header), *map(",".join, rows)]) + "\n")
+    return {h: col.astype(float, copy=False) for h, col in zip(cell.header, columns)}
 
 
 def _replica_cells(cfg: ExperimentConfig, stem: str, header: list[str], sizes, one) -> list[Cell]:
@@ -254,6 +246,21 @@ def _replica_cells(cfg: ExperimentConfig, stem: str, header: list[str], sizes, o
     return [Cell(f"{stem}{s}.csv", header, n,
                  lambda s=s: [[s] * n, range(n), [one(s, r) for r in range(n)]])
             for s in sizes]
+
+
+@functools.lru_cache(maxsize=4)
+def _law(gamma: float, c: float, rho: float, k_inf: float, n_max: int):
+    """renewal.build_law, built once per parameter set (its K is read-only)."""
+    return build_law(gamma, c, rho, k_inf, n_max=n_max)
+
+
+def _renewal_law(cfg: ExperimentConfig):
+    """The law a renewal-based experiment runs on: concentration tilts the
+    proper law by h into a terminating one, renewal-asymptotics keeps the
+    atom k_inf."""
+    if cfg.experiment == "concentration":
+        return tilt(_law(cfg.gamma, cfg.c, cfg.rho, 0.0, cfg.n_max), cfg.h)
+    return _law(cfg.gamma, cfg.c, cfg.rho, cfg.k_inf, cfg.n_max)
 
 
 def _median_ci(values: np.ndarray, level: float = 0.95) -> tuple[float, float]:
@@ -316,8 +323,7 @@ def _convergence_summary(cfg: ExperimentConfig, tables: list[dict]) -> dict:
 
 
 def _concentration_cells(cfg: ExperimentConfig) -> list[Cell]:
-    law0 = build_law(cfg.gamma, cfg.c, cfg.rho, 0.0, n_max=cfg.n_max)
-    terminating = tilt(law0, cfg.h)
+    terminating = _renewal_law(cfg)
 
     def columns(N: int) -> list:
         rng_dis = substream(cfg.seed, "concentration", "disorder")
@@ -327,7 +333,7 @@ def _concentration_cells(cfg: ExperimentConfig) -> list[Cell]:
         omega = np.zeros(N - 1)
         slots = np.rint(d.Y_disc * N).astype(int)
         omega[slots - 1] = d.M_disc * d.b_N
-        land = EnergyLandscape.from_marks(d.Y_disc, d.M_disc, cfg.beta_hat, cfg.gamma)
+        land = EnergyLandscape.from_marks(d.Y_disc, d.M_disc, cfg.beta_hat, cfg.gamma, cfg.c)
         ref = solve_dp(land).maximizer
         beta_bare = cfg.beta_hat * N**cfg.gamma / d.b_N
         model = PinningModel(law=terminating, omega=omega, beta=beta_bare, h=0.0, N=N)
@@ -408,10 +414,6 @@ def _threshold_polymer_summary(cfg: ExperimentConfig, tables: list[dict]) -> dic
         "median_rel_change": [abs(b - a) / a for a, b in zip(med, med[1:])],
         "strictly_decreasing": all(b < a for a, b in zip(med, med[1:])),
     }
-
-
-def _renewal_law(cfg: ExperimentConfig):
-    return build_law(cfg.gamma, cfg.c, cfg.rho, cfg.k_inf, n_max=cfg.n_max)
 
 
 def _renewal_cells(cfg: ExperimentConfig) -> list[Cell]:
@@ -551,9 +553,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "version": __version__,
         "summary": summary,
     }
-    payload = json.dumps(report, indent=2, sort_keys=True)
-    fd, tmp = tempfile.mkstemp(dir=out, suffix=".tmp")
-    with os.fdopen(fd, "w", encoding="utf-8") as fh:
-        fh.write(payload + "\n")
-    os.replace(tmp, os.path.join(out, "summary.json"))
+    _write_atomic(os.path.join(out, "summary.json"),
+                  json.dumps(report, indent=2, sort_keys=True) + "\n")
     return ExperimentReport(config=cfg, summary=summary, cells=tuple(path for path, _ in cells))

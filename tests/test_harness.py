@@ -3,11 +3,14 @@
 import dataclasses
 import json
 import os
+import typing
 
 import numpy as np
 import pytest
 
+from pinlab import harness
 from pinlab.cli import main
+from pinlab.disorder import BUFFER_MIN, DisorderLaw, couple, draw_base
 from pinlab.harness import (
     ConfigError,
     EXPERIMENTS,
@@ -17,6 +20,8 @@ from pinlab.harness import (
     run_experiment,
 )
 from pinlab.renewal import build_law, renewal_function
+from pinlab.streams import substream
+from pinlab.varmax import EnergyLandscape, solve_dp
 
 
 #: small configs of every experiment, with at least three cells where the
@@ -253,14 +258,97 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 
 def test_bad_input_exits_2(tmp_path):
-    short = tmp_path / "short.json"
-    short.write_text(json.dumps({
-        "experiment": "renewal-asymptotics", "n_eval": 2, "n_max": 2000,
-        "out_dir": str(tmp_path / "short"),
-    }))
-    assert main(["validate", "--config", str(short)]) == 2
-    assert main(["run", "--config", str(short)]) == 2
-    assert not (tmp_path / "short").exists()  # rejected before any cell is written
+    # each is rejected before its out_dir is made; after the first, all pass the
+    # per-field checks and are caught by building the renewal law (validate
+    # builds it) or by the t_points check
+    bad = [
+        {"experiment": "renewal-asymptotics", "n_eval": 2, "n_max": 2000},
+        {"experiment": "renewal-asymptotics", "n_eval": 5, "n_max": 20},  # tail budget
+        {"experiment": "renewal-asymptotics", "n_eval": 4, "n_max": 6},  # n_max < 10
+        {"experiment": "renewal-asymptotics", "n_eval": 100, "n_max": 2000, "rho": 5},
+        {"experiment": "concentration", "N_list": [16], "n_max": 16},  # tail budget
+        {"experiment": "concentration", "h": 800},  # the tilt underflows
+        {"experiment": "subordinator-growth", "t_points": 0},  # empty grid
+    ]
+    for i, data in enumerate(bad):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(dict(data, out_dir=str(tmp_path / f"out{i}"))))
+        assert main(["validate", "--config", str(path)]) == 2, data
+        assert main(["run", "--config", str(path)]) == 2, data
+        assert not (tmp_path / f"out{i}").exists(), data
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ExperimentConfig)])
+def test_flat_config_values_take_the_annotated_type(field):
+    base = ExperimentConfig(experiment="convergence").with_defaults()
+    value = getattr(base, field)
+    text = ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+    cfg = parse_config_text(f"experiment = convergence\n{field} = {text}\n")
+    got = getattr(cfg, field)
+    assert got == value
+    kind = typing.get_type_hints(ExperimentConfig)[field]
+    if typing.get_origin(kind) is tuple:
+        assert type(got) is tuple and all(type(v) is typing.get_args(kind)[0] for v in got)
+    else:
+        assert type(got) is kind
+    if int in (kind, *typing.get_args(kind)):
+        with pytest.raises(ConfigError, match=field):
+            parse_config_text(f"experiment = convergence\n{field} = 1.5\n")
+
+
+def test_fresh_renewal_run_builds_the_law_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build_law(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_law", counting)
+    # parameters no other test uses, so no law built earlier can be reused
+    cfg = config_from_mapping({"experiment": "renewal-asymptotics", "gamma": 0.4375,
+                               "n_eval": 50, "n_max": 3000, "out_dir": str(tmp_path)})
+    run_experiment(cfg)
+    assert len(calls) == 1
+
+
+def test_failed_summary_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    real_replace = os.replace
+
+    def failing(src, dst):
+        if os.path.basename(dst) == "summary.json":
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(harness.os, "replace", failing)
+    cfg = ExperimentConfig(experiment="renewal-asymptotics", n_eval=50, n_max=2000,
+                           out_dir=str(tmp_path))
+    with pytest.raises(OSError, match="disk full"):
+        run_experiment(cfg)
+    (run_dir,) = (tmp_path / "renewal-asymptotics").iterdir()
+    assert sorted(p.name for p in run_dir.iterdir()) == ["renewal_asymptotics.csv"]
+
+
+def test_concentration_reference_uses_the_entropy_constant(tmp_path, monkeypatch):
+    # the Gibbs exponent is N^gamma (beta_hat pi(I) - c E(I)), so the favorite
+    # set must maximize the variational energy with c_entropy = c
+    refs = []
+    real = harness.concentration_probability
+
+    def capturing(model, ref, *args):
+        refs.append(ref)
+        return real(model, ref, *args)
+
+    monkeypatch.setattr(harness, "concentration_probability", capturing)
+    cfg = ExperimentConfig(experiment="concentration", N_list=(16, 32), n_samples=10,
+                           n_max=2000, c=3.0, seed=1, out_dir=str(tmp_path))
+    run_experiment(cfg)
+    T, Y = draw_base(max(32, BUFFER_MIN), substream(1, "concentration", "disorder"))
+    for N, ref in zip(cfg.N_list, refs, strict=True):
+        d = couple(DisorderLaw(cfg.alpha), T, Y, N, N - 1)
+        want, unit = (solve_dp(EnergyLandscape.from_marks(
+            d.Y_disc, d.M_disc, cfg.beta_hat, cfg.gamma, c)).maximizer for c in (3.0, 1.0))
+        assert not np.array_equal(want.points, unit.points)  # the constant matters here
+        assert np.array_equal(ref.points, want.points)
 
 
 def test_gibbs_sample_serialization_contract(tmp_path):
