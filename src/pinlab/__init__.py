@@ -53,7 +53,6 @@ from .varmax import (
     EnergyLandscape,
     VarSolution,
     beta_critical,
-    constrained_max,
     energy,
     objective,
     solve_bruteforce,

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .geometry import PinnedSet, hausdorff
 from .renewal import RenewalLaw
@@ -225,7 +224,8 @@ def enumerate_distribution(model: PinningModel) -> dict[tuple[int, ...], float]:
     for mask in range(1 << (N - 1)):
         idx = (0,) + tuple(i + 1 for i in range(N - 1) if mask >> i & 1) + (N,)
         logw[idx] = set_log_weight(model, idx)
-    norm = logsumexp(np.array(list(logw.values())))
+    with np.errstate(all="ignore"):
+        norm = _logsumexp(np.array(list(logw.values())))
     return {idx: math.exp(lw - norm) for idx, lw in logw.items()}
 
 

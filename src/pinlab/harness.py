@@ -27,7 +27,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+import numpy.ma  # np.median loads it on first call; load it with pinlab, not in a run
 
 from . import __version__
 from .disorder import BUFFER_MIN, DisorderLaw, couple, draw_base
@@ -127,10 +127,19 @@ class ExperimentConfig:
                 raise ConfigError(f"renewal law rejected: {exc}") from exc
 
 
+def _coerce(kind: type, value):
+    """value as kind; a bool is not a number, and an int takes no fraction."""
+    if isinstance(value, bool) and kind is not str:
+        raise TypeError(f"{value!r} is not a number")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return kind(value)
+
+
 def config_from_mapping(data: dict) -> ExperimentConfig:
     """Build and validate a config, coercing each value to its field's
     annotated type; a tuple field also takes a comma- or space-separated
-    string."""
+    string.  Booleans and non-integral numbers for int fields are rejected."""
     kinds = typing.get_type_hints(ExperimentConfig)
     unknown = set(data) - set(kinds)
     if unknown:
@@ -144,9 +153,9 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
             if typing.get_origin(kind) is tuple:
                 if isinstance(value, str):
                     value = value.replace(",", " ").split()
-                kwargs[key] = tuple(map(typing.get_args(kind)[0], value))
+                kwargs[key] = tuple(_coerce(typing.get_args(kind)[0], v) for v in value)
             else:
-                kwargs[key] = kind(value)
+                kwargs[key] = _coerce(kind, value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key}: {value!r}") from exc
     cfg = ExperimentConfig(**kwargs).with_defaults()
@@ -263,15 +272,64 @@ def _renewal_law(cfg: ExperimentConfig):
     return _law(cfg.gamma, cfg.c, cfg.rho, cfg.k_inf, cfg.n_max)
 
 
+def _binom_half_ppf(q: float, n: int) -> int:
+    """The q-quantile of Bin(n, 1/2): the smallest k with P(X <= k) >= q,
+    decided exactly in integers as sum_{j<=k} C(n, j) * den >= num * 2^n for
+    q = num/den."""
+    num, den = q.as_integer_ratio()
+    target = num << n
+    cdf, coef = 0, 1  # coef = C(n, k)
+    for k in range(n):
+        cdf += coef * den
+        if cdf >= target:
+            return k
+        coef = coef * (n - k) // (k + 1)
+    return n
+
+
 def _median_ci(values: np.ndarray, level: float = 0.95) -> tuple[float, float]:
     """Order-statistic confidence interval for the median."""
     x = np.sort(values)
     n = x.size
-    lo_idx = stats.binom.ppf((1 - level) / 2, n, 0.5)
-    hi_idx = stats.binom.ppf(1 - (1 - level) / 2, n, 0.5)
-    lo = x[int(max(0, lo_idx))]
-    hi = x[int(min(n - 1, hi_idx))]
+    lo = x[_binom_half_ppf((1 - level) / 2, n)]
+    hi = x[min(n - 1, _binom_half_ppf(1 - (1 - level) / 2, n))]
     return float(lo), float(hi)
+
+
+#: repr of scipy.stats.t.ppf(0.975, df) for df = 1..30.
+_T975 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078, 2.7764451051977934,
+    2.5705818356363146, 2.4469118511449786, 2.364624251592784, 2.306004135204166,
+    2.262157162798205, 2.228138851986274, 2.200985160091639, 2.1788128296672284,
+    2.1603686564627913, 2.144786687917804, 2.131449545559776, 2.1199052992212546,
+    2.1098155778333156, 2.1009220402410382, 2.0930240544083087, 2.085963447265864,
+    2.0796138447276795, 2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
+    2.0595385527532972, 2.0555294386428735, 2.0518305164802846, 2.0484071417952454,
+    2.045229642132703, 2.0422724563012378,
+)
+
+
+def _t975(df: int) -> float:
+    """The 0.975 quantile of Student's t with df degrees of freedom."""
+    if df <= len(_T975):
+        return _T975[df - 1]
+    from scipy.special import stdtrit  # only for fits of more than 32 points
+
+    return float(stdtrit(df, 0.975))
+
+
+def _slope_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope and its standard error, in scipy.stats.linregress's
+    steps and floats (needs at least three points)."""
+    if np.amax(x) == np.amin(x):
+        raise ValueError("Cannot calculate a linear regression if all x values are identical")
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.nan if ssxym == 0 else 0.0
+    else:
+        r = ssxym / np.sqrt(ssxm * ssym)
+        r = 1.0 if r > 1.0 else -1.0 if r < -1.0 else r
+    return ssxym / ssxm, np.sqrt((1 - r**2) * ssym / ssxm / (len(x) - 2))
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +411,12 @@ def _concentration_summary(cfg: ExperimentConfig, tables: list[dict]) -> dict:
     x = Ns**cfg.gamma
     summary = {"p_by_N": {str(int(N)): float(pp) for N, pp in zip(Ns, p)}}
     if len(x) >= 3:
-        fit = stats.linregress(x, np.log(p_eff))
-        tq = stats.t.ppf(0.975, len(x) - 2)
-        ci = (float(fit.slope - tq * fit.stderr), float(fit.slope + tq * fit.stderr))
+        slope, stderr = _slope_fit(x, np.log(p_eff))
+        tq = _t975(len(x) - 2)
+        ci = (float(slope - tq * stderr), float(slope + tq * stderr))
         summary.update({
-            "slope": float(fit.slope),
-            "stderr": float(fit.stderr),
+            "slope": float(slope),
+            "stderr": float(stderr),
             "slope_ci95": list(ci),
             "negative_at_95": bool(ci[1] < 0.0),
         })

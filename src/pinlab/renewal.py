@@ -12,12 +12,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 #: Fraction of the finite mass allowed beyond the truncated support.
 TAIL_BUDGET = 1e-10
 
 _NORM_TOL = 1e-12
+
+_EPS = 2.0**-52
+_TINY = 1e-300
+_LN2 = math.log(2.0)
+_MAX_TERMS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -69,13 +73,82 @@ class RenewalLaw:
         return self.K / (1.0 - self.K_inf)
 
 
+def _log_upper_gamma(s: float, y: float) -> float:
+    """log Gamma(s, y), the upper incomplete gamma function, for real s and y > 0.
+
+    - y >= max(1, s + 1), or s <= -20: Legendre's continued fraction,
+      evaluated by the modified Lentz method.
+    - s > 1 otherwise: Gamma(s) minus the lower series gamma(s, y).
+    - -1 < s <= 1 otherwise (so y < 2): Gamma(s, 2) plus
+      int_y^2 u^(s-1) e^(-u) du = sum_n (-1)^n / n! (2^t - y^t) / t, t = s + n.
+    - -20 < s <= -1 otherwise (so y < 1): the recurrence
+      Gamma(a, y) = (y^a e^(-y) - Gamma(a+1, y)) / (-a), from s + floor(-s)
+      down to s; for a <= -1 cancellation costs at most a factor 3.
+
+    Everything is carried in logs, so no branch overflows.
+    """
+    log_y = math.log(y)
+    if s <= -20.0 or (y >= 1.0 and y >= s + 1.0):
+        b = y + (1.0 - s)
+        c, d = 1.0 / _TINY, 1.0 / b
+        h = d
+        for i in range(1, _MAX_TERMS):
+            an = -i * (i - s)
+            b += 2.0
+            d = an * d + b
+            d = 1.0 / (d if abs(d) >= _TINY else _TINY)
+            c = b + an / c
+            c = c if abs(c) >= _TINY else _TINY
+            h *= d * c
+            if abs(d * c - 1.0) <= _EPS:
+                return s * log_y - y + math.log(h)
+    elif s > 1.0:
+        term = total = 1.0 / s
+        for i in range(1, _MAX_TERMS):
+            term *= y / (s + i)
+            total += term
+            if term <= _EPS * total:
+                log_lower = s * log_y - y + math.log(total)
+                return math.lgamma(s) + math.log1p(-math.exp(log_lower - math.lgamma(s)))
+    elif s > -1.0:
+        # the n = 0 term, 2^s L expm1(x)/x with L = log(2/y) and x = -s L, is
+        # the only one that can be large; |term n| < 2^(n+1) / n! after it
+        big_l = _LN2 - log_y
+        x = -s * big_l
+        if x == 0.0:
+            log_ratio = 0.0
+        elif x < 700.0:
+            log_ratio = math.log(math.expm1(x) / x)
+        else:
+            log_ratio = x - math.log(x)
+        log_first = s * _LN2 + math.log(big_l) + log_ratio
+        rest = math.exp(_log_upper_gamma(s, 2.0))
+        coef = 1.0
+        for n in range(1, 40):
+            coef /= -n
+            t = s + n
+            rest -= coef * 2.0**t * math.expm1(-t * big_l) / t
+        return log_first + math.log1p(rest * math.exp(-log_first))
+    else:
+        k = math.floor(-s)
+        log_g = _log_upper_gamma(s + k, y)
+        for a in (s + j for j in range(k - 1, -1, -1)):
+            log_lead = a * log_y - y
+            log_g = log_lead + math.log1p(-math.exp(log_g - log_lead)) - math.log(-a)
+        return log_g
+    raise ValueError(f"incomplete gamma Gamma({s}, {y}) did not converge")
+
+
 def build_law(gamma: float, c: float, rho: float = 0.0, K_inf_target: float = 0.0,
               n_max: int = 100_000) -> RenewalLaw:
     """Normalize K(n) = C n^rho exp(-c n^gamma) over 1..n_max to mass 1 - K_inf.
 
     The analytic tail mass beyond n_max (an integral bound, valid where the
     density is decreasing) must stay below TAIL_BUDGET of the finite mass,
-    otherwise n_max is too small and construction fails.
+    otherwise n_max is too small and construction fails.  The bound is the
+    closed form C * Gamma(s, y) / (gamma c^s) of C * int_{n_max}^inf
+    x^rho exp(-c x^gamma) dx, with s = (rho+1)/gamma and y = c n_max^gamma
+    (substitute u = c x^gamma).
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0,1), got {gamma}")
@@ -102,12 +175,13 @@ def build_law(gamma: float, c: float, rho: float = 0.0, K_inf_target: float = 0.
     K[1:] *= (1.0 - K_inf_target) / K[1:].sum()
 
     norm_const = math.exp(log_norm)
-    tail_integral, _ = integrate.quad(
-        lambda x: x**rho * math.exp(-c * x**gamma), n_max, np.inf, limit=200
-    )
-    if norm_const * tail_integral > TAIL_BUDGET * (1.0 - K_inf_target):
+    s = (rho + 1.0) / gamma
+    log_tail = (log_norm + _log_upper_gamma(s, c * n_max**gamma)
+                - math.log(gamma) - s * math.log(c))
+    tail = math.exp(log_tail) if log_tail < 709.0 else math.inf
+    if tail > TAIL_BUDGET * (1.0 - K_inf_target):
         raise ValueError(
-            f"tail mass beyond n_max is {norm_const * tail_integral:.3e}, "
+            f"tail mass beyond n_max is {tail:.3e}, "
             f"over budget {TAIL_BUDGET * (1.0 - K_inf_target):.3e}; n_max too small"
         )
     return RenewalLaw(gamma=gamma, c=c, rho=rho, K=K, K_inf=K_inf_target,

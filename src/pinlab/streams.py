@@ -10,6 +10,7 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; load it with pinlab, not in a run
 
 
 def _as_entropy(key) -> int:

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .chain import chain_dp, check_method, enumerate_best, min_ratio
-from .geometry import PinnedSet, hausdorff, nearest_distances, set_entropy
+from .geometry import PinnedSet, nearest_distances, set_entropy
 
 MEMBER_TOL = 1e-12
 
@@ -207,25 +206,6 @@ def solve_dp(L: EnergyLandscape) -> VarSolution:
     sel = chain_dp(L.weights[keep], L.beta, lambda j: (ext[j] - ext[:j]) ** L.gamma, L.c_entropy)
     idx = tuple(int(keep[i]) for i in sel)
     return VarSolution(_pinned_from_indices(L, idx), _canonical_value(L, idx), idx)
-
-
-def constrained_max(L: EnergyLandscape, ref: VarSolution, delta: float) -> float:
-    """Best objective among subsets at Hausdorff distance >= delta from ref.
-
-    Returns -inf when no subset qualifies (e.g. delta exceeds the diameter).
-    Brute force only: the distance constraint breaks the DP decomposition.
-    """
-    m = L.size
-    if m > BRUTEFORCE_MAX:
-        raise ValueError(f"instance has {m} positions, enumeration capped at {BRUTEFORCE_MAX}")
-    ref_pts = ref.maximizer.points
-    best = -math.inf
-    for r in range(m + 1):
-        for idx in combinations(range(m), r):
-            I = _pinned_from_indices(L, idx)
-            if hausdorff(I.points, ref_pts) >= delta:
-                best = max(best, _canonical_value(L, idx))
-    return best
 
 
 def beta_critical(positions, weights, gamma: float, c_entropy: float = 1.0,

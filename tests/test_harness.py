@@ -3,11 +3,17 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import typing
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy import stats
 
+import pinlab
 from pinlab import harness
 from pinlab.cli import main
 from pinlab.disorder import BUFFER_MIN, DisorderLaw, couple, draw_base
@@ -357,3 +363,90 @@ def test_gibbs_sample_serialization_contract(tmp_path):
 
     s = GibbsSample(indices=(0, 2, 5, 8), N=8)
     assert json.loads(json.dumps(s.to_index_list())) == [0, 2, 5, 8]
+
+
+@pytest.mark.parametrize("data", [
+    {"replicas": 3.7},
+    {"N_list": [16.9, 32]},
+    {"beta_hat": True},
+    {"replicas": True},
+])
+def test_non_integral_and_boolean_numbers_are_rejected(tmp_path, data):
+    data = dict(data, experiment="convergence", out_dir=str(tmp_path / "out"))
+    key = next(iter(data))
+    with pytest.raises(ConfigError, match=key):
+        config_from_mapping(data)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", "--config", str(path)]) == 2
+    assert main(["run", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_floats_and_numeric_strings_are_accepted():
+    cfg = config_from_mapping({"experiment": "convergence", "replicas": 3.0,
+                               "N_list": [16.0, "32"], "seed": "7", "beta_hat": 2})
+    assert (cfg.replicas, cfg.N_list, cfg.seed, cfg.beta_hat) == (3, (16, 32), 7, 2.0)
+    assert type(cfg.replicas) is int and type(cfg.beta_hat) is float
+
+
+def test_run_path_loads_no_scipy(tmp_path):
+    # a fresh interpreter: validate every experiment and run three small ones,
+    # covering the median intervals, the slope fit and the renewal tail bound
+    code = f"""
+import sys
+from pinlab.harness import EXPERIMENTS, config_from_mapping, run_experiment
+for name in EXPERIMENTS:
+    config_from_mapping({{"experiment": name}})
+runs = [
+    {{"experiment": "concentration", "N_list": [16, 24, 32], "n_samples": 20,
+      "n_max": 2000}},
+    {{"experiment": "convergence", "N_list": [16, 32], "k_list": [8], "replicas": 5}},
+    {{"experiment": "renewal-asymptotics", "n_eval": 50, "n_max": 2000}},
+]
+for i, data in enumerate(runs):
+    run_experiment(config_from_mapping(dict(data, out_dir={str(tmp_path)!r} + f"/run{{i}}")))
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pinlab.__file__)))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+    assert len(list(tmp_path.glob("run*/*/*/summary.json"))) == 3
+
+
+@pytest.mark.parametrize("level", [0.95, 0.9, 0.99])
+def test_binomial_quantile_matches_scipy_up_to_400(level):
+    for q in ((1 - level) / 2, 1 - (1 - level) / 2):
+        got = [harness._binom_half_ppf(q, n) for n in range(1, 401)]
+        assert got == stats.binom.ppf(q, np.arange(1, 401), 0.5).tolist()
+
+
+@given(n=st.integers(1, 5000), level=st.sampled_from([0.95, 0.9, 0.99, 0.5]))
+def test_binomial_quantile_matches_scipy(n, level):
+    for q in ((1 - level) / 2, 1 - (1 - level) / 2):
+        assert harness._binom_half_ppf(q, n) == stats.binom.ppf(q, n, 0.5)
+
+
+_finite = st.floats(-50.0, 50.0, allow_nan=False, allow_subnormal=False)
+
+
+@given(st.lists(st.tuples(st.floats(0.5, 200.0), _finite), min_size=3, max_size=12,
+                unique_by=lambda p: p[0]))
+def test_slope_fit_matches_linregress_bitwise(points):
+    x, y = (np.array(v) for v in zip(*points))
+    fit = stats.linregress(x, y)
+    slope, stderr = harness._slope_fit(x, y)
+    assert np.array_equal([slope, stderr], [fit.slope, fit.stderr], equal_nan=True)
+
+
+def test_slope_fit_matches_linregress_on_constant_and_collinear_data():
+    x = np.array([16.0, 32.0, 64.0]) ** 0.5
+    for y in (np.full(3, np.log(0.5 / 200)), 3.0 - 0.25 * x):
+        fit = stats.linregress(x, y)
+        assert np.array_equal(harness._slope_fit(x, y), [fit.slope, fit.stderr], equal_nan=True)
+
+
+def test_t_quantiles_match_scipy_bitwise():
+    assert len(harness._T975) == 30
+    for df in range(1, 41):
+        assert harness._t975(df) == stats.t.ppf(0.975, df), df

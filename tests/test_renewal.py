@@ -1,11 +1,23 @@
 """Stretched-exponential renewal laws, tilting, renewal function, diagnostics."""
 
+import itertools
 import math
+import re
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from scipy import integrate
 
-from pinlab.renewal import build_law, renewal_function, subexp_diagnostics, tilt
+from pinlab.renewal import (
+    TAIL_BUDGET,
+    _log_upper_gamma,
+    build_law,
+    renewal_function,
+    subexp_diagnostics,
+    tilt,
+)
 
 # frozen from two independent computations (convolution recursion and direct
 # series summation, see test_renewal_function_matches_series_oracle, agree to
@@ -163,3 +175,112 @@ def test_tilt_consistency_weighted_series(proper_law):
 def test_q_requires_mass(terminating_law):
     q = terminating_law.q
     assert q[1:].sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _log_norm(gamma, c, rho, k_inf, n_max):
+    """build_law's log C, step for step."""
+    n = np.arange(1, n_max + 1, dtype=float)
+    logk = rho * np.log(n) - c * n**gamma
+    m = logk.max()
+    return math.log1p(-k_inf) - (m + math.log(float(np.exp(logk - m).sum())))
+
+
+def _tail_verdict(gamma, c, rho, k_inf, n_max):
+    """'accept', 'tail' (rejected over the tail budget) or 'other' (rejected
+    by a check ahead of it), with the tail mass named in the error."""
+    try:
+        build_law(gamma, c, rho, k_inf, n_max=n_max)
+    except ValueError as exc:
+        found = re.match(r"tail mass beyond n_max is (\S+),", str(exc))
+        return ("tail", float(found.group(1))) if found else ("other", None)
+    return "accept", None
+
+
+def _quad_verdict(gamma, c, rho, k_inf, n_max):
+    """The tail decision with the integral by scipy's quad; None where quad
+    did not converge: it warns, or it misses mpmath's value of the integral by
+    more than its own error estimate (quad stops on an absolute error of
+    1.5e-8, which is above most of these tails)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        try:
+            tail, err = integrate.quad(lambda x: x**rho * math.exp(-c * x**gamma),
+                                       n_max, np.inf, limit=200)
+        except integrate.IntegrationWarning:
+            return None
+    s = (rho + 1) / gamma
+    with mpmath.workdps(40):
+        exact = mpmath.gammainc(s, c * n_max**gamma) / (gamma * mpmath.mpf(c) ** s)
+    if abs(tail - exact) > err:
+        return None
+    over = math.exp(_log_norm(gamma, c, rho, k_inf, n_max)) * tail > TAIL_BUDGET * (1 - k_inf)
+    return "tail" if over else "accept"
+
+
+_GRID = list(itertools.product((0.1, 0.3, 0.5, 0.9), (0.05, 0.5, 1.0, 3.0),
+                               (-3.0, -1.5, -1.0, -0.5, 0.0, 2.0), (10, 100, 2000, 20_000)))
+
+
+def test_upper_gamma_matches_mpmath_on_the_law_grid():
+    # s = (rho+1)/gamma runs from -20 to 30, through s <= 0, and y = c n_max^gamma
+    # from 0.06 to 2e4
+    with mpmath.workdps(40):
+        for gamma, c, rho, n_max in _GRID:
+            s, y = (rho + 1.0) / gamma, c * n_max**gamma
+            ref = float(mpmath.log(mpmath.gammainc(s, y)))
+            assert _log_upper_gamma(s, y) == pytest.approx(ref, rel=1e-13, abs=1e-13), (s, y)
+
+
+@pytest.mark.parametrize("s", [-19.5, -3.0, -1.0, -0.5, 0.0, 1e-9, 0.5, 1.0, 2.0, 40.0])
+def test_upper_gamma_matches_mpmath_off_the_grid(s):
+    with mpmath.workdps(60):
+        for y in (1e-300, 1e-8, 0.3, 0.999, 1.5, 1.999, 3.0, 41.5, 700.0):
+            ref = float(mpmath.log(mpmath.gammainc(s, y)))
+            assert _log_upper_gamma(s, y) == pytest.approx(ref, rel=1e-13, abs=1e-13), (s, y)
+
+
+def test_tail_decision_matches_quad_where_quad_converges():
+    compared = 0
+    for gamma, c, rho, n_max in _GRID:
+        verdict, _ = _tail_verdict(gamma, c, rho, 0.3, n_max)
+        if verdict == "other":
+            continue
+        old = _quad_verdict(gamma, c, rho, 0.3, n_max)
+        if old is not None:
+            compared += 1
+            assert verdict == old, (gamma, c, rho, n_max)
+    assert compared > 100
+
+
+@pytest.mark.parametrize("args, verdict", [
+    ((0.5, 1.0, 0.0, 0.3, 20), "tail"),
+    ((0.5, 1.0, 0.0, 0.3, 6), "other"),  # n_max < 10
+    ((0.5, 1.0, 5.0, 0.3, 2000), "tail"),
+    ((0.5, 1.0, 0.0, 0.0, 16), "tail"),
+    ((0.5, 1.0, 0.0, 0.0, 100_000), "accept"),  # then the tilt by h = 800 fails
+    ((0.5, 1.0, 0.0, 0.3, 130_000), "accept"),
+])
+def test_tail_decision_on_the_harness_configs(args, verdict):
+    assert _tail_verdict(*args)[0] == verdict
+    if verdict != "other":
+        assert _quad_verdict(*args) == verdict
+
+
+@pytest.mark.parametrize("args", [
+    # y = 0.05 * 2000^0.1 = 0.107: quad warns and gives a tail mass of 6.6e2 for 2.0e16
+    (0.1, 0.05, 0.0, 0.0, 2000),
+    # quad stops on its absolute tolerance with 4.3e-11 for 3.0e-10 and no
+    # warning, which accepted a tail mass 4x over the budget
+    (0.1, 0.5, -3.0, 0.3, 20_000),
+    # the same at c = 1: 1.1e-11 for 7.4e-11, 1.7x over the budget
+    (0.1, 1.0, -3.0, 0.3, 20_000),
+])
+def test_tail_mass_where_quad_fails_matches_mpmath(args):
+    gamma, c, rho, k_inf, n_max = args
+    verdict, tail = _tail_verdict(*args)
+    s = (rho + 1) / gamma
+    with mpmath.workdps(40):
+        ref = (mpmath.exp(_log_norm(*args)) * mpmath.gammainc(s, c * n_max**gamma)
+               / (gamma * mpmath.mpf(c) ** s))
+    assert verdict == "tail"
+    assert tail == pytest.approx(float(ref), rel=5e-4)  # the message prints 4 digits

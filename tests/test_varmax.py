@@ -1,6 +1,7 @@
 """Energy-entropy maximization: solvers, thresholds, structural properties."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,16 +10,16 @@ from hypothesis import strategies as st
 
 from pinlab.chain import chain_dp, min_ratio
 from pinlab.disorder import BUFFER_MIN, draw_base
-from pinlab.geometry import PinnedSet, set_entropy
+from pinlab.geometry import PinnedSet, hausdorff, set_entropy
 from pinlab.streams import substream
 from pinlab.varmax import (
     BRUTEFORCE_MAX,
     EnergyLandscape,
     _canonical_value,
     _gap_powers,
+    _pinned_from_indices,
     _prune,
     beta_critical,
-    constrained_max,
     energy,
     objective,
     solve_bruteforce,
@@ -104,6 +105,17 @@ def test_value_recomputable():
     again = L.beta * energy(L, sol.maximizer) - L.c_entropy * set_entropy(sol.maximizer, L.gamma)
     assert sol.value == again
     assert sol.value >= -L.c_entropy
+
+
+def constrained_max(L: EnergyLandscape, ref, delta: float) -> float:
+    """Best objective among subsets at Hausdorff distance >= delta from ref,
+    by enumeration; -inf when none qualifies."""
+    best = -math.inf
+    for r in range(L.size + 1):
+        for idx in combinations(range(L.size), r):
+            if hausdorff(_pinned_from_indices(L, idx).points, ref.maximizer.points) >= delta:
+                best = max(best, _canonical_value(L, idx))
+    return best
 
 
 def test_constrained_max_examples():
