@@ -18,36 +18,37 @@ BUFFER_MIN = 4096
 
 @dataclass(frozen=True)
 class DisorderLaw:
-    """Pure Pareto disorder: P(omega > t) = (t/t_min)^(-alpha) for t >= t_min."""
+    """Pure Pareto disorder: P(omega > t) = t^(-alpha) for t >= 1.
+
+    The scale is 1: any scale s cancels in the rescaled maxima
+    F^(-1)(1 - T_i/T_N) / b_N, because b_N = s * N^(1/alpha) carries it too.
+    """
 
     alpha: float
-    t_min: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0,1), got {self.alpha}")
-        if self.t_min <= 0.0:
-            raise ValueError(f"t_min must be positive, got {self.t_min}")
 
     def survival(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        return np.where(t < self.t_min, 1.0, (t / self.t_min) ** (-self.alpha))
+        return np.where(t < 1.0, 1.0, t ** (-self.alpha))
 
 
 def pareto_quantile(law: DisorderLaw, p) -> float | np.ndarray:
-    """Inverse CDF: F^(-1)(p) = t_min * (1-p)^(-1/alpha), strictly increasing."""
+    """Inverse CDF: F^(-1)(p) = (1-p)^(-1/alpha), strictly increasing."""
     p = np.asarray(p, dtype=float)
     if np.any(p < 0.0) or np.any(p >= 1.0):
         raise ValueError("quantile level must lie in [0,1)")
-    out = law.t_min * (1.0 - p) ** (-1.0 / law.alpha)
+    out = (1.0 - p) ** (-1.0 / law.alpha)
     return float(out) if out.ndim == 0 else out
 
 
 def compute_b_N(law: DisorderLaw, N: int) -> float:
-    """Rescaling constant solving P(omega > b_N) = 1/N: b_N = t_min * N^(1/alpha)."""
+    """Rescaling constant solving P(omega > b_N) = 1/N: b_N = N^(1/alpha)."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    return law.t_min * float(N) ** (1.0 / law.alpha)
+    return float(N) ** (1.0 / law.alpha)
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,6 @@ class CoupledDisorder:
 
     law: DisorderLaw
     N: int
-    k: int
     T: np.ndarray
     M_inf: np.ndarray
     Y_inf: np.ndarray
@@ -118,20 +118,17 @@ def _assign_grid(y_inf: np.ndarray, N: int) -> np.ndarray:
     return slots
 
 
-def couple(law: DisorderLaw, T: np.ndarray, Y_inf: np.ndarray, N: int, k: int) -> CoupledDisorder:
+def couple(law: DisorderLaw, T: np.ndarray, Y_inf: np.ndarray, N: int) -> CoupledDisorder:
     """Build the coupled pair of disorders from shared base randomness.
 
-    T and Y_inf must have length >= max(N, k); reusing the same base across
-    several N values is what makes the discrete-to-continuum convergence
-    hold per index on a single realization.
+    T and Y_inf must have length >= N; reusing the same base across several
+    N values is what makes the discrete-to-continuum convergence hold per
+    index on a single realization.
     """
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    need = max(N, k)
-    if T.shape[0] < need or Y_inf.shape[0] < need:
-        raise ValueError(f"base buffer too short: need {need}, have {T.shape[0]}")
+    if T.shape[0] < N or Y_inf.shape[0] < N:
+        raise ValueError(f"base buffer too short: need {N}, have {T.shape[0]}")
     b_N = compute_b_N(law, N)
     M_inf = T ** (-1.0 / law.alpha)
     M_disc = pareto_quantile(law, 1.0 - T[: N - 1] / T[N - 1]) / b_N
@@ -139,7 +136,7 @@ def couple(law: DisorderLaw, T: np.ndarray, Y_inf: np.ndarray, N: int, k: int) -
     slots = _assign_grid(Y_inf, N)
     Y_disc = slots / float(N)
     return CoupledDisorder(
-        law=law, N=N, k=k, T=T.copy(), M_inf=M_inf, Y_inf=Y_inf.copy(),
+        law=law, N=N, T=T.copy(), M_inf=M_inf, Y_inf=Y_inf.copy(),
         M_disc=M_disc, Y_disc=Y_disc, b_N=b_N,
     )
 
@@ -151,7 +148,7 @@ def sample_coupled(law: DisorderLaw, N: int, k: int, rng: np.random.Generator) -
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     T, Y = draw_base(max(N, k, BUFFER_MIN), rng)
-    return couple(law, T, Y, N, k)
+    return couple(law, T, Y, N)
 
 
 def truncation_residual(d: CoupledDisorder, k: int) -> float:

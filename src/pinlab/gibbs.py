@@ -20,18 +20,13 @@ from .renewal import RenewalLaw
 
 @dataclass(frozen=True)
 class PinningModel:
-    """Renewal bridge over {0,1/N,...,1} reweighted by exp(beta*omega_n - h).
-
-    With truncation k set, every omega outside the k largest values is
-    replaced by 0 while the renewal prior is untouched.
-    """
+    """Renewal bridge over {0,1/N,...,1} reweighted by exp(beta*omega_n - h)."""
 
     law: RenewalLaw
     omega: np.ndarray
     beta: float
     h: float
     N: int
-    k: int | None = None
 
     def __post_init__(self):
         om = np.asarray(self.omega, dtype=float)
@@ -47,8 +42,6 @@ class PinningModel:
             raise ValueError(f"beta and h must be finite, got {self.beta}, {self.h}")
         if self.beta < 0.0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if self.k is not None and self.k < 0:
-            raise ValueError(f"truncation k must be >= 0, got {self.k}")
         om.setflags(write=False)
         object.__setattr__(self, "omega", om)
         with np.errstate(over="ignore"):
@@ -57,19 +50,9 @@ class PinningModel:
             raise ValueError("site log-weights beta*omega - h overflow; they must be finite")
 
     @property
-    def effective_omega(self) -> np.ndarray:
-        """omega with everything outside the top-k values zeroed."""
-        if self.k is None or self.k >= self.N - 1:
-            return self.omega
-        keep = np.argsort(-self.omega, kind="stable")[: self.k]
-        out = np.zeros_like(self.omega)
-        out[keep] = self.omega[keep]
-        return out
-
-    @property
     def site_log_weights(self) -> np.ndarray:
         """Per-site log factor beta*omega_n - h at interior sites n=1..N-1."""
-        return self.beta * self.effective_omega - self.h
+        return self.beta * self.omega - self.h
 
 
 @dataclass(frozen=True)
@@ -243,7 +226,9 @@ class ConcentrationEstimate:
 _Z95 = 1.959963984540054
 
 
-def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple[float, float]:
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
+    z = _Z95
     p = successes / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom

@@ -84,6 +84,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; choose from {', '.join(EXPERIMENTS)}"
             )
+        for key, kind in typing.get_type_hints(ExperimentConfig).items():
+            if kind is float and not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)!r}")
         if not 0.0 < self.alpha < 1.0 and self.experiment != "threshold-polymer":
             raise ConfigError("disorder.DisorderLaw requires 0 < alpha < 1")
         if self.experiment == "threshold-polymer" and not 0.0 < self.alpha < 2.0:
@@ -102,7 +105,16 @@ class ExperimentConfig:
             raise ConfigError("disorder.sample_coupled requires N >= 2")
         if any(k < 1 for k in self.k_list):
             raise ConfigError("disorder.sample_coupled requires k >= 1")
+        for key in ("N_list", "k_list"):
+            sizes = getattr(self, key)
+            if any(b <= a for a, b in zip(sizes, sizes[1:])):
+                raise ConfigError(f"{key} must be strictly increasing, got {list(sizes)}")
+        if self.experiment in ("convergence", "subordinator-growth") and len(self.k_list) != 1:
+            raise ConfigError(f"{self.experiment} takes exactly one k, got {list(self.k_list)}")
         if self.experiment == "concentration":
+            if not 0.0 <= self.delta < 0.5:
+                raise ConfigError("delta must lie in [0, 1/2): d_H between sets holding 0 and 1 "
+                                  "is at most 1/2")
             if self.h <= 0.0:
                 raise ConfigError("renewal.tilt requires h > 0 to terminate the renewal")
             if self.N_list and self.n_max < max(self.N_list):
@@ -112,7 +124,7 @@ class ExperimentConfig:
         if self.experiment == "renewal-asymptotics" and self.n_eval < 3:
             raise ConfigError("renewal.subexp_diagnostics requires n_eval >= 3")
         if self.experiment == "renewal-asymptotics" and self.n_eval + 1 > self.n_max:
-            raise ConfigError("renewal.subexp_diagnostics requires n + k_shift <= n_max")
+            raise ConfigError("renewal.subexp_diagnostics requires n_eval + 1 <= n_max")
         if self.experiment == "subordinator-growth":
             if self.q <= 1.0:
                 raise ConfigError("subordinator.growth_check requires q > 1")
@@ -346,11 +358,11 @@ def _convergence_cells(cfg: ExperimentConfig) -> list[Cell]:
         T, Y = draw_base(max(max(cfg.N_list), k, BUFFER_MIN), rng)
         if r not in refs:
             ref_land = EnergyLandscape.from_marks(
-                Y[:k], T[:k] ** (-1.0 / cfg.alpha), cfg.beta_hat, cfg.gamma
+                Y[:k], T[:k] ** (-1.0 / cfg.alpha), cfg.beta_hat, cfg.gamma, cfg.c
             )
             refs[r] = solve_dp(ref_land).maximizer
-        d = couple(law, T, Y, N, k)
-        land = EnergyLandscape.from_marks(d.Y_disc, d.M_disc, cfg.beta_hat, cfg.gamma)
+        d = couple(law, T, Y, N)
+        land = EnergyLandscape.from_marks(d.Y_disc, d.M_disc, cfg.beta_hat, cfg.gamma, cfg.c)
         return hausdorff(solve_dp(land).maximizer, refs[r])
 
     return _replica_cells(cfg, "convergence_N", ["N", "replica", "d_H"], cfg.N_list, one)
@@ -387,7 +399,7 @@ def _concentration_cells(cfg: ExperimentConfig) -> list[Cell]:
         rng_dis = substream(cfg.seed, "concentration", "disorder")
         law = DisorderLaw(cfg.alpha)
         T, Y = draw_base(max(max(cfg.N_list), BUFFER_MIN), rng_dis)
-        d = couple(law, T, Y, N, max(1, N - 1))
+        d = couple(law, T, Y, N)
         omega = np.zeros(N - 1)
         slots = np.rint(d.Y_disc * N).astype(int)
         omega[slots - 1] = d.M_disc * d.b_N
@@ -427,7 +439,7 @@ def _threshold_pinning_cells(cfg: ExperimentConfig) -> list[Cell]:
     def one(k: int, r: int) -> float:
         rng = substream(cfg.seed, "threshold-pinning", r)
         T, Y = draw_base(max(max(cfg.k_list), BUFFER_MIN), rng)
-        return beta_critical(Y[:k], T[:k] ** (-1.0 / cfg.alpha), cfg.gamma)
+        return beta_critical(Y[:k], T[:k] ** (-1.0 / cfg.alpha), cfg.gamma, cfg.c)
 
     return _replica_cells(cfg, "threshold_pinning_k", ["k", "replica", "beta_c"], cfg.k_list, one)
 

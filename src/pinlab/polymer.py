@@ -9,7 +9,6 @@ the ground-state problem to a DP over charges sorted by x.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -93,15 +92,6 @@ class PolymerEnvironment:
         """Keep the k heaviest charges (a prefix, since weights decrease)."""
         return PolymerEnvironment(self.x[:k], self.y[:k], self.w[:k], self.alpha)
 
-    def to_json(self) -> str:
-        return json.dumps([[xi, yi, wi] for xi, yi, wi in zip(self.x, self.y, self.w)])
-
-    @classmethod
-    def from_json(cls, text: str, alpha: float) -> "PolymerEnvironment":
-        rows = json.loads(text)
-        arr = np.asarray(rows, dtype=float).reshape(-1, 3)
-        return cls(arr[:, 0], arr[:, 1], arr[:, 2], alpha)
-
 
 @dataclass(frozen=True)
 class PolymerPath:
@@ -133,9 +123,6 @@ class PolymerPath:
     @classmethod
     def flat(cls) -> "PolymerPath":
         return cls(np.array([[0.0, 0.0], [1.0, 0.0]]))
-
-    def to_json(self) -> str:
-        return json.dumps([[xi, yi] for xi, yi in self.vertices])
 
 
 def path_entropy(p: PolymerPath) -> float:

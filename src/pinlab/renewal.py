@@ -241,18 +241,18 @@ def ratio_table(law: RenewalLaw, n: int) -> tuple[np.ndarray, ...]:
     return K, u, u / K, q2 / q, q3 / q
 
 
-def subexp_diagnostics(law: RenewalLaw, n: int, k_shift: int = 1) -> dict[str, float]:
+def subexp_diagnostics(law: RenewalLaw, n: int) -> dict[str, float]:
     """Heavy-tail convolution ratios at n for q = K/(1-K_inf).
 
-    Returns q(n+k)/q(n), q*2(n)/q(n), q*3(n)/q(n) (the last row of
+    Returns q(n+1)/q(n), q*2(n)/q(n), q*3(n)/q(n) (the last row of
     ratio_table) and u(n)/K(n); the first three approach 1, 2, 3 and the
     last 1/K_inf^2 for terminating laws.
     """
-    if n + k_shift > law.n_max:
-        raise ValueError(f"n + k_shift = {n + k_shift} exceeds n_max={law.n_max}")
+    if n + 1 > law.n_max:
+        raise ValueError(f"n + 1 = {n + 1} exceeds n_max={law.n_max}")
     _, _, u_over_K, conv2_ratio, conv3_ratio = ratio_table(law, n)
     return {
-        "shift_ratio": float(law.q[n + k_shift] / law.q[n]),
+        "shift_ratio": float(law.q[n + 1] / law.q[n]),
         "conv2_ratio": float(conv2_ratio[-1]),
         "conv3_ratio": float(conv3_ratio[-1]),
         "u_over_K": float(u_over_K[-1]),

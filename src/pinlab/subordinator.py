@@ -48,9 +48,8 @@ class MarkedPointSet:
         object.__setattr__(self, "locations", loc)
 
     @classmethod
-    def from_pinning(cls, d: CoupledDisorder, k: int | None = None) -> "MarkedPointSet":
+    def from_pinning(cls, d: CoupledDisorder, k: int) -> "MarkedPointSet":
         """First k continuum marks of a coupled disorder, at their positions."""
-        k = d.k if k is None else k
         return cls(d.M_inf[:k], d.Y_inf[:k])
 
     @property

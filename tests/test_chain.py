@@ -48,7 +48,7 @@ def test_chunked_enumeration_matches_one_chunk(monkeypatch):
         polymer = []
         for env in envs:
             path, value = solve_polymer_bruteforce(env, 0.8)
-            polymer.append((path.to_json(), value, polymer_beta_critical(env, method="enumerate")))
+            polymer.append((path.vertices.tolist(), value, polymer_beta_critical(env, method="enumerate")))
         return pinning, polymer
 
     one_chunk = results()

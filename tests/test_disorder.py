@@ -28,7 +28,7 @@ def test_pareto_quantile_examples():
 
 
 def test_pareto_quantile_monotone_and_domain():
-    law = DisorderLaw(0.7, t_min=2.0)
+    law = DisorderLaw(0.7)
     ps = np.linspace(0.0, 0.99, 50)
     qs = pareto_quantile(law, ps)
     assert np.all(np.diff(qs) > 0)
@@ -41,8 +41,6 @@ def test_law_validation():
     for alpha in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(ValueError):
             DisorderLaw(alpha)
-    with pytest.raises(ValueError):
-        DisorderLaw(0.5, t_min=0.0)
 
 
 def test_compute_b_N_examples():
@@ -50,7 +48,7 @@ def test_compute_b_N_examples():
     assert compute_b_N(DisorderLaw(0.8), 10) == pytest.approx(10 ** 1.25, rel=1e-12)
     assert compute_b_N(DisorderLaw(0.3), 1) == 1.0
     # b_N solves the survival equation exactly
-    law = DisorderLaw(0.6, t_min=3.0)
+    law = DisorderLaw(0.6)
     assert law.survival(compute_b_N(law, 50)) == pytest.approx(1 / 50, rel=1e-12)
 
 
@@ -58,12 +56,12 @@ def test_couple_closed_forms():
     law = DisorderLaw(0.5)
     T = np.array([1.0, 2.0])
     Y = np.array([0.3, 0.6])
-    d = couple(law, T, Y, N=2, k=2)
+    d = couple(law, T, Y, N=2)
     assert d.M_inf == pytest.approx([1.0, 0.25], rel=1e-12)
     # N=4 with T_1=1, T_4=4: top rescaled maximum is exactly 1
     T = np.array([1.0, 2.0, 3.0, 4.0])
     Y = np.array([0.3, 0.6, 0.9, 0.2])
-    d = couple(law, T, Y, N=4, k=4)
+    d = couple(law, T, Y, N=4)
     assert d.b_N == 16.0
     assert d.M_disc[0] == pytest.approx(1.0, rel=1e-12)
 
@@ -88,7 +86,7 @@ def test_grid_snap_is_nearest_when_free():
     law = DisorderLaw(0.5)
     T = np.arange(1.0, 9.0)
     Y = np.array([0.52, 0.54, 0.1, 0.9, 0.3, 0.7, 0.6, 0.4])
-    d = couple(law, T, Y, N=8, k=8)
+    d = couple(law, T, Y, N=8)
     # first rank takes the nearest slot 4/8; second collides and scans left first
     assert d.Y_disc[0] == pytest.approx(4 / 8)
     assert d.Y_disc[1] == pytest.approx(5 / 8)  # 0.54*8=4.32 -> slot 4 taken -> 5 nearer than 3
@@ -103,7 +101,7 @@ def test_marginal_law_of_top_maximum():
     tops = np.empty(10_000)
     for i in range(tops.size):
         T, Y = draw_base(N, rng)
-        d = couple(law, T, Y, N=N, k=1)
+        d = couple(law, T, Y, N=N)
         tops[i] = d.M_disc[0] * d.b_N
 
     def cdf_max(t):
@@ -144,7 +142,7 @@ def test_pathwise_coupling_convergence():
         rng = np.random.default_rng(1000 + s)
         T, Y = draw_base(4096, rng)
         for j, N in enumerate(N_grid):
-            d = couple(law, T, Y, N, 5)
+            d = couple(law, T, Y, N)
             gaps_m[s, j] = np.abs(d.M_disc[:5] - d.M_inf[:5])
             gaps_y[s, j] = np.abs(d.Y_disc[:5] - d.Y_inf[:5])
     for arr in (gaps_m, gaps_y):
@@ -167,7 +165,7 @@ def test_continuum_sum_increments_small_past_1000():
 def test_truncation_residual_examples():
     law = DisorderLaw(0.5)
     fake = CoupledDisorder(
-        law=law, N=5, k=2, T=np.arange(1.0, 6.0), M_inf=np.arange(1.0, 6.0) ** -2,
+        law=law, N=5, T=np.arange(1.0, 6.0), M_inf=np.arange(1.0, 6.0) ** -2,
         Y_inf=np.linspace(0.1, 0.9, 5), M_disc=np.array([3.0, 2.0, 1.0, 0.5]),
         Y_disc=np.array([0.2, 0.4, 0.6, 0.8]), b_N=25.0,
     )

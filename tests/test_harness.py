@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ import pinlab
 from pinlab import harness
 from pinlab.cli import main
 from pinlab.disorder import BUFFER_MIN, DisorderLaw, couple, draw_base
+from pinlab.geometry import hausdorff
 from pinlab.harness import (
     ConfigError,
     EXPERIMENTS,
@@ -263,10 +265,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", str(unwritable)]) == 3
 
 
+_CONV = {"experiment": "convergence", "N_list": [16, 32], "k_list": [8], "replicas": 3}
+
+
 def test_bad_input_exits_2(tmp_path):
-    # each is rejected before its out_dir is made; after the first, all pass the
+    # each is rejected before its out_dir is made.  Rows 2-7 pass the
     # per-field checks and are caught by building the renewal law (validate
-    # builds it) or by the t_points check
+    # builds it) or by the t_points check; the rest are non-finite numbers
+    # (json.dumps writes NaN and Infinity), deltas outside [0, 1/2), size
+    # lists that do not strictly increase and a second k where one is read
     bad = [
         {"experiment": "renewal-asymptotics", "n_eval": 2, "n_max": 2000},
         {"experiment": "renewal-asymptotics", "n_eval": 5, "n_max": 20},  # tail budget
@@ -275,13 +282,75 @@ def test_bad_input_exits_2(tmp_path):
         {"experiment": "concentration", "N_list": [16], "n_max": 16},  # tail budget
         {"experiment": "concentration", "h": 800},  # the tilt underflows
         {"experiment": "subordinator-growth", "t_points": 0},  # empty grid
+        dict(_CONV, beta_hat=math.nan),
+        dict(_CONV, beta_hat=math.inf),
+        {"experiment": "threshold-pinning", "k_list": [8], "replicas": 2, "c": math.nan},
+        {"experiment": "threshold-pinning", "k_list": [8], "replicas": 2, "c": math.inf},
+        {"experiment": "subordinator-growth", "k_list": [64], "replicas": 2, "q": math.nan},
+        {"experiment": "subordinator-growth", "k_list": [64], "replicas": 2, "q": math.inf},
+        "experiment = threshold-pinning\nk_list = 8\nreplicas = 2\nc = nan\n",
+        {"experiment": "concentration", "N_list": [16, 32], "n_samples": 10, "delta": -1},
+        {"experiment": "concentration", "N_list": [16, 32], "n_samples": 10, "delta": 0.5},
+        {"experiment": "concentration", "N_list": [16, 32], "n_samples": 10, "delta": math.nan},
+        {"experiment": "concentration", "N_list": [16, 16, 16], "n_samples": 10},
+        {"experiment": "concentration", "N_list": [32, 16], "n_samples": 10},
+        dict(_CONV, k_list=[8, 64]),
+        {"experiment": "subordinator-growth", "k_list": [64, 128], "replicas": 2},
     ]
     for i, data in enumerate(bad):
         path = tmp_path / f"bad{i}.json"
-        path.write_text(json.dumps(dict(data, out_dir=str(tmp_path / f"out{i}"))))
+        out = str(tmp_path / f"out{i}")
+        if isinstance(data, str):
+            path.write_text(f"{data}out_dir = {out}\n")
+        else:
+            path.write_text(json.dumps(dict(data, out_dir=out)))
         assert main(["validate", "--config", str(path)]) == 2, data
         assert main(["run", "--config", str(path)]) == 2, data
         assert not (tmp_path / f"out{i}").exists(), data
+
+
+@pytest.mark.parametrize("field", [
+    key for key, kind in typing.get_type_hints(ExperimentConfig).items() if kind is float])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_direct_config_rejects_non_finite_floats(tmp_path, field, value):
+    cfg = ExperimentConfig(experiment="concentration", out_dir=str(tmp_path / "out"),
+                           **{field: value})
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        cfg.with_defaults().validate()
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        run_experiment(cfg)
+    assert not (tmp_path / "out").exists()
+
+
+def test_threshold_pinning_scales_with_the_entropy_constant(tmp_path):
+    # every chain's ratio c * (entropy) / weight doubles exactly at c = 2
+    base = ExperimentConfig(experiment="threshold-pinning", k_list=(8, 16, 64),
+                            replicas=10, seed=5, out_dir=str(tmp_path))
+    unit = run_experiment(base)
+    twice = run_experiment(dataclasses.replace(base, c=2.0))
+    for a, b in zip(unit.cells, twice.cells, strict=True):
+        beta_1 = np.loadtxt(a, delimiter=",", skiprows=1)[:, 2]
+        beta_2 = np.loadtxt(b, delimiter=",", skiprows=1)[:, 2]
+        assert np.array_equal(beta_2, 2.0 * beta_1)
+
+
+def test_convergence_uses_the_entropy_constant(tmp_path):
+    cfg = ExperimentConfig(experiment="convergence", N_list=(16, 64), k_list=(32,),
+                           replicas=20, c=3.0, seed=2, out_dir=str(tmp_path))
+    rep = run_experiment(cfg)
+    law = DisorderLaw(cfg.alpha)
+    for N, path in zip(cfg.N_list, rep.cells, strict=True):
+        got = np.loadtxt(path, delimiter=",", skiprows=1)[:, 2]
+        for r in range(cfg.replicas):
+            T, Y = draw_base(BUFFER_MIN, substream(cfg.seed, "convergence", r))
+            ref = solve_dp(EnergyLandscape.from_marks(
+                Y[:32], T[:32] ** (-1.0 / cfg.alpha), cfg.beta_hat, cfg.gamma, 3.0)).maximizer
+            d = couple(law, T, Y, N)
+            want = solve_dp(EnergyLandscape.from_marks(
+                d.Y_disc, d.M_disc, cfg.beta_hat, cfg.gamma, 3.0)).maximizer
+            assert got[r] == hausdorff(want, ref)
+    unit = run_experiment(dataclasses.replace(cfg, c=1.0))
+    assert _cell_bytes(unit) != _cell_bytes(rep)
 
 
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ExperimentConfig)])
@@ -350,7 +419,7 @@ def test_concentration_reference_uses_the_entropy_constant(tmp_path, monkeypatch
     run_experiment(cfg)
     T, Y = draw_base(max(32, BUFFER_MIN), substream(1, "concentration", "disorder"))
     for N, ref in zip(cfg.N_list, refs, strict=True):
-        d = couple(DisorderLaw(cfg.alpha), T, Y, N, N - 1)
+        d = couple(DisorderLaw(cfg.alpha), T, Y, N)
         want, unit = (solve_dp(EnergyLandscape.from_marks(
             d.Y_disc, d.M_disc, cfg.beta_hat, cfg.gamma, c)).maximizer for c in (3.0, 1.0))
         assert not np.array_equal(want.points, unit.points)  # the constant matters here

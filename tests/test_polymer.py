@@ -1,6 +1,5 @@
 """Directed polymer ground state: entropy rate, DP solver, threshold."""
 
-import json
 import math
 
 import numpy as np
@@ -186,7 +185,7 @@ def test_tent_entropy_quadratic_sandwich():
     assert c2 <= math.log(2.0) + 1e-9  # attained toward the diamond boundary
 
 
-def test_environment_validation_and_json():
+def test_environment_validation():
     with pytest.raises(ValueError):
         PolymerEnvironment(np.array([0.5]), np.array([0.6]), np.array([1.0]), 0.5)
     with pytest.raises(ValueError):
@@ -194,12 +193,6 @@ def test_environment_validation_and_json():
                            np.array([1.0, 2.0]), 0.5)  # weights must decrease
     with pytest.raises(ValueError):
         PolymerEnvironment(np.array([0.5]), np.array([0.1]), np.array([1.0]), 2.5)
-    env = PolymerEnvironment.sample(0.9, 6, substream(3, "json"))
-    back = PolymerEnvironment.from_json(env.to_json(), env.alpha)
-    assert np.array_equal(back.x, env.x) and np.array_equal(back.w, env.w)
-    path, _ = solve_polymer(env, 0.7)
-    verts = json.loads(path.to_json())
-    assert verts[0] == [0.0, 0.0] and verts[-1] == [1.0, 0.0]
 
 
 def test_truncate_keeps_heaviest_prefix():

@@ -112,13 +112,13 @@ def test_renewal_function_horizon_error(terminating_law):
 
 
 def test_terminating_ratio_frozen_value(terminating_law):
-    d = subexp_diagnostics(terminating_law, 2000, 1)
+    d = subexp_diagnostics(terminating_law, 2000)
     assert d["u_over_K"] == pytest.approx(U_OVER_K_AT_2000, rel=1e-9)
 
 
 def test_diagnostics_shift_ratio_closed_form():
     law = build_law(0.5, 1.0, 0.0, 0.0, n_max=10_100)
-    d = subexp_diagnostics(law, 10_000, 1)
+    d = subexp_diagnostics(law, 10_000)
     expect = math.exp(-(math.sqrt(10_001) - math.sqrt(10_000)))
     assert d["shift_ratio"] == pytest.approx(expect, rel=1e-12)
     assert d["shift_ratio"] == pytest.approx(0.99501, abs=1e-5)
@@ -134,14 +134,14 @@ def test_diagnostics_convolutions(terminating_law):
         for i in range(1, n - 1)
         for j in range(1, n - i)
     )
-    d = subexp_diagnostics(terminating_law, n, 1)
+    d = subexp_diagnostics(terminating_law, n)
     assert d["conv2_ratio"] == pytest.approx(q2 / q[n], rel=1e-12)
     assert d["conv3_ratio"] == pytest.approx(q3 / q[n], rel=1e-9)
     # frozen regression values at n=2000, approaching 2 and 3 from above
-    d2 = subexp_diagnostics(terminating_law, 2000, 1)
+    d2 = subexp_diagnostics(terminating_law, 2000)
     assert d2["conv2_ratio"] == pytest.approx(CONV2_AT_2000, rel=1e-9)
     assert d2["conv3_ratio"] == pytest.approx(CONV3_AT_2000, rel=1e-9)
-    d1 = subexp_diagnostics(terminating_law, 1000, 1)
+    d1 = subexp_diagnostics(terminating_law, 1000)
     assert d2["conv2_ratio"] < d1["conv2_ratio"]
     assert d2["conv3_ratio"] < d1["conv3_ratio"]
     assert d2["conv2_ratio"] > 2.0 and d2["conv3_ratio"] > 3.0

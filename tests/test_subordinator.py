@@ -168,7 +168,7 @@ def test_marked_point_set_validation():
     with pytest.raises(ValueError):
         MarkedPointSet(np.array([1.0]), np.array([[0.1, 0.3]]))  # outside diamond
     d = sample_coupled(DisorderLaw(0.5), 8, 16, substream(1, "mpsa"))
-    mps = MarkedPointSet.from_pinning(d)
+    mps = MarkedPointSet.from_pinning(d, 16)
     assert mps.size == 16
 
 
