@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,10 @@ def nearest_distances(x: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return np.minimum(np.abs(x - left), np.abs(x - right))
 
 
+def _sorted_points(A) -> np.ndarray:
+    return A.points if isinstance(A, PinnedSet) else np.sort(np.asarray(A, dtype=float))
+
+
 def _directed(a: np.ndarray, b: np.ndarray) -> float:
     # sup over a of distance to b, both arrays sorted
     return float(np.max(nearest_distances(a, b)))
@@ -92,6 +97,39 @@ def hausdorff(A, B) -> float:
     max over either set of the distance from a point to the other set;
     accepts PinnedSet or sorted/unsorted arrays.
     """
-    a = A.points if isinstance(A, PinnedSet) else np.sort(np.asarray(A, dtype=float))
-    b = B.points if isinstance(B, PinnedSet) else np.sort(np.asarray(B, dtype=float))
+    a, b = _sorted_points(A), _sorted_points(B)
     return max(_directed(a, b), _directed(b, a))
+
+
+def grid_hausdorff(sets, N: int, B) -> np.ndarray:
+    """hausdorff(np.asarray(s) / N, B) for every set s in one vectorized pass.
+
+    Each s is a nonempty, strictly increasing sequence of integers in
+    [0, N].  The distances equal the per-set ones bit for bit: both
+    directions pick the same points and take the same differences.  From s
+    to B, nearest_distances runs over all sets' points at once and
+    np.maximum.reduceat takes each set's maximum.  From B to s, the
+    insertion point of y in s/N is the count of entries k < g(y), with
+    g(y) = searchsorted(arange(N + 1) / N, y), found by one search of the
+    integer keys set_id*(N + 1) + k.
+    """
+    b = _sorted_points(B)
+    sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
+    if sizes.size == 0:
+        return np.empty(0)
+    if sizes.min() < 1:
+        raise ValueError("every set needs at least one point")
+    flat = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64,
+                       count=int(sizes.sum()))
+    starts = np.zeros_like(sizes)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    x = flat / N
+    to_b = np.maximum.reduceat(nearest_distances(x, b), starts)
+    offset = np.arange(sizes.size, dtype=np.int64) * (N + 1)
+    keys = np.repeat(offset, sizes) + flat
+    g = np.searchsorted(np.arange(N + 1) / N, b)
+    pos = np.searchsorted(keys, offset[:, None] + g)
+    left = x[np.maximum(pos - 1, starts[:, None])]
+    right = x[np.minimum(pos, (starts + sizes - 1)[:, None])]
+    from_b = np.minimum(np.abs(b - left), np.abs(b - right)).max(axis=1)
+    return np.maximum(to_b, from_b)

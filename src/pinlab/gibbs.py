@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PinnedSet, hausdorff
+from .geometry import PinnedSet, grid_hausdorff
 from .renewal import RenewalLaw
 
 
@@ -63,7 +63,7 @@ class GibbsSample:
     N: int
 
     def __post_init__(self):
-        if self.indices[0] != 0 or self.indices[-1] != self.N:
+        if not self.indices or self.indices[0] != 0 or self.indices[-1] != self.N:
             raise ValueError("a sample must contain both endpoints 0 and N")
         if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
             raise ValueError("indices must be strictly increasing")
@@ -136,9 +136,11 @@ def set_log_weight(model: PinningModel, sample) -> float:
     A gap outside the law support carries K = 0 and yields -inf.
     """
     idx = sample.indices if isinstance(sample, GibbsSample) else tuple(sample)
-    if idx[0] != 0 or idx[-1] != model.N:
+    if not idx or idx[0] != 0 or idx[-1] != model.N:
         raise ValueError("configuration must contain 0 and N")
     gaps = np.diff(np.asarray(idx))
+    if np.any(gaps <= 0):
+        raise ValueError("indices must be strictly increasing")
     if np.any(gaps > model.law.n_max):
         return -math.inf
     out = float(np.sum(np.log(model.law.K[gaps])))
@@ -166,35 +168,62 @@ def _backward_cdf(table: np.ndarray, logK: np.ndarray, n: int) -> np.ndarray:
     return cdf
 
 
-def _draw(table: np.ndarray, logK: np.ndarray, cdf_N: np.ndarray,
-          rng: np.random.Generator) -> tuple[int, ...]:
-    """Indices 0..N of one exact draw, starting from the CDF of row N.
+#: Floats of backward CDF rows below row N that one sampler keeps (512 KiB).
+ROW_BUDGET = 1 << 16
+#: Draws scored per grid_hausdorff call in concentration_probability.
+SCORE_BLOCK = 1024
 
-    One uniform per step, mapped as Generator.choice maps it, so the
-    draws and the generator's state match rng.choice(n, p=p) step by step.
+
+class ExactSampler:
+    """Exact draws from one model's pinned Gibbs measure by backward decomposition.
+
+    From n, the previous point is m with probability proportional to
+    Z_m * K(n-m); iterating down to 0 gives an exact draw because each Z_m
+    already accounts for everything left of m.  Every draw starts from the
+    CDF of row N.  A row n < N is kept in ``rows`` if its n floats still fit
+    in ROW_BUDGET; none is ever evicted, so the rows of the first draws stay
+    and a row first built after the budget is spent is rebuilt at each
+    visit.  A kept row is the array a rebuild would give, so keeping rows
+    changes no draw.
     """
-    points = [table.size - 1]
-    cdf = cdf_N
-    while True:
-        n = int(cdf.searchsorted(rng.random(), side="right"))
-        points.append(n)
-        if n == 0:
-            return tuple(reversed(points))
-        cdf = _backward_cdf(table, logK, n)
+
+    def __init__(self, model: PinningModel, table: np.ndarray | None = None):
+        self._table = forward_table(model) if table is None else table
+        self._logK = _log_kernel(model)
+        self._cdf_N = _backward_cdf(self._table, self._logK, model.N)
+        self.rows: dict[int, np.ndarray] = {}
+        self._free = ROW_BUDGET
+
+    def draws(self, rng: np.random.Generator, count: int) -> list[tuple[int, ...]]:
+        """Indices 0..N of `count` successive draws.
+
+        One uniform per step, mapped as Generator.choice maps it, so the
+        draws and the generator's state match rng.choice(n, p=p) step by step.
+        """
+        table, logK, rows, random = self._table, self._logK, self.rows, rng.random
+        out = []
+        for _ in range(count):
+            points = [table.size - 1]
+            cdf = self._cdf_N
+            while True:
+                n = int(cdf.searchsorted(random(), side="right"))
+                points.append(n)
+                if n == 0:
+                    break
+                cdf = rows.get(n)
+                if cdf is None:
+                    cdf = _backward_cdf(table, logK, n)
+                    if n <= self._free:
+                        rows[n] = cdf
+                        self._free -= n
+            out.append(tuple(reversed(points)))
+        return out
 
 
 def exact_sample(model: PinningModel, rng: np.random.Generator,
                  table: np.ndarray | None = None) -> GibbsSample:
-    """Draw exactly from the pinned Gibbs measure by backward decomposition.
-
-    From n, the previous point is m with probability proportional to
-    Z_m * K(n-m); iterating down to 0 gives an exact draw because each Z_m
-    already accounts for everything left of m.
-    """
-    if table is None:
-        table = forward_table(model)
-    logK = _log_kernel(model)
-    indices = _draw(table, logK, _backward_cdf(table, logK, model.N), rng)
+    """One exact draw from the pinned Gibbs measure (see ExactSampler)."""
+    (indices,) = ExactSampler(model, table).draws(rng, 1)
     return GibbsSample(indices=indices, N=model.N)
 
 
@@ -239,18 +268,20 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
 def concentration_probability(model: PinningModel, ref: PinnedSet, delta: float,
                               n_samples: int, rng: np.random.Generator,
                               table: np.ndarray | None = None) -> ConcentrationEstimate:
-    """Estimate P(d_H(I, ref) > delta) under the model by exact sampling."""
+    """Estimate P(d_H(I, ref) > delta) under the model by exact sampling.
+
+    One ExactSampler serves every draw, so the CDF rows below N that fit in
+    ROW_BUDGET floats (2^16, 512 KiB) are built once per call; the first
+    rows built are kept and none is evicted.  Draws are scored SCORE_BLOCK
+    at a time by grid_hausdorff, which keeps memory independent of
+    n_samples and gives each draw the distance hausdorff would give.
+    """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if table is None:
-        table = forward_table(model)
-    N = model.N
-    logK = _log_kernel(model)
-    cdf_N = _backward_cdf(table, logK, N)  # every draw starts at N
+    sampler = ExactSampler(model, table)
     exceed = 0
-    for _ in range(n_samples):
-        indices = _draw(table, logK, cdf_N, rng)
-        if hausdorff(np.asarray(indices) / N, ref) > delta:
-            exceed += 1
+    for done in range(0, n_samples, SCORE_BLOCK):
+        sets = sampler.draws(rng, min(SCORE_BLOCK, n_samples - done))
+        exceed += int(np.count_nonzero(grid_hausdorff(sets, model.N, ref) > delta))
     lo, hi = wilson_interval(exceed, n_samples)
     return ConcentrationEstimate(exceed / n_samples, lo, hi, exceed, n_samples)

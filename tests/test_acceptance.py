@@ -13,7 +13,13 @@ import numpy as np
 
 from pinlab.disorder import DisorderLaw, draw_base, sample_coupled
 from pinlab.geometry import PinnedSet, set_entropy
-from pinlab.gibbs import PinningModel, enumerate_distribution, exact_sample, forward_table, set_log_weight
+from pinlab.gibbs import (
+    ExactSampler,
+    PinningModel,
+    enumerate_distribution,
+    forward_table,
+    set_log_weight,
+)
 from pinlab.harness import ExperimentConfig, run_experiment
 from pinlab.polymer import binary_entropy_rate, tent_entropy
 from pinlab.renewal import build_law, tilt
@@ -120,8 +126,7 @@ def test_criterion_03_gibbs_exactness():
         worst_norm = max(worst_norm, norm_err)
         rng = substream(99, "acc3-draws", N)
         counts = {}
-        for _ in range(draws):
-            idx = exact_sample(model, rng, table).indices
+        for idx in ExactSampler(model, table).draws(rng, draws):
             counts[idx] = counts.get(idx, 0) + 1
         tv = 0.5 * sum(abs(counts.get(idx, 0) / draws - p) for idx, p in dist.items())
         worst_tv = max(worst_tv, tv)

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pinlab.geometry import PinnedSet, hausdorff, set_entropy
+from pinlab.geometry import DUPLICATE_TOL, PinnedSet, grid_hausdorff, hausdorff, set_entropy
 
 
 def test_entropy_unit_gap():
@@ -136,3 +136,38 @@ def test_hausdorff_metric_properties(a, b, c):
     assert dab == dba
     assert dab >= 0.0
     assert dab <= hausdorff(a, c) + hausdorff(c, b) + 1e-12
+
+
+@st.composite
+def grid_sets_and_ref(draw):
+    # index sets on {0..N} (the bare endpoints among them) and a reference
+    # mixing grid points k/N with points off the grid, possibly outside [0,1]
+    N = draw(st.integers(1, 64))
+    sets = draw(st.lists(st.one_of(
+        st.just((0, N)),
+        st.sets(st.integers(0, N), min_size=1).map(lambda s: tuple(sorted(s)))),
+        min_size=1, max_size=30))
+    ref = draw(st.lists(st.one_of(
+        st.integers(0, N).map(lambda k: k / N), st.floats(-0.5, 1.5)), min_size=1, max_size=12))
+    if draw(st.booleans()):
+        pts = np.unique(np.clip(np.concatenate([[0.0, 1.0], ref]), 0.0, 1.0))
+        assume(np.all(np.diff(pts) > DUPLICATE_TOL))
+        ref = PinnedSet(pts)
+    return N, sets, ref
+
+
+@given(grid_sets_and_ref())
+@settings(max_examples=300, deadline=None)
+def test_grid_hausdorff_equals_per_set_hausdorff(case):
+    N, sets, ref = case
+    got = grid_hausdorff(sets, N, ref)
+    want = [hausdorff(np.asarray(s) / N, ref) for s in sets]
+    assert got.tolist() == want
+
+
+def test_grid_hausdorff_edges():
+    assert grid_hausdorff([], 8, PinnedSet([0, 1])).size == 0
+    with pytest.raises(ValueError):
+        grid_hausdorff([(0, 8), ()], 8, PinnedSet([0, 1]))
+    got = grid_hausdorff([(0, 8), (0, 2, 8), (0, 4, 8)], 8, PinnedSet([0, 0.5, 1]))
+    assert got.tolist() == [0.5, 0.25, 0.0]

@@ -1,6 +1,8 @@
 """Exact partition function, exact sampler, and concentration estimator."""
 
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +11,11 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from pinlab.disorder import DisorderLaw, sample_coupled, truncation_residual
-from pinlab.geometry import PinnedSet, hausdorff
+from pinlab.geometry import PinnedSet, grid_hausdorff, hausdorff
 from pinlab.gibbs import (
+    ROW_BUDGET,
+    SCORE_BLOCK,
+    ExactSampler,
     GibbsSample,
     _logsumexp,
     PinningModel,
@@ -83,6 +88,14 @@ def test_set_log_weight_examples(term):
     assert set_log_weight(model2, (0, 1, 2)) == pytest.approx(
         2 * math.log(term.K[1]) + 0.5 - 0.2, rel=1e-12
     )
+
+
+def test_set_log_weight_rejects_configurations_that_do_not_increase(term):
+    # a negative gap would read K from the end of the array, a zero gap log(0)
+    model = PinningModel(law=term, omega=np.linspace(0.5, 3.0, 9), beta=0.4, h=0.1, N=10)
+    for idx in ((0, 7, 3, 10), (0, 3, 3, 10), (0, 10, 10), ()):
+        with pytest.raises(ValueError):
+            set_log_weight(model, idx)
 
 
 def test_normalization_over_enumeration(term):
@@ -223,6 +236,8 @@ def test_model_validation(term):
         PinningModel(law=term, omega=np.ones(2), beta=-1.0, h=0.0, N=3)
     with pytest.raises(ValueError):
         GibbsSample(indices=(0, 1), N=2)  # missing the right endpoint
+    with pytest.raises(ValueError):
+        GibbsSample(indices=(), N=2)
     s = GibbsSample(indices=(0, 3, 8), N=8)
     assert s.to_index_list() == [0, 3, 8]
     assert s.set == PinnedSet([0, 3 / 8, 1])
@@ -356,3 +371,66 @@ def test_concentration_probability_matches_per_draw_pinned_sets(
         exceed += d > delta
     assert est.exceed == exceed
     assert fast.bit_generator.state == slow.bit_generator.state
+
+
+@given(N=st.integers(1024, 2000), beta_hat=st.floats(0.8, 2.0),
+       seed=st.integers(0, 2**32 - 1), draws=st.integers(300, 600))
+@settings(max_examples=6, deadline=None)
+def test_sampler_past_the_row_budget_matches_choice_sampler(law, N, beta_hat, seed, draws):
+    model, _ = _disordered_model(tilt(law, 0.5), N, beta_hat=beta_hat, seed=seed)
+    table = forward_table(model)
+    sampler = ExactSampler(model, table)
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sampler.draws(fast, draws)
+    assert got == [_exact_sample_oracle(model, slow, table) for _ in range(draws)]
+    assert fast.bit_generator.state == slow.bit_generator.state
+    # the rows visited hold more floats than the budget; the kept ones fit in it
+    assert sum({n for idx in got for n in idx[1:-1]}) > ROW_BUDGET
+    assert sum(row.size for row in sampler.rows.values()) <= ROW_BUDGET
+
+
+@pytest.mark.parametrize("ref", [PinnedSet([0.0, 10 / 40, 1.0]),
+                                 PinnedSet([0.0, 0.3141, 0.7, 1.0])])
+def test_concentration_counts_across_score_blocks(term, ref):
+    # more draws than one block; a delta equal to a drawn distance is not
+    # exceeded (the comparison is strict)
+    N = 40
+    model, _ = _disordered_model(term, N=N, beta_hat=1.0)
+    table = forward_table(model)
+    n_samples = 2 * SCORE_BLOCK + 7
+    slow = substream(12, "blocks")
+    dists = [hausdorff(np.asarray(_exact_sample_oracle(model, slow, table)) / N, ref)
+             for _ in range(n_samples)]
+    for delta in (0.0, sorted(dists)[n_samples // 2], max(dists)):
+        fast = substream(12, "blocks")
+        est = concentration_probability(model, ref, delta, n_samples, fast, table)
+        assert est.exceed == sum(d > delta for d in dists)
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def test_concentration_memory_stays_within_row_budget():
+    # from 1x to 4x the draws, the traced peak may grow only by the rows kept
+    # (at most ROW_BUDGET floats) and by one block: a block's draws and its
+    # scoring temporaries, measured on a fresh copy of the first block.  An
+    # unbounded row store or one scoring pass over every draw breaks this.
+    law = build_law(0.5, 1.0, 0.0, 0.0, n_max=4000)
+    N = 2048
+    model, _ = _disordered_model(tilt(law, 1.0), N=N, beta_hat=1.0, seed=3)
+    table = forward_table(model)
+    ref = PinnedSet([0.0, 0.5, 1.0])
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def estimate(n_samples):
+        return lambda: concentration_probability(
+            model, ref, 0.1, n_samples, substream(5, "mem"), table)
+
+    sets = pickle.dumps(ExactSampler(model, table).draws(substream(5, "mem"), SCORE_BLOCK))
+    block = peak(lambda: grid_hausdorff(pickle.loads(sets), N, ref))
+    assert peak(estimate(4 * SCORE_BLOCK)) - peak(estimate(SCORE_BLOCK)) <= 8 * ROW_BUDGET + block
