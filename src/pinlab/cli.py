@@ -27,7 +27,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "list-experiments":
         for name, spec in SPECS.items():
-            print(f"{name}: {spec.description}")
+            print(f"{name}: {spec.description}\n  keys: {' '.join(spec.keys)} seed out_dir")
         return 0
     try:
         cfg = load_config(args.config)

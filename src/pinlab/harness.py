@@ -1,7 +1,8 @@
 """Batch experiment runner: seeded, resumable, file-based workflows.
 
 The experiments are one table, SPECS, keyed by name.  Each entry holds a
-description, the default grids, cells(cfg) and summarize(cfg, tables).
+description, the default grids, the config keys it reads (other fields but
+seed and out_dir keep their defaults), cells(cfg) and summarize(cfg, tables).
 cells(cfg) lists every CSV cell as (file name, header, row count, compute),
 where compute() returns the cell's columns.  run_experiment is the only cell
 loop: it reuses each well-formed cell on disk, computes and atomically
@@ -84,9 +85,16 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; choose from {', '.join(EXPERIMENTS)}"
             )
-        for key, kind in typing.get_type_hints(ExperimentConfig).items():
+        kinds = typing.get_type_hints(ExperimentConfig)
+        for key, kind in kinds.items():
             if kind is float and not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite, got {getattr(self, key)!r}")
+        # an unread field keeps its default, as repr writes it, so it cannot move _config_key
+        default = ExperimentConfig(self.experiment).with_defaults()
+        for key in sorted(kinds.keys() - {*SPECS[self.experiment].keys, "seed", "out_dir"}):
+            want = getattr(default, key)
+            if repr(getattr(self, key)) != repr(want):
+                raise ConfigError(f"{self.experiment} does not read {key}: keep it at {want!r}")
         if not 0.0 < self.alpha < 1.0 and self.experiment != "threshold-polymer":
             raise ConfigError("disorder.DisorderLaw requires 0 < alpha < 1")
         if self.experiment == "threshold-polymer" and not 0.0 < self.alpha < 2.0:
@@ -99,8 +107,8 @@ class ExperimentConfig:
             raise ConfigError("renewal.build_law requires c > 0")
         if not 0.0 <= self.k_inf < 1.0:
             raise ConfigError("renewal.build_law requires K_inf_target in [0,1)")
-        if self.replicas < 1:
-            raise ConfigError("replicas must be >= 1")
+        if self.replicas < (2 if self.experiment == "subordinator-growth" else 1):
+            raise ConfigError("replicas must be >= 1, and >= 2 for subordinator-growth's z-scores")
         if any(n < 2 for n in self.N_list):
             raise ConfigError("disorder.sample_coupled requires N >= 2")
         if any(k < 1 for k in self.k_list):
@@ -111,27 +119,25 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be strictly increasing, got {list(sizes)}")
         if self.experiment in ("convergence", "subordinator-growth") and len(self.k_list) != 1:
             raise ConfigError(f"{self.experiment} takes exactly one k, got {list(self.k_list)}")
-        if self.experiment == "concentration":
-            if not 0.0 <= self.delta < 0.5:
-                raise ConfigError("delta must lie in [0, 1/2): d_H between sets holding 0 and 1 "
-                                  "is at most 1/2")
-            if self.h <= 0.0:
-                raise ConfigError("renewal.tilt requires h > 0 to terminate the renewal")
-            if self.N_list and self.n_max < max(self.N_list):
-                raise ConfigError("gibbs.log_partition requires the horizon within n_max")
+        if not 0.0 <= self.delta < 0.5:
+            raise ConfigError("delta must lie in [0, 1/2): d_H between sets holding 0 and 1 "
+                              "is at most 1/2")
+        if self.h <= 0.0:
+            raise ConfigError("renewal.tilt requires h > 0 to terminate the renewal")
+        if self.experiment == "concentration" and self.N_list and self.n_max < max(self.N_list):
+            raise ConfigError("gibbs.log_partition requires the horizon within n_max")
         if self.n_samples < 1:
             raise ConfigError("gibbs.concentration_probability requires n_samples >= 1")
-        if self.experiment == "renewal-asymptotics" and self.n_eval < 3:
+        if self.n_eval < 3:
             raise ConfigError("renewal.subexp_diagnostics requires n_eval >= 3")
         if self.experiment == "renewal-asymptotics" and self.n_eval + 1 > self.n_max:
             raise ConfigError("renewal.subexp_diagnostics requires n_eval + 1 <= n_max")
-        if self.experiment == "subordinator-growth":
-            if self.q <= 1.0:
-                raise ConfigError("subordinator.growth_check requires q > 1")
-            if not 0.0 < self.t_lo <= self.t_hi <= 0.1:
-                raise ConfigError("subordinator.growth_check requires the grid in (0, 0.1]")
-            if self.t_points < 1:
-                raise ConfigError("subordinator.growth_check requires t_points >= 1")
+        if self.q <= 1.0:
+            raise ConfigError("subordinator.growth_check requires q > 1")
+        if not 0.0 < self.t_lo <= self.t_hi <= 0.1:
+            raise ConfigError("subordinator.growth_check requires the grid in (0, 0.1]")
+        if self.t_points < 1:
+            raise ConfigError("subordinator.growth_check requires t_points >= 1")
         if self.experiment in ("renewal-asymptotics", "concentration"):
             try:
                 _renewal_law(self)
@@ -201,7 +207,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+        try:
+            return parse_config_text(fh.read())
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file is not UTF-8 text: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -213,9 +222,9 @@ class ExperimentReport:
 
 #: One CSV cell of an experiment; compute() returns its columns.
 Cell = namedtuple("Cell", "name header rows compute")
-#: One experiment; summarize(cfg, tables) reads the float columns of
-#: cells(cfg), in order, each a dict keyed by header name.
-Spec = namedtuple("Spec", "description defaults cells summarize")
+#: One experiment; keys name the config fields it reads besides experiment and
+#: seed, and summarize(cfg, tables) reads cells(cfg)'s float columns by header.
+Spec = namedtuple("Spec", "description defaults keys cells summarize")
 
 
 # ---------------------------------------------------------------------------
@@ -573,26 +582,32 @@ SPECS = {
     "convergence": Spec(
         "coupled discrete maximizers vs the truncated continuum one",
         {"N_list": (64, 256, 1024), "k_list": (256,), "replicas": 200},
+        ("N_list", "alpha", "beta_hat", "c", "gamma", "k_list", "replicas"),
         _convergence_cells, _convergence_summary),
     "concentration": Spec(
         "Gibbs exceedance probability of the favorite set vs N",
         {"N_list": (64, 128, 256, 512, 1024, 2048), "replicas": 1},
+        ("N_list", "alpha", "beta_hat", "c", "delta", "gamma", "h", "n_max", "n_samples", "rho"),
         _concentration_cells, _concentration_summary),
     "threshold-pinning": Spec(
         "distribution of the pinning critical coupling over realizations",
         {"k_list": (128, 512), "replicas": 500},
+        ("alpha", "c", "gamma", "k_list", "replicas"),
         _threshold_pinning_cells, _threshold_pinning_summary),
     "threshold-polymer": Spec(
         "distribution of the polymer critical coupling over environments",
         {"k_list": (32, 128, 512), "replicas": 200},
+        ("alpha", "k_list", "replicas"),
         _threshold_polymer_cells, _threshold_polymer_summary),
     "renewal-asymptotics": Spec(
         "renewal-function and convolution-ratio diagnostics",
         {"replicas": 1},
+        ("c", "gamma", "k_inf", "n_eval", "n_max", "rho"),
         _renewal_cells, _renewal_summary),
     "subordinator-growth": Spec(
         "growth envelopes and band-process checks",
         {"k_list": (1000,), "replicas": 1000},
+        ("alpha", "k_list", "q", "replicas", "t_hi", "t_lo", "t_points"),
         _subordinator_cells, _subordinator_summary),
 }
 EXPERIMENTS = tuple(SPECS)

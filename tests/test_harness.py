@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import typing
+import warnings
 
 import numpy as np
 import pytest
@@ -240,7 +241,8 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["list-experiments"]) == 0
     out = capsys.readouterr().out
     for name in EXPERIMENTS:
-        assert name in out
+        assert f"{name}: " in out
+        assert f"keys: {' '.join(harness.SPECS[name].keys)} seed out_dir" in out
 
     good = tmp_path / "good.json"
     good.write_text(json.dumps({
@@ -254,6 +256,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad.write_text(json.dumps({"experiment": "convergence", "gamma": 2.0}))
     assert main(["validate", "--config", str(bad)]) == 2
     assert main(["run", "--config", str(bad)]) == 2
+
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe" + json.dumps({"experiment": "convergence"}).encode())
+    assert main(["validate", "--config", str(not_utf8)]) == 2
+    assert main(["run", "--config", str(not_utf8)]) == 2
 
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 3
 
@@ -273,7 +280,9 @@ def test_bad_input_exits_2(tmp_path):
     # per-field checks and are caught by building the renewal law (validate
     # builds it) or by the t_points check; the rest are non-finite numbers
     # (json.dumps writes NaN and Infinity), deltas outside [0, 1/2), size
-    # lists that do not strictly increase and a second k where one is read
+    # lists that do not strictly increase, a second k where one is read, a
+    # subordinator run with one replica (its z-scores need a spread) and an
+    # unread field written as -0.0, which json.dumps would key apart from 0.0
     bad = [
         {"experiment": "renewal-asymptotics", "n_eval": 2, "n_max": 2000},
         {"experiment": "renewal-asymptotics", "n_eval": 5, "n_max": 20},  # tail budget
@@ -296,6 +305,8 @@ def test_bad_input_exits_2(tmp_path):
         {"experiment": "concentration", "N_list": [32, 16], "n_samples": 10},
         dict(_CONV, k_list=[8, 64]),
         {"experiment": "subordinator-growth", "k_list": [64, 128], "replicas": 2},
+        {"experiment": "subordinator-growth", "k_list": [64], "replicas": 1},
+        dict(_CONV, rho=-0.0),
     ]
     for i, data in enumerate(bad):
         path = tmp_path / f"bad{i}.json"
@@ -320,6 +331,77 @@ def test_direct_config_rejects_non_finite_floats(tmp_path, field, value):
     with pytest.raises(ConfigError, match=f"{field} must be finite"):
         run_experiment(cfg)
     assert not (tmp_path / "out").exists()
+
+
+class _Reads:
+    """A config that records the names of the fields read from it."""
+
+    def __init__(self, cfg):
+        self._cfg, self.names = cfg, set()
+
+    def __getattr__(self, name):
+        self.names.add(name)
+        return getattr(self._cfg, name)
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_spec_keys_are_the_fields_read(name):
+    # _SMALL reaches every branch that reads the config: three sizes give
+    # the concentration slope fit and the threshold changes between sizes
+    spec = harness.SPECS[name]
+    cfg = _Reads(ExperimentConfig(experiment=name, seed=1, **_SMALL[name]).with_defaults())
+    tables = [{h: np.asarray(col, dtype=float) for h, col in zip(cell.header, cell.compute())}
+              for cell in spec.cells(cfg)]
+    spec.summarize(cfg, tables)
+    assert cfg.names - {"experiment", "seed", "out_dir"} == set(spec.keys)
+
+
+def _changed(value):
+    """A value of value's type that differs from it."""
+    if isinstance(value, tuple):
+        return (*value, 2 * value[-1]) if value else (16,)
+    return value + (1 if isinstance(value, int) else 0.25)
+
+
+_UNREAD = [
+    (name, key, _changed(getattr(ExperimentConfig(name).with_defaults(), key)))
+    for name in EXPERIMENTS for key in typing.get_type_hints(ExperimentConfig)
+    if key not in (*harness.SPECS[name].keys, "experiment", "seed", "out_dir")
+] + [("threshold-pinning", "h", 0.7)]  # once keyed apart from h = 0.5 with the same cells
+
+
+@pytest.mark.parametrize("name, key, value", _UNREAD)
+def test_unread_field_exits_2(tmp_path, name, key, value):
+    out = tmp_path / "out"
+    cfg = ExperimentConfig(experiment=name, out_dir=str(out), **{key: value})
+    for call in (lambda: cfg.with_defaults().validate(), lambda: run_experiment(cfg)):
+        with pytest.raises(ConfigError, match=f"{name} does not read {key}"):
+            call()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": name, key: value, "out_dir": str(out)}))
+    assert main(["validate", "--config", str(path)]) == 2
+    assert main(["run", "--config", str(path)]) == 2
+    assert not out.exists()
+
+
+#: each experiment at its smallest accepted replica count and a single size
+_LEAST = {
+    "convergence": dict(N_list=(16,), k_list=(16,), replicas=1),
+    "concentration": dict(N_list=(16,), n_samples=1, n_max=2000),
+    "threshold-pinning": dict(k_list=(8,), replicas=1),
+    "threshold-polymer": dict(k_list=(4,), replicas=1),
+    "renewal-asymptotics": dict(n_eval=3, n_max=2000),
+    "subordinator-growth": dict(k_list=(64,), replicas=2, t_points=10),
+}
+
+
+@pytest.mark.parametrize("configs", [_SMALL, _LEAST], ids=["small", "least"])
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_runs_raise_no_warning(tmp_path, name, configs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_experiment(ExperimentConfig(experiment=name, seed=1, out_dir=str(tmp_path),
+                                        **configs[name]))
 
 
 def test_threshold_pinning_scales_with_the_entropy_constant(tmp_path):
