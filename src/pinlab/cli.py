@@ -41,7 +41,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    print(json.dumps(report.summary, indent=2, sort_keys=True, default=str))
+    print(json.dumps(report.summary, indent=2, sort_keys=True, default=str, allow_nan=False))
     return 0
 
 

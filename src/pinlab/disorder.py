@@ -141,13 +141,11 @@ def couple(law: DisorderLaw, T: np.ndarray, Y_inf: np.ndarray, N: int) -> Couple
     )
 
 
-def sample_coupled(law: DisorderLaw, N: int, k: int, rng: np.random.Generator) -> CoupledDisorder:
-    """Sample a coupled disorder; the internal buffer is sized max(N, k, 4096)."""
+def sample_coupled(law: DisorderLaw, N: int, rng: np.random.Generator) -> CoupledDisorder:
+    """Sample a coupled disorder; the internal buffer is sized max(N, BUFFER_MIN)."""
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    T, Y = draw_base(max(N, k, BUFFER_MIN), rng)
+    T, Y = draw_base(max(N, BUFFER_MIN), rng)
     return couple(law, T, Y, N)
 
 

@@ -3,8 +3,9 @@
 Exact log-space partition function by forward recursion, exact backward
 sampling of the pinned configuration, and Monte Carlo estimation of
 concentration probabilities with Wilson intervals.  All arithmetic is in
-log space: site weights exp(beta*omega - h) overflow doubles for
-heavy-tailed omega long before the recursion becomes expensive.
+log space: site weights exp(beta*omega) overflow doubles for heavy-tailed
+omega long before the recursion becomes expensive.  A reward h enters as
+renewal.tilt(law, h): the measure of site weights exp(beta*omega - h), log Z less h.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ from .renewal import RenewalLaw
 
 @dataclass(frozen=True)
 class PinningModel:
-    """Renewal bridge over {0,1/N,...,1} reweighted by exp(beta*omega_n - h)."""
+    """Renewal bridge over {0,1/N,...,1} reweighted by exp(beta*omega_n)."""
 
     law: RenewalLaw
     omega: np.ndarray
     beta: float
-    h: float
     N: int
 
     def __post_init__(self):
@@ -38,8 +38,8 @@ class PinningModel:
             raise ValueError("omega must be finite")
         if np.any(om < 0.0):
             raise ValueError("omega must be nonnegative")
-        if not (math.isfinite(self.beta) and math.isfinite(self.h)):
-            raise ValueError(f"beta and h must be finite, got {self.beta}, {self.h}")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta}")
         if self.beta < 0.0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
         om.setflags(write=False)
@@ -47,12 +47,12 @@ class PinningModel:
         with np.errstate(over="ignore"):
             finite = np.all(np.isfinite(self.site_log_weights))
         if not finite:
-            raise ValueError("site log-weights beta*omega - h overflow; they must be finite")
+            raise ValueError("site log-weights beta*omega overflow; they must be finite")
 
     @property
     def site_log_weights(self) -> np.ndarray:
-        """Per-site log factor beta*omega_n - h at interior sites n=1..N-1."""
-        return self.beta * self.omega - self.h
+        """Per-site log factor beta*omega_n at interior sites n=1..N-1."""
+        return self.beta * self.omega
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,6 @@ class GibbsSample:
     @property
     def set(self) -> PinnedSet:
         return PinnedSet(np.asarray(self.indices, dtype=float) / self.N)
-
-    def to_index_list(self) -> list[int]:
-        return list(self.indices)
 
 
 def _logsumexp(a: np.ndarray) -> np.float64:

@@ -73,6 +73,12 @@ class ExperimentConfig:
     t_hi: float = 1e-1
     t_points: int = 40
 
+    def __post_init__(self):
+        # -0.0 reads as 0.0 everywhere but in json.dumps, which would key it apart
+        for key, kind in typing.get_type_hints(ExperimentConfig).items():
+            if kind is float and getattr(self, key) == 0.0:
+                object.__setattr__(self, key, abs(getattr(self, key)))
+
     def with_defaults(self) -> "ExperimentConfig":
         """Fill experiment-specific default grids where none were given."""
         spec = SPECS.get(self.experiment)
@@ -112,7 +118,7 @@ class ExperimentConfig:
         if any(n < 2 for n in self.N_list):
             raise ConfigError("disorder.sample_coupled requires N >= 2")
         if any(k < 1 for k in self.k_list):
-            raise ConfigError("disorder.sample_coupled requires k >= 1")
+            raise ConfigError("k_list sizes must be >= 1")
         for key in ("N_list", "k_list"):
             sizes = getattr(self, key)
             if any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -132,12 +138,14 @@ class ExperimentConfig:
             raise ConfigError("renewal.subexp_diagnostics requires n_eval >= 3")
         if self.experiment == "renewal-asymptotics" and self.n_eval + 1 > self.n_max:
             raise ConfigError("renewal.subexp_diagnostics requires n_eval + 1 <= n_max")
-        if self.q <= 1.0:
-            raise ConfigError("subordinator.growth_check requires q > 1")
-        if not 0.0 < self.t_lo <= self.t_hi <= 0.1:
-            raise ConfigError("subordinator.growth_check requires the grid in (0, 0.1]")
-        if self.t_points < 1:
-            raise ConfigError("subordinator.growth_check requires t_points >= 1")
+        if self.experiment == "subordinator-growth":
+            if not 0.0 < self.t_lo <= self.t_hi:
+                raise ConfigError("subordinator.growth_check requires 0 < t_lo <= t_hi")
+            try:
+                for grid in _growth_grids(self):
+                    growth_check(lambda t: 0.0, self.alpha, self.q, grid)
+            except ValueError as exc:
+                raise ConfigError(f"subordinator.growth_check rejected the grids: {exc}") from exc
         if self.experiment in ("renewal-asymptotics", "concentration"):
             try:
                 _renewal_law(self)
@@ -339,6 +347,11 @@ def _t975(df: int) -> float:
     return float(stdtrit(df, 0.975))
 
 
+def _defined(x: float) -> float | None:
+    """x as a float, or None (JSON null) where it is nan or infinite."""
+    return float(x) if math.isfinite(x) else None
+
+
 def _slope_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Least-squares slope and its standard error, in scipy.stats.linregress's
     steps and floats (needs at least three points)."""
@@ -415,7 +428,7 @@ def _concentration_cells(cfg: ExperimentConfig) -> list[Cell]:
         land = EnergyLandscape.from_marks(d.Y_disc, d.M_disc, cfg.beta_hat, cfg.gamma, cfg.c)
         ref = solve_dp(land).maximizer
         beta_bare = cfg.beta_hat * N**cfg.gamma / d.b_N
-        model = PinningModel(law=terminating, omega=omega, beta=beta_bare, h=0.0, N=N)
+        model = PinningModel(law=terminating, omega=omega, beta=beta_bare, N=N)
         est = concentration_probability(
             model, ref, cfg.delta, cfg.n_samples, substream(cfg.seed, "concentration", N)
         )
@@ -437,8 +450,8 @@ def _concentration_summary(cfg: ExperimentConfig, tables: list[dict]) -> dict:
         ci = (float(slope - tq * stderr), float(slope + tq * stderr))
         summary.update({
             "slope": float(slope),
-            "stderr": float(stderr),
-            "slope_ci95": list(ci),
+            "stderr": _defined(stderr),
+            "slope_ci95": [_defined(v) for v in ci],
             "negative_at_95": bool(ci[1] < 0.0),
         })
     return summary
@@ -469,7 +482,7 @@ def _threshold_pinning_summary(cfg: ExperimentConfig, tables: list[dict]) -> dic
     if len(ks) >= 2:
         p05 = [summary["per_k"][str(k)]["p05"] for k in ks]
         summary["p05_rel_change"] = [
-            abs(b - a) / a if a > 0 else math.inf for a, b in zip(p05, p05[1:])
+            abs(b - a) / a if a > 0 else None for a, b in zip(p05, p05[1:])
         ]
     return summary
 
@@ -513,20 +526,25 @@ def _renewal_summary(cfg: ExperimentConfig, tables: list[dict]) -> dict:
         "conv3_ratio": float(t["q3_over_q"][-1]),
         "shift_ratio": float(law.q[n_eval + 1] / law.q[n_eval]),
     }
-    target = 1.0 / law.K_inf**2 if law.K_inf > 0 else math.inf
+    target = 1.0 / law.K_inf**2 if law.K_inf**2 > 0 else math.inf  # inf below K_inf ~ 1e-154
     return {
         "n_eval": n_eval,
         "diagnostics": diag,
-        "u_over_K_target": target,
-        "u_over_K_rel_err": abs(diag["u_over_K"] - target) / target if math.isfinite(target) else None,
+        "u_over_K_target": _defined(target),
+        "u_over_K_rel_err": _defined(abs(diag["u_over_K"] - target) / target),
         "conv2_rel_err": abs(diag["conv2_ratio"] - 2.0) / 2.0,
     }
 
 
+def _growth_grids(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """subordinator-growth's coarse grid and the one ten times finer."""
+    return (np.geomspace(cfg.t_lo, cfg.t_hi, cfg.t_points),
+            np.geomspace(cfg.t_lo, cfg.t_hi, cfg.t_points * 10))
+
+
 def _subordinator_cells(cfg: ExperimentConfig) -> list[Cell]:
     k = cfg.k_list[0]
-    coarse = np.geomspace(cfg.t_lo, cfg.t_hi, cfg.t_points)
-    fine = np.geomspace(cfg.t_lo, cfg.t_hi, cfg.t_points * 10)
+    coarse, fine = _growth_grids(cfg)
     inc_ts = (0.0, 1.0 / 16.0, 1.0 / 8.0)
     s = 1.0 / 32.0
 
@@ -539,15 +557,14 @@ def _subordinator_cells(cfg: ExperimentConfig) -> list[Cell]:
         sup_c = growth_check(ev, cfg.alpha, cfg.q, coarse, jumps)
         sup_f = growth_check(ev, cfg.alpha, cfg.q, fine, jumps)
         env = PolymerEnvironment.sample(cfg.alpha, k, substream(cfg.seed, "subordinator-band", r))
-        band = MarkedPointSet(env.w, np.column_stack([env.x, env.y]))
         wu_min = math.inf
         for t in np.linspace(0.0, 0.25, 11):
-            U, W = band_process(band, float(t))
+            U, W = band_process(env, float(t))
             wu_min = min(wu_min, W - U)
         incs = []
         for t0 in inc_ts:
-            _, w1 = band_process(band, t0 + s)
-            _, w0 = band_process(band, t0)
+            _, w1 = band_process(env, t0 + s)
+            _, w0 = band_process(env, t0)
             incs.append(w1 - w0)
         return [r, sup_c, sup_f, wu_min] + incs
 
@@ -571,7 +588,7 @@ def _subordinator_summary(cfg: ExperimentConfig, tables: list[dict]) -> dict:
     return {
         "p95_coarse": p95_c,
         "p95_fine": p95_f,
-        "refinement_ratio": p95_f / p95_c if p95_c > 0 else math.inf,
+        "refinement_ratio": p95_f / p95_c if p95_c > 0 else None,
         "w_ge_u_ok": bool(np.all(t["min_w_minus_u"] >= 0.0)),
         "homogeneity": homo,
         "homogeneity_ok_3sigma": ok3,
@@ -639,5 +656,5 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "summary": summary,
     }
     _write_atomic(os.path.join(out, "summary.json"),
-                  json.dumps(report, indent=2, sort_keys=True) + "\n")
+                  json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return ExperimentReport(config=cfg, summary=summary, cells=tuple(path for path, _ in cells))

@@ -13,13 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disorder import CoupledDisorder
+from .polymer import PolymerEnvironment
 
 
 @dataclass(frozen=True)
 class MarkedPointSet:
-    """Positive marks at locations in [0,1] (interval case) or in the diamond
-    D = {(x,y): |y| <= min(x, 1-x)} (band case)."""
+    """Positive marks at locations in [0,1]."""
 
     marks: np.ndarray
     locations: np.ndarray
@@ -29,28 +28,14 @@ class MarkedPointSet:
         loc = np.asarray(self.locations, dtype=float)
         if np.any(~np.isfinite(marks)) or np.any(marks <= 0.0):
             raise ValueError("marks must be positive and finite")
-        if loc.ndim == 1:
-            if marks.shape != loc.shape:
-                raise ValueError("marks and locations must have equal length")
-            if loc.size and (loc.min() < 0.0 or loc.max() > 1.0):
-                raise ValueError("interval locations must lie in [0,1]")
-        elif loc.ndim == 2 and loc.shape[1] == 2:
-            if marks.shape[0] != loc.shape[0]:
-                raise ValueError("marks and locations must have equal length")
-            x, y = loc[:, 0], loc[:, 1]
-            if loc.size and np.any(np.abs(y) > np.minimum(x, 1.0 - x)):
-                raise ValueError("band locations must lie in the diamond |y| <= min(x,1-x)")
-        else:
-            raise ValueError("locations must be (k,) or (k,2)")
+        if marks.ndim != 1 or marks.shape != loc.shape:
+            raise ValueError("marks and locations must be 1-d arrays of equal length")
+        if loc.size and (loc.min() < 0.0 or loc.max() > 1.0):
+            raise ValueError("locations must lie in [0,1]")
         marks.setflags(write=False)
         loc.setflags(write=False)
         object.__setattr__(self, "marks", marks)
         object.__setattr__(self, "locations", loc)
-
-    @classmethod
-    def from_pinning(cls, d: CoupledDisorder, k: int) -> "MarkedPointSet":
-        """First k continuum marks of a coupled disorder, at their positions."""
-        return cls(d.M_inf[:k], d.Y_inf[:k])
 
     @property
     def size(self) -> int:
@@ -65,8 +50,6 @@ def edge_process(points: MarkedPointSet, t: float) -> float:
     if not 0.0 <= t <= 0.5:
         raise ValueError(f"t must lie in [0, 1/2], got {t}")
     loc = points.locations
-    if loc.ndim != 1:
-        raise ValueError("edge_process needs interval locations")
     inside = (loc <= t) | (loc >= 1.0 - t)
     return float(np.sum(points.marks[inside]))
 
@@ -79,8 +62,6 @@ def edge_evaluator(points: MarkedPointSet):
     the same marks in the same order, so the memoized sum is the same float.
     """
     loc = np.sort(points.locations)
-    if loc.ndim != 1:
-        raise ValueError("edge_process needs interval locations")
     memo = {}
 
     def evaluate(t: float) -> float:
@@ -102,12 +83,15 @@ def edge_jump_times(points: MarkedPointSet) -> np.ndarray:
 
 def growth_check(evaluator, alpha: float, q: float, t_grid,
                  jump_times=()) -> float:
-    """sup over the grid of X_t / (t^(1/alpha) log^(q/alpha)(1/t)).
+    """sup over the grid of X_t / h(t), h(t) = t^(1/alpha) log^(q/alpha)(1/t).
 
-    Known jump times inside the grid range are added automatically: the
-    process is a step function and the envelope is increasing on (0, 0.1],
-    so the supremum over the whole range is attained at grid points or
-    jumps.
+    Known jump times inside the grid range are added automatically, which
+    makes this the supremum over all of [min, max] of the grid: h rises up to
+    t = e^(-q) and falls after it (on all of (0, 0.1] only if q <= ln 10), so
+    on each stretch where X is constant, X/h is largest at an end of the
+    stretch, a jump time or a grid end, and X does not fall at a jump.  Grids
+    with the same ends give the same value.  Raises ValueError where h is 0
+    or not finite.
     """
     if q <= 1.0:
         raise ValueError(f"q must exceed 1, got {q}")
@@ -120,7 +104,10 @@ def growth_check(evaluator, alpha: float, q: float, t_grid,
     if jumps.size:
         inside = jumps[(jumps >= ts.min()) & (jumps <= ts.max())]
         ts = np.unique(np.concatenate([ts, inside]))
-    h = ts ** (1.0 / alpha) * np.log(1.0 / ts) ** (q / alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = ts ** (1.0 / alpha) * np.log(1.0 / ts) ** (q / alpha)
+    if not np.all((h > 0.0) & np.isfinite(h)):
+        raise ValueError(f"envelope at alpha={alpha}, q={q} is 0 or not finite on the grid")
     ratios = [evaluator(float(t)) / ht for t, ht in zip(ts, h)]
     return float(max(ratios))
 
@@ -137,16 +124,13 @@ def band_area_phi(t: float) -> float:
     return 0.5 * (1.0 - math.sqrt(1.0 - 4.0 * t))
 
 
-def band_u(env: MarkedPointSet, t: float) -> float:
-    """Mark mass of the horizontal band |y| <= t of the diamond."""
+def band_u(env: PolymerEnvironment, t: float) -> float:
+    """Charge mass of the horizontal band |y| <= t of the diamond."""
     if not 0.0 <= t <= 0.5:
         raise ValueError(f"t must lie in [0, 1/2], got {t}")
-    loc = env.locations
-    if loc.ndim != 2:
-        raise ValueError("band_u needs diamond locations")
-    return float(np.sum(env.marks[np.abs(loc[:, 1]) <= t]))
+    return float(np.sum(env.w[np.abs(env.y) <= t]))
 
 
-def band_process(env: MarkedPointSet, t: float) -> tuple[float, float]:
+def band_process(env: PolymerEnvironment, t: float) -> tuple[float, float]:
     """(U_t, W_t) with W_t = U_{phi(t)}; W_t >= U_t pointwise since phi(t) >= t."""
     return band_u(env, t), band_u(env, band_area_phi(t))

@@ -69,7 +69,7 @@ def test_couple_closed_forms():
 def test_coupled_structure():
     law = DisorderLaw(0.5)
     rng = np.random.default_rng(0)
-    d = sample_coupled(law, N=64, k=16, rng=rng)
+    d = sample_coupled(law, N=64, rng=rng)
     assert d.T.size >= 4096  # buffer floor
     assert np.all(np.diff(d.M_inf) < 0)
     assert np.all(np.diff(d.M_disc) <= 0)
@@ -77,9 +77,7 @@ def test_coupled_structure():
     slots = np.rint(d.Y_disc * 64).astype(int)
     assert sorted(slots) == list(range(1, 64))
     with pytest.raises(ValueError):
-        sample_coupled(law, N=1, k=4, rng=rng)
-    with pytest.raises(ValueError):
-        sample_coupled(law, N=4, k=0, rng=rng)
+        sample_coupled(law, N=1, rng=rng)
 
 
 def test_grid_snap_is_nearest_when_free():
@@ -156,7 +154,7 @@ def test_continuum_sum_increments_small_past_1000():
     for alpha in (0.5, 0.8):
         law = DisorderLaw(alpha)
         rng = np.random.default_rng(3)
-        d = sample_coupled(law, N=2, k=4096, rng=rng)
+        d = sample_coupled(law, N=2, rng=rng)
         assert np.all(d.M_inf[1000:] < 1e-2)
         partial, bound = continuum_residual(d, 1000)
         assert partial >= 0.0 and bound > 0.0
@@ -181,9 +179,9 @@ def test_replica_streams_reproducible():
     law = DisorderLaw(0.4)
     from pinlab.streams import substream
 
-    a = sample_coupled(law, 16, 8, substream(5, "tag", 3))
-    b = sample_coupled(law, 16, 8, substream(5, "tag", 3))
-    c = sample_coupled(law, 16, 8, substream(5, "tag", 4))
+    a = sample_coupled(law, 16, substream(5, "tag", 3))
+    b = sample_coupled(law, 16, substream(5, "tag", 3))
+    c = sample_coupled(law, 16, substream(5, "tag", 4))
     assert np.array_equal(a.M_disc, b.M_disc) and np.array_equal(a.Y_disc, b.Y_disc)
     assert not np.array_equal(a.M_disc, c.M_disc)
 

@@ -42,57 +42,58 @@ def term(law):
     return tilt(law, 0.5)
 
 
-def _disordered_model(law, N, beta_hat=1.0, h=0.0, seed=17):
+def _disordered_model(law, N, beta_hat=1.0, seed=17):
     dlaw = DisorderLaw(0.5)
-    d = sample_coupled(dlaw, N, N - 1, substream(seed, "gibbs-test"))
+    d = sample_coupled(dlaw, N, substream(seed, "gibbs-test"))
     omega = np.zeros(N - 1)
     slots = np.rint(d.Y_disc * N).astype(int)
     omega[slots - 1] = d.M_disc * d.b_N
     beta = beta_hat * N**0.5 / d.b_N
-    return PinningModel(law=law, omega=omega, beta=beta, h=h, N=N), d
+    return PinningModel(law=law, omega=omega, beta=beta, N=N), d
 
 
 def test_partition_two_paths(term):
     omega = np.array([2.0])
-    model = PinningModel(law=term, omega=omega, beta=0.7, h=0.3, N=2)
+    model = PinningModel(law=tilt(term, 0.3), omega=omega, beta=0.7, N=2)
+    # the tilt scales each of the path's gaps by exp(-0.3)
     expect = term.K[2] + term.K[1] ** 2 * math.exp(0.7 * 2.0 - 0.3)
-    assert log_partition(model) == pytest.approx(math.log(expect), rel=1e-12)
+    assert log_partition(model) == pytest.approx(math.log(expect) - 0.3, rel=1e-12)
 
 
 def test_partition_free_case_is_renewal_function(term):
     for N in (2, 3, 10, 50):
-        model = PinningModel(law=term, omega=np.zeros(N - 1), beta=0.0, h=0.0, N=N)
+        model = PinningModel(law=term, omega=np.zeros(N - 1), beta=0.0, N=N)
         u = renewal_function(term, N)
         assert log_partition(model) == pytest.approx(math.log(u[N]), rel=1e-10)
     # four-path enumeration at N=3
     K = term.K
     z3 = K[3] + 2 * K[1] * K[2] + K[1] ** 3
-    model3 = PinningModel(law=term, omega=np.zeros(2), beta=0.0, h=0.0, N=3)
+    model3 = PinningModel(law=term, omega=np.zeros(2), beta=0.0, N=3)
     assert log_partition(model3) == pytest.approx(math.log(z3), rel=1e-12)
 
 
 def test_partition_horizon_error(term):
     with pytest.raises(ValueError):
-        model = PinningModel(law=term, omega=np.zeros(2000), beta=0.0, h=0.0, N=2001)
+        model = PinningModel(law=term, omega=np.zeros(2000), beta=0.0, N=2001)
         log_partition(model)
 
 
 def test_set_log_weight_examples(term):
     N = 8
     omega = np.linspace(0.5, 3.0, N - 1)
-    model = PinningModel(law=term, omega=omega, beta=0.4, h=0.1, N=N)
+    model = PinningModel(law=term, omega=omega, beta=0.4, N=N)
     assert set_log_weight(model, (0, N)) == pytest.approx(math.log(term.K[N]), rel=1e-12)
-    expect = 2 * math.log(term.K[4]) + 0.4 * omega[3] - 0.1
+    expect = 2 * math.log(term.K[4]) + 0.4 * omega[3]
     assert set_log_weight(model, (0, 4, N)) == pytest.approx(expect, rel=1e-12)
-    model2 = PinningModel(law=term, omega=np.array([1.0]), beta=0.5, h=0.2, N=2)
+    model2 = PinningModel(law=term, omega=np.array([1.0]), beta=0.5, N=2)
     assert set_log_weight(model2, (0, 1, 2)) == pytest.approx(
-        2 * math.log(term.K[1]) + 0.5 - 0.2, rel=1e-12
+        2 * math.log(term.K[1]) + 0.5, rel=1e-12
     )
 
 
 def test_set_log_weight_rejects_configurations_that_do_not_increase(term):
     # a negative gap would read K from the end of the array, a zero gap log(0)
-    model = PinningModel(law=term, omega=np.linspace(0.5, 3.0, 9), beta=0.4, h=0.1, N=10)
+    model = PinningModel(law=term, omega=np.linspace(0.5, 3.0, 9), beta=0.4, N=10)
     for idx in ((0, 7, 3, 10), (0, 3, 3, 10), (0, 10, 10), ()):
         with pytest.raises(ValueError):
             set_log_weight(model, idx)
@@ -108,24 +109,8 @@ def test_normalization_over_enumeration(term):
     assert abs(total - 1.0) < 1e-9
 
 
-def test_h_shift_equals_tilt(law):
-    # reward shift -h with the proper law == tilted terminating law at h=0
-    N = 9
-    rng = substream(4, "hshift")
-    omega = rng.uniform(0.0, 2.0, N - 1)
-    h = 0.8
-    shifted = PinningModel(law=law, omega=omega, beta=0.6, h=h, N=N)
-    tilted = PinningModel(law=tilt(law, h), omega=omega, beta=0.6, h=0.0, N=N)
-    d1 = enumerate_distribution(shifted)
-    d2 = enumerate_distribution(tilted)
-    for idx, p in d1.items():
-        assert d2[idx] == pytest.approx(p, rel=1e-10)
-    # partition functions differ by exactly one tilt factor
-    assert log_partition(tilted) == pytest.approx(log_partition(shifted) - h, rel=1e-10)
-
-
 def test_sampler_two_site_frequencies(term):
-    model = PinningModel(law=term, omega=np.array([1.5]), beta=0.9, h=0.0, N=2)
+    model = PinningModel(law=term, omega=np.array([1.5]), beta=0.9, N=2)
     z = math.exp(log_partition(model))
     p_mid = term.K[1] ** 2 * math.exp(0.9 * 1.5) / z
     rng = substream(8, "freq")
@@ -153,7 +138,7 @@ def test_sampler_matches_enumeration_tv(term):
 def test_free_marginal_product_rule(term):
     # at beta=0 the chance of visiting n factorizes through the renewal function
     N = 12
-    model = PinningModel(law=term, omega=np.zeros(N - 1), beta=0.0, h=0.0, N=N)
+    model = PinningModel(law=term, omega=np.zeros(N - 1), beta=0.0, N=N)
     dist = enumerate_distribution(model)
     u = renewal_function(term, N)
     for n in range(1, N):
@@ -170,7 +155,7 @@ def test_truncation_bound(term):
     keep = np.argsort(-model.omega, kind="stable")[:k]
     top_k = np.zeros_like(model.omega)
     top_k[keep] = model.omega[keep]
-    trunc = PinningModel(law=term, omega=top_k, beta=model.beta, h=0.0, N=N)
+    trunc = PinningModel(law=term, omega=top_k, beta=model.beta, N=N)
     dist_full = enumerate_distribution(model)
     dist_trunc = enumerate_distribution(trunc)
     rho = truncation_residual(d, k)
@@ -186,7 +171,7 @@ def test_strong_repulsion_thins_sets(term):
     model, _ = _disordered_model(term, N=N, beta_hat=1.0)
     probs = []
     for h in (0.0, 1.0, 2.0, 4.0):
-        m = PinningModel(law=term, omega=model.omega, beta=model.beta, h=h, N=N)
+        m = PinningModel(law=tilt(term, h), omega=model.omega, beta=model.beta, N=N)
         dist = enumerate_distribution(m)
         probs.append(sum(p for idx, p in dist.items() if len(idx) > 2))
     assert all(b < a for a, b in zip(probs, probs[1:]))
@@ -229,17 +214,17 @@ def test_wilson_interval_known_value():
 
 def test_model_validation(term):
     with pytest.raises(ValueError):
-        PinningModel(law=term, omega=np.zeros(3), beta=1.0, h=0.0, N=3)
+        PinningModel(law=term, omega=np.zeros(3), beta=1.0, N=3)
     with pytest.raises(ValueError):
-        PinningModel(law=term, omega=-np.ones(2), beta=1.0, h=0.0, N=3)
+        PinningModel(law=term, omega=-np.ones(2), beta=1.0, N=3)
     with pytest.raises(ValueError):
-        PinningModel(law=term, omega=np.ones(2), beta=-1.0, h=0.0, N=3)
+        PinningModel(law=term, omega=np.ones(2), beta=-1.0, N=3)
     with pytest.raises(ValueError):
         GibbsSample(indices=(0, 1), N=2)  # missing the right endpoint
     with pytest.raises(ValueError):
         GibbsSample(indices=(), N=2)
     s = GibbsSample(indices=(0, 3, 8), N=8)
-    assert s.to_index_list() == [0, 3, 8]
+    assert list(s.indices) == [0, 3, 8]
     assert s.set == PinnedSet([0, 3 / 8, 1])
 
 
@@ -289,7 +274,7 @@ def _heavy_tailed_model(law, N, beta, h, alpha, zeros, seed):
     rng = np.random.default_rng(seed)
     omega = rng.random(N - 1) ** (-1.0 / alpha) - 1.0
     omega[rng.random(N - 1) < zeros] = 0.0
-    return PinningModel(law=tilt(law, h), omega=omega, beta=beta, h=0.0, N=N)
+    return PinningModel(law=tilt(law, h), omega=omega, beta=beta, N=N)
 
 
 model_params = dict(
@@ -323,18 +308,17 @@ def test_forward_table_matches_scipy_logsumexp(law, N, beta, h, alpha, zeros, se
 
 def test_forward_table_matches_scipy_logsumexp_at_infinite_site_weight(law):
     # beta * omega overflows to +inf at one site: the model refuses it, as it
-    # refuses non-finite omega, beta and h
+    # refuses non-finite omega and beta
     omega = np.zeros(49)
     omega[20] = 1e308
     with pytest.raises(ValueError, match="overflow"):
-        PinningModel(law=law, omega=omega, beta=10.0, h=0.0, N=50)
+        PinningModel(law=law, omega=omega, beta=10.0, N=50)
     bad = ({"omega": np.where(np.arange(49) == 7, np.nan, 1.0)},
            {"omega": np.where(np.arange(49) == 7, np.inf, 1.0)},
-           {"beta": np.inf}, {"beta": np.nan}, {"h": -np.inf}, {"h": np.nan})
+           {"beta": np.inf}, {"beta": np.nan})
     for kwargs in bad:
         with pytest.raises(ValueError, match="finite"):
-            PinningModel(**{"law": law, "omega": np.ones(49), "beta": 1.0, "h": 0.0,
-                            "N": 50, **kwargs})
+            PinningModel(**{"law": law, "omega": np.ones(49), "beta": 1.0, "N": 50, **kwargs})
     # a forward-table row past such a site mixes +inf with finite and -inf
     # entries; the row kernel still gives scipy's value
     for row in ([-3.0, np.inf, 1.5, -np.inf], [np.inf, np.inf], [np.inf, -np.inf, np.inf, 2.0]):

@@ -278,11 +278,10 @@ _CONV = {"experiment": "convergence", "N_list": [16, 32], "k_list": [8], "replic
 def test_bad_input_exits_2(tmp_path):
     # each is rejected before its out_dir is made.  Rows 2-7 pass the
     # per-field checks and are caught by building the renewal law (validate
-    # builds it) or by the t_points check; the rest are non-finite numbers
+    # builds it) or by growth_check on an empty grid; the rest are non-finite numbers
     # (json.dumps writes NaN and Infinity), deltas outside [0, 1/2), size
-    # lists that do not strictly increase, a second k where one is read, a
-    # subordinator run with one replica (its z-scores need a spread) and an
-    # unread field written as -0.0, which json.dumps would key apart from 0.0
+    # lists that do not strictly increase, a second k where one is read and a
+    # subordinator run with one replica (its z-scores need a spread)
     bad = [
         {"experiment": "renewal-asymptotics", "n_eval": 2, "n_max": 2000},
         {"experiment": "renewal-asymptotics", "n_eval": 5, "n_max": 20},  # tail budget
@@ -306,7 +305,6 @@ def test_bad_input_exits_2(tmp_path):
         dict(_CONV, k_list=[8, 64]),
         {"experiment": "subordinator-growth", "k_list": [64, 128], "replicas": 2},
         {"experiment": "subordinator-growth", "k_list": [64], "replicas": 1},
-        dict(_CONV, rho=-0.0),
     ]
     for i, data in enumerate(bad):
         path = tmp_path / f"bad{i}.json"
@@ -318,6 +316,72 @@ def test_bad_input_exits_2(tmp_path):
         assert main(["validate", "--config", str(path)]) == 2, data
         assert main(["run", "--config", str(path)]) == 2, data
         assert not (tmp_path / f"out{i}").exists(), data
+
+
+@pytest.mark.parametrize("data", [{"alpha": 0.01}, {"q": 1e300}], ids=["alpha", "q"])
+def test_growth_envelope_that_underflows_or_overflows_exits_2(tmp_path, data):
+    # t^(1/alpha) underflows to 0 at t_lo = 1e-4 when alpha = 0.01, and
+    # log^(q/alpha)(1/t) overflows when q = 1e300; either would fill the cells
+    # with nan or 0.0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(data, experiment="subordinator-growth",
+                                    out_dir=str(tmp_path / "out"))))
+    assert main(["validate", "--config", str(path)]) == 2
+    assert main(["run", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("data, undefined", [
+    # no draw exceeds delta, so log p is constant and the fit has no error term
+    ({"experiment": "concentration", "N_list": [8, 16, 32], "n_samples": 5, "n_max": 2000,
+      "delta": 0.49}, [("stderr",), ("slope_ci95", 0), ("slope_ci95", 1)]),
+    # a proper law has no limit 1/K_inf^2
+    ({"experiment": "renewal-asymptotics", "k_inf": 0.0, "n_eval": 50, "n_max": 2000},
+     [("u_over_K_target",), ("u_over_K_rel_err",)]),
+    # 1/K_inf^2 overflows (K_inf^2 subnormal) or divides by zero (K_inf^2 underflows)
+    ({"experiment": "renewal-asymptotics", "k_inf": 1e-160, "n_eval": 50, "n_max": 2000},
+     [("u_over_K_target",), ("u_over_K_rel_err",)]),
+    ({"experiment": "renewal-asymptotics", "k_inf": 1e-170, "n_eval": 50, "n_max": 2000},
+     [("u_over_K_target",), ("u_over_K_rel_err",)]),
+    # one mark, never within t_hi of an end: both 95th percentiles are 0
+    ({"experiment": "subordinator-growth", "k_list": [1], "replicas": 2},
+     [("refinement_ratio",)]),
+], ids=["concentration", "renewal-proper", "renewal-1e-160", "renewal-1e-170",
+        "subordinator-growth"])
+def test_undefined_summary_values_are_json_null(tmp_path, capsys, data, undefined):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(data, out_dir=str(tmp_path / "out"))))
+    assert main(["run", "--config", str(cfg)]) == 0
+    printed = _strict_json(capsys.readouterr().out)
+    (summary_file,) = (tmp_path / "out" / data["experiment"]).glob("*/summary.json")
+    written = _strict_json(summary_file.read_text())["summary"]
+    for summary in (printed, written):
+        for path in undefined:
+            value = summary
+            for key in path:
+                value = value[key]
+            assert value is None, path
+
+
+def test_signed_zeros_share_one_directory(tmp_path):
+    # json.dumps writes -0.0 apart from 0.0; the config holds +0.0 for both,
+    # so a run at rho = -0.0 reuses the cells of the run at rho = 0.0
+    base = dict(experiment="renewal-asymptotics", n_eval=50, n_max=2000, out_dir=str(tmp_path))
+    want = run_experiment(ExperimentConfig(**base, rho=0.0)).cells
+    for cfg in (ExperimentConfig(**base, rho=-0.0),
+                config_from_mapping(dict(base, rho=-0.0)),
+                parse_config_text(json.dumps(dict(base, rho=-0.0))),
+                parse_config_text("".join(f"{k} = {v}\n" for k, v in base.items()) + "rho = -0.0\n")):
+        assert math.copysign(1.0, cfg.rho) == 1.0
+        assert run_experiment(cfg).cells == want
+    assert len(list((tmp_path / "renewal-asymptotics").iterdir())) == 1
 
 
 @pytest.mark.parametrize("field", [
@@ -513,7 +577,7 @@ def test_gibbs_sample_serialization_contract(tmp_path):
     from pinlab.gibbs import GibbsSample
 
     s = GibbsSample(indices=(0, 2, 5, 8), N=8)
-    assert json.loads(json.dumps(s.to_index_list())) == [0, 2, 5, 8]
+    assert json.loads(json.dumps(list(s.indices))) == [0, 2, 5, 8]
 
 
 @pytest.mark.parametrize("data", [

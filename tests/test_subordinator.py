@@ -74,6 +74,29 @@ def test_growth_check_domain():
         growth_check(ev, 0.5, 1.5, [0.2])
 
 
+def test_growth_check_rejects_an_envelope_that_is_zero_or_not_finite():
+    # t^(1/alpha) underflows to 0 at alpha = 0.01; log^(q/alpha)(1/t) overflows at q = 1e300
+    for alpha, q in ((0.01, 1.5), (0.5, 1e300)):
+        with pytest.raises(ValueError, match="envelope"):
+            growth_check(lambda t: 0.0, alpha, q, np.geomspace(1e-4, 1e-1, 40))
+
+
+@given(k=st.integers(0, 80), alpha=st.floats(0.05, 0.99), q=st.floats(1.0, 6.0, exclude_min=True),
+       n_a=st.integers(2, 50), n_b=st.integers(2, 500), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_growth_supremum_depends_only_on_the_grid_ends(k, alpha, q, n_a, n_b, seed):
+    # h is unimodal, so grid points inside a stretch of constant X never
+    # beat the stretch's ends, which both grids hold with the jump times
+    rng = np.random.default_rng(seed)
+    t_lo, t_hi = np.sort(rng.uniform(1e-5, 0.1, 2))
+    mps = MarkedPointSet(rng.pareto(alpha, k) + 1e-3, rng.uniform(0.0, 1.0, k))
+    jumps = edge_jump_times(mps)
+    ev = edge_evaluator(mps)
+    a = growth_check(ev, alpha, q, np.geomspace(t_lo, t_hi, n_a), jumps)
+    b = growth_check(ev, alpha, q, np.geomspace(t_lo, t_hi, n_b), jumps)
+    assert a == pytest.approx(b, rel=1e-12, abs=0.0)
+
+
 def test_growth_ratio_bounded_over_realizations():
     # the 95th percentile stays within a factor 2 under 10x grid refinement
     coarse = np.geomspace(1e-4, 1e-1, 30)
@@ -107,7 +130,7 @@ def test_band_area_phi_values():
 
 
 def test_band_process_examples():
-    env = MarkedPointSet(np.array([3.0]), np.array([[0.5, 0.2]]))
+    env = PolymerEnvironment(x=np.array([0.5]), y=np.array([0.2]), w=np.array([3.0]), alpha=0.5)
     assert band_u(env, 0.1) == 0.0
     assert band_u(env, 0.3) == 3.0
     assert band_u(env, 0.5) == 3.0
@@ -119,8 +142,7 @@ def test_band_process_examples():
 
 def test_w_dominates_u():
     for r in range(100):
-        env_p = PolymerEnvironment.sample(0.5, 64, substream(5, "wu", r))
-        env = MarkedPointSet(env_p.w, np.column_stack([env_p.x, env_p.y]))
+        env = PolymerEnvironment.sample(0.5, 64, substream(5, "wu", r))
         for t in np.linspace(0.0, 0.25, 9):
             U, W = band_process(env, float(t))
             assert W >= U
@@ -131,8 +153,7 @@ def test_band_increment_homogeneity():
     incs = np.empty((300, 3))
     s = 1 / 32
     for r in range(incs.shape[0]):
-        env_p = PolymerEnvironment.sample(0.5, 256, substream(6, "homog", r))
-        env = MarkedPointSet(env_p.w, np.column_stack([env_p.x, env_p.y]))
+        env = PolymerEnvironment.sample(0.5, 256, substream(6, "homog", r))
         for j, t0 in enumerate((0.0, 1 / 16, 1 / 8)):
             incs[r, j] = band_process(env, t0 + s)[1] - band_process(env, t0)[1]
     for i, j in ((0, 1), (0, 2), (1, 2)):
@@ -149,7 +170,7 @@ def test_poisson_exceedance_counts():
         lam = z ** -alpha
         counts = []
         for r in range(1000):
-            d = sample_coupled(law, 4, 64, substream(13, "pois", int(z * 10), r))
+            d = sample_coupled(law, 4, substream(13, "pois", int(z * 10), r))
             counts.append(int(np.sum(d.M_inf[:64] > z)))
         counts = np.array(counts)
         kmax = 5
@@ -166,9 +187,9 @@ def test_marked_point_set_validation():
     with pytest.raises(ValueError):
         MarkedPointSet(np.array([1.0]), np.array([1.5]))
     with pytest.raises(ValueError):
-        MarkedPointSet(np.array([1.0]), np.array([[0.1, 0.3]]))  # outside diamond
-    d = sample_coupled(DisorderLaw(0.5), 8, 16, substream(1, "mpsa"))
-    mps = MarkedPointSet.from_pinning(d, 16)
+        MarkedPointSet(np.array([1.0]), np.array([[0.5, 0.1]]))  # locations are 1-d
+    d = sample_coupled(DisorderLaw(0.5), 8, substream(1, "mpsa"))
+    mps = MarkedPointSet(d.M_inf[:16], d.Y_inf[:16])
     assert mps.size == 16
 
 
