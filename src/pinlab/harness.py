@@ -31,7 +31,7 @@ import numpy as np
 import numpy.ma  # np.median loads it on first call; load it with pinlab, not in a run
 
 from . import __version__
-from .disorder import BUFFER_MIN, DisorderLaw, couple, draw_base
+from .disorder import BUFFER_MIN, DisorderLaw, compute_b_N, couple, draw_base
 from .geometry import hausdorff
 from .gibbs import PinningModel, concentration_probability
 from .polymer import PolymerEnvironment, polymer_beta_critical
@@ -130,6 +130,12 @@ class ExperimentConfig:
                               "is at most 1/2")
         if self.h <= 0.0:
             raise ConfigError("renewal.tilt requires h > 0 to terminate the renewal")
+        if self.experiment in ("convergence", "concentration") and self.N_list:
+            try:
+                compute_b_N(DisorderLaw(self.alpha), max(self.N_list))
+            except OverflowError:
+                raise ConfigError(f"alpha = {self.alpha!r} is too small: the scale "
+                                  f"N^(1/alpha) overflows at N = {max(self.N_list)}") from None
         if self.experiment == "concentration" and self.N_list and self.n_max < max(self.N_list):
             raise ConfigError("gibbs.log_partition requires the horizon within n_max")
         if self.n_samples < 1:
@@ -232,7 +238,9 @@ class ExperimentReport:
 Cell = namedtuple("Cell", "name header rows compute")
 #: One experiment; keys name the config fields it reads besides experiment and
 #: seed, and summarize(cfg, tables) reads cells(cfg)'s float columns by header.
-Spec = namedtuple("Spec", "description defaults keys cells summarize")
+#: schema is the cell-schema version, raised by any change that may alter the
+#: experiment's cell bytes, so cells of older code are never reused.
+Spec = namedtuple("Spec", "description defaults keys cells summarize schema", defaults=(0,))
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +307,28 @@ def _renewal_law(cfg: ExperimentConfig):
     if cfg.experiment == "concentration":
         return tilt(_law(cfg.gamma, cfg.c, cfg.rho, 0.0, cfg.n_max), cfg.h)
     return _law(cfg.gamma, cfg.c, cfg.rho, cfg.k_inf, cfg.n_max)
+
+
+_UNDERFLOW = "alpha = {!r} is too small: a weight T^(-1/alpha) underflows to 0"
+
+
+def _marks(T: np.ndarray, alpha: float) -> np.ndarray:
+    """The weights T^(-1/alpha) of increasing arrival times T.  They decrease,
+    and none may underflow to 0, which no kernel accepts as a weight; as T
+    is random, validate cannot see this, so the run stops here instead."""
+    w = T ** (-1.0 / alpha)
+    if w[-1] == 0.0:
+        raise ConfigError(_UNDERFLOW.format(alpha))
+    return w
+
+
+def _environment(alpha: float, k: int, rng: np.random.Generator) -> PolymerEnvironment:
+    """PolymerEnvironment.sample, which rejects a charge weight T^(-1/alpha)
+    that underflows to 0, its only failure at a valid alpha."""
+    try:
+        return PolymerEnvironment.sample(alpha, k, rng)
+    except ValueError as exc:
+        raise ConfigError(f"{_UNDERFLOW.format(alpha)} ({exc})") from None
 
 
 def _binom_half_ppf(q: float, n: int) -> int:
@@ -380,7 +410,7 @@ def _convergence_cells(cfg: ExperimentConfig) -> list[Cell]:
         T, Y = draw_base(max(max(cfg.N_list), k, BUFFER_MIN), rng)
         if r not in refs:
             ref_land = EnergyLandscape.from_marks(
-                Y[:k], T[:k] ** (-1.0 / cfg.alpha), cfg.beta_hat, cfg.gamma, cfg.c
+                Y[:k], _marks(T[:k], cfg.alpha), cfg.beta_hat, cfg.gamma, cfg.c
             )
             refs[r] = solve_dp(ref_land).maximizer
         d = couple(law, T, Y, N)
@@ -461,7 +491,7 @@ def _threshold_pinning_cells(cfg: ExperimentConfig) -> list[Cell]:
     def one(k: int, r: int) -> float:
         rng = substream(cfg.seed, "threshold-pinning", r)
         T, Y = draw_base(max(max(cfg.k_list), BUFFER_MIN), rng)
-        return beta_critical(Y[:k], T[:k] ** (-1.0 / cfg.alpha), cfg.gamma, cfg.c)
+        return beta_critical(Y[:k], _marks(T[:k], cfg.alpha), cfg.gamma, cfg.c)
 
     return _replica_cells(cfg, "threshold_pinning_k", ["k", "replica", "beta_c"], cfg.k_list, one)
 
@@ -490,7 +520,7 @@ def _threshold_pinning_summary(cfg: ExperimentConfig, tables: list[dict]) -> dic
 def _threshold_polymer_cells(cfg: ExperimentConfig) -> list[Cell]:
     def one(k: int, r: int) -> float:
         rng = substream(cfg.seed, "threshold-polymer", r)
-        env = PolymerEnvironment.sample(cfg.alpha, max(cfg.k_list), rng)
+        env = _environment(cfg.alpha, max(cfg.k_list), rng)
         return polymer_beta_critical(env.truncate(k))
 
     return _replica_cells(cfg, "threshold_polymer_k", ["k", "replica", "beta_c"], cfg.k_list, one)
@@ -551,12 +581,12 @@ def _subordinator_cells(cfg: ExperimentConfig) -> list[Cell]:
     def one(r: int) -> list:
         rng = substream(cfg.seed, "subordinator-growth", r)
         T, Y = draw_base(k, rng)
-        mps = MarkedPointSet(T ** (-1.0 / cfg.alpha), Y)
+        mps = MarkedPointSet(_marks(T, cfg.alpha), Y)
         jumps = edge_jump_times(mps)
         ev = edge_evaluator(mps)  # shared by both grids
         sup_c = growth_check(ev, cfg.alpha, cfg.q, coarse, jumps)
         sup_f = growth_check(ev, cfg.alpha, cfg.q, fine, jumps)
-        env = PolymerEnvironment.sample(cfg.alpha, k, substream(cfg.seed, "subordinator-band", r))
+        env = _environment(cfg.alpha, k, substream(cfg.seed, "subordinator-band", r))
         wu_min = math.inf
         for t in np.linspace(0.0, 0.25, 11):
             U, W = band_process(env, float(t))
@@ -620,7 +650,7 @@ SPECS = {
         "renewal-function and convolution-ratio diagnostics",
         {"replicas": 1},
         ("c", "gamma", "k_inf", "n_eval", "n_max", "rho"),
-        _renewal_cells, _renewal_summary),
+        _renewal_cells, _renewal_summary, schema=1),
     "subordinator-growth": Spec(
         "growth envelopes and band-process checks",
         {"k_list": (1000,), "replicas": 1000},
@@ -632,9 +662,14 @@ EXPERIMENTS = tuple(SPECS)
 
 def _config_key(cfg: ExperimentConfig) -> str:
     """Cells are keyed by everything but out_dir, so one directory can hold
-    runs of several configs without stale-cell contamination."""
+    runs of several configs without stale-cell contamination, and by the
+    experiment's schema version, so cells written by older code are not
+    reused.  Version 0 adds nothing to the key, which keeps the directory
+    names from before versions existed."""
     d = dataclasses.asdict(cfg)
     d.pop("out_dir")
+    if SPECS[cfg.experiment].schema:
+        d["schema"] = SPECS[cfg.experiment].schema
     return hashlib.sha1(json.dumps(d, sort_keys=True).encode()).hexdigest()[:12]
 
 

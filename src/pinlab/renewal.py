@@ -23,6 +23,9 @@ _TINY = 1e-300
 _LN2 = math.log(2.0)
 _MAX_TERMS = 1_000_000
 
+#: Block length of _convolve_head: no BLAS dot product it asks for is longer.
+_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class RenewalLaw:
@@ -223,21 +226,41 @@ def renewal_function(law: RenewalLaw, n: int) -> np.ndarray:
     return u
 
 
+def _convolve_head(a: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
+    """The first count entries of the convolution a*v, for count <= len(v).
+
+    a is cut into blocks of _BLOCK entries, and block s adds
+    np.convolve(a[s:s+_BLOCK], v[:count-s]) to out[s:], so nothing past
+    count is computed and no dot product numpy hands to BLAS is longer than
+    _BLOCK: below OpenBLAS's threading cut-off, so the bytes do not depend on
+    the BLAS thread count.  With count <= _BLOCK there is one block, and the
+    result has the bytes of np.convolve(a, v[:count])[:count].
+    """
+    out = np.zeros(count)
+    for s in range(0, min(count, a.size), _BLOCK):
+        out[s:] += np.convolve(a[s : s + _BLOCK], v[: count - s])[: count - s]
+    return out
+
+
 def ratio_table(law: RenewalLaw, n: int) -> tuple[np.ndarray, ...]:
     """Columns K, u, u/K, q*2/q and q*3/q over 1..n for q = K/(1-K_inf).
 
-    q*2 and q*3 are summed directly (np.convolve) and read as 0 below 2 and
-    3; needs n >= 3.
+    q*2 and q*3 are summed directly and read as 0 below 2 and 3; needs
+    n >= 3.  Only their values up to n are formed (_convolve_head): each
+    value is a sum over blocks of _BLOCK positions of the first factor, so
+    for n > _BLOCK + 1 the summation order differs from a single
+    np.convolve (within a relative 4 n 2^-53, all terms being positive),
+    and the bytes are the same at any BLAS thread count.
     """
     if n < 3:
         raise ValueError("need n >= 3 for the convolution ratios")
     u = renewal_function(law, n)[1:]
     K = law.K[1 : n + 1]
     q = law.q[1 : n + 1]  # q[i] = q(i+1)
-    conv2 = np.convolve(q, q)  # index j <-> mass at j+2
-    conv3 = np.convolve(conv2[: n + 1], q)  # index j <-> mass at j+3
-    q2 = np.concatenate(([0.0], conv2[: n - 1]))
-    q3 = np.concatenate(([0.0, 0.0], conv3[: n - 2]))
+    conv2 = _convolve_head(q, q, n - 1)  # index j <-> mass at j+2
+    conv3 = _convolve_head(conv2, q, n - 2)  # index j <-> mass at j+3
+    q2 = np.concatenate(([0.0], conv2))
+    q3 = np.concatenate(([0.0, 0.0], conv3))
     return K, u, u / K, q2 / q, q3 / q
 
 

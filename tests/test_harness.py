@@ -28,7 +28,7 @@ from pinlab.harness import (
     parse_config_text,
     run_experiment,
 )
-from pinlab.renewal import build_law, renewal_function
+from pinlab.renewal import _convolve_head, build_law, renewal_function
 from pinlab.streams import substream
 from pinlab.varmax import EnergyLandscape, solve_dp
 
@@ -203,13 +203,15 @@ def test_resumed_run_matches_fresh_run(tmp_path, name):
 
 
 def _renewal_cell_by_rows(cfg):
-    # the row-by-row cell: one scalar division per value, written value by value
+    # the row-by-row cell: one scalar division per value, written value by
+    # value; the convolutions themselves are checked against np.convolve and
+    # exact sums in test_renewal.py
     law = build_law(cfg.gamma, cfg.c, cfg.rho, cfg.k_inf, n_max=cfg.n_max)
     n_eval = cfg.n_eval
     u = renewal_function(law, n_eval)
     q = law.q[1 : n_eval + 1]
-    conv2 = np.convolve(q, q)
-    conv3 = np.convolve(conv2[: n_eval + 1], q)
+    conv2 = _convolve_head(q, q, n_eval - 1)
+    conv3 = _convolve_head(conv2, q, n_eval - 2)
     text = "n,K,u,u_over_K,q2_over_q,q3_over_q\n"
     for n in range(1, n_eval + 1):
         q2 = conv2[n - 2] if n >= 2 else 0.0
@@ -227,6 +229,48 @@ def test_renewal_cell_matches_row_loop(tmp_path, n_eval):
                            out_dir=str(tmp_path))
     rep = run_experiment(cfg)
     assert _cell_bytes(rep) == [_renewal_cell_by_rows(rep.config)]
+
+
+def test_schema_version_keys_renewal_cells_apart(tmp_path, monkeypatch):
+    # a cell written under an older schema version sits in another directory,
+    # so a run at the new version recomputes it instead of reading it back
+    cfg = ExperimentConfig(experiment="renewal-asymptotics", out_dir=str(tmp_path),
+                           **_SMALL["renewal-asymptotics"])
+    spec = harness.SPECS["renewal-asymptotics"]
+    assert spec.schema == 1
+    with monkeypatch.context() as m:
+        m.setitem(harness.SPECS, "renewal-asymptotics", spec._replace(schema=0))
+        old = run_experiment(cfg)
+    (old_cell,) = old.cells
+    with open(old_cell) as fh:
+        stale = fh.read().replace("0.", "1.", 1)  # well formed, but not what version 1 writes
+    with open(old_cell, "w") as fh:
+        fh.write(stale)
+    calls, ratio_table = [], harness.ratio_table
+    monkeypatch.setattr(harness, "ratio_table",
+                        lambda *args: calls.append(args) or ratio_table(*args))
+    new = run_experiment(cfg)
+    assert os.path.dirname(new.cells[0]) != os.path.dirname(old_cell)
+    assert len(calls) == 1
+    assert _cell_bytes(new) == [_renewal_cell_by_rows(new.config)]
+
+
+def test_schema_version_0_keeps_the_config_keys():
+    # the experiments at schema version 0 keep the directory names they had
+    # before versions existed
+    keys = {name: harness._config_key(
+        ExperimentConfig(experiment=name, seed=1, **_SMALL[name]).with_defaults())
+        for name in EXPERIMENTS}
+    assert keys == {
+        "convergence": "38003cbb5012",
+        "concentration": "9d5b384bb1f5",
+        "threshold-pinning": "72306fb29b0b",
+        "threshold-polymer": "b730a4ade456",
+        "renewal-asymptotics": "c24112965f62",  # 124ab4d99815 before version 1
+        "subordinator-growth": "a0b896f30361",
+    }
+    assert [name for name in EXPERIMENTS if harness.SPECS[name].schema] == [
+        "renewal-asymptotics"]
 
 
 def test_all_experiments_run_small(tmp_path):
@@ -329,6 +373,27 @@ def test_growth_envelope_that_underflows_or_overflows_exits_2(tmp_path, data):
     assert main(["validate", "--config", str(path)]) == 2
     assert main(["run", "--config", str(path)]) == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("data", [
+    {"experiment": "threshold-pinning", "k_list": [8, 512], "replicas": 2},
+    {"experiment": "convergence", "N_list": [64], "k_list": [64], "replicas": 2},
+    {"experiment": "threshold-polymer", "k_list": [32], "replicas": 2},
+], ids=["threshold-pinning", "convergence", "threshold-polymer"])
+@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+def test_weights_that_underflow_exit_2(tmp_path, capsys, data):
+    # at alpha = 1e-3 the weights T^(-1/alpha) underflow to 0 once T > 2.1;
+    # validate cannot see the random T, so the run stops with a config error
+    # that names alpha (convergence is caught earlier, by validate: its scale
+    # N^(1/alpha) overflows).  alpha = 0.01 runs.
+    for alpha, code in ((1e-3, 2), (0.01, 0)):
+        path = tmp_path / f"cfg{alpha}.json"
+        path.write_text(json.dumps(dict(data, alpha=alpha, out_dir=str(tmp_path / "out"))))
+        capsys.readouterr()
+        assert main(["run", "--config", str(path)]) == code, alpha
+        err = capsys.readouterr().err
+        assert ("config error: alpha = 0.001 is too small" in err) == (code == 2), err
+        assert "Traceback" not in err
 
 
 def _strict_json(text):

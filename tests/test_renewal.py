@@ -1,19 +1,29 @@
 """Stretched-exponential renewal laws, tilting, renewal function, diagnostics."""
 
+import decimal
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate
 
+import pinlab
 from pinlab.renewal import (
+    _BLOCK,
     TAIL_BUDGET,
+    _convolve_head,
     _log_upper_gamma,
     build_law,
+    ratio_table,
     renewal_function,
     subexp_diagnostics,
     tilt,
@@ -145,6 +155,83 @@ def test_diagnostics_convolutions(terminating_law):
     assert d2["conv2_ratio"] < d1["conv2_ratio"]
     assert d2["conv3_ratio"] < d1["conv3_ratio"]
     assert d2["conv2_ratio"] > 2.0 and d2["conv3_ratio"] > 3.0
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       count=st.sampled_from([1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]),
+       a_over_count=st.floats(0.0, 3.0), extra=st.integers(0, 40),
+       spread=st.floats(0.0, 300.0))
+def test_convolve_head_matches_np_convolve(seed, count, a_over_count, extra, spread):
+    # positive entries over up to 130 decades, a shorter or longer than count;
+    # each value on either side is a sum of at most count positive products,
+    # so the two agree within 2 count 2^-53 relative, and 4 count 2^-53
+    # covers q*3, which carries q*2's error
+    rng = np.random.default_rng(seed)
+    a = np.exp(-spread * rng.random(max(1, int(a_over_count * count))))
+    v = np.exp(-spread * rng.random(count + extra))
+    head = _convolve_head(a, v, count)
+    full = np.convolve(a, v)[:count]
+    assert head.shape == (count,)
+    assert np.all(np.abs(head - full) <= 4 * count * 2.0**-53 * full)
+    if count <= _BLOCK:  # one block: np.convolve's own sums
+        assert head.tobytes() == np.convolve(a, v[:count])[:count].tobytes()
+
+
+def _exact_convolution_square(Q):
+    """Q*Q for non-negative integers Q, exactly, by Kronecker substitution:
+    Q packed as the decimal digits of one number P, each entry in a field of
+    D digits that holds any coefficient of P^2 (libmpdec multiplies large
+    operands by number-theoretic transform, so this takes well under a
+    second for 20000 entries of 255 bits)."""
+    D = len(str(max(Q) ** 2 * len(Q)))
+    P = decimal.Decimal("".join(str(x).zfill(D) for x in Q))
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+    digits = str(ctx.multiply(P, P)).zfill(D * (2 * len(Q) - 1))
+    return [int(digits[k * D : (k + 1) * D]) for k in range(2 * len(Q) - 1)]
+
+
+def test_convolution_ratios_match_exact_sums():
+    # q*2 and q*3 of the cell at n = 2000 and 20000 against exact sums:
+    # q(i) = Q_i 2^-E with integers Q_i, so q*2 = C 2^-2E with C = Q*Q exact
+    # and q*3(n) = sum_k C_k Q_(n-3-k) 2^-3E; the ratios are formed at 50 digits
+    n_max = 20_000
+    law = build_law(0.5, 1.0, 0.0, 0.3, n_max=n_max + 1)
+    q = law.q[1 : n_max + 1]
+    *_, q2_over_q, q3_over_q = ratio_table(law, n_max)
+    fractions = [x.as_integer_ratio() for x in q.tolist()]
+    E = max(den.bit_length() - 1 for _, den in fractions)
+    Q = [num << (E - den.bit_length() + 1) for num, den in fractions]
+    C = _exact_convolution_square(Q)
+    with mpmath.workdps(50):
+        for n in (2000, 20_000):
+            c3 = sum(C[k] * Q[n - 3 - k] for k in range(n - 2))
+            exact2 = mpmath.mpf(C[n - 2]) / mpmath.mpf(Q[n - 1]) / mpmath.mpf(2) ** E
+            exact3 = mpmath.mpf(c3) / mpmath.mpf(Q[n - 1]) / mpmath.mpf(2) ** (2 * E)
+            for got, exact in ((q2_over_q[n - 1], exact2), (q3_over_q[n - 1], exact3)):
+                err = abs((mpmath.mpf(float(got)) - exact) / exact)
+                assert err <= (4 * n + 1) * 2.0**-53, (n, float(err))
+
+
+_COLUMN_DIGESTS = """
+import hashlib
+from pinlab.renewal import build_law, ratio_table
+for col in ratio_table(build_law(0.5, 1.0, 0.0, 0.3, n_max=20_001), 20_000):
+    print(hashlib.sha256(col.tobytes()).hexdigest())
+"""
+
+
+def test_ratio_table_bytes_do_not_depend_on_blas_threads():
+    # a dot product longer than 10000 goes to OpenBLAS's threaded kernel,
+    # whose sums depend on the thread count; _convolve_head asks for none
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(pinlab.__file__))
+    digests = [
+        subprocess.run([sys.executable, "-c", _COLUMN_DIGESTS], env=dict(env, **extra),
+                       check=True, capture_output=True, text=True, timeout=120).stdout
+        for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"})
+    ]
+    assert len(digests[0].split()) == 5
+    assert digests[0] == digests[1]
 
 
 def test_log_u_slope(terminating_law):
