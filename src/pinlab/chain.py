@@ -6,8 +6,9 @@ scores beta * (w_j1 + ... + w_jr) - c * (C[0,j_1] + ... + C[j_r,m+1]).
 Pinning (varmax) uses the gap powers (p_j - p_i)^gamma; the directed
 polymer (polymer) uses the segment entropies, +inf where infeasible, with
 c = 1.  Both thresholds are the minimum over nonempty chains of
-c * (C(chain) - C(empty)) / W(chain).  Costs are summed unscaled in
-ascending node order everywhere, so every path gets the same floats.
+c * (C(chain) - C(empty)) / W(chain).  Every routine reads the costs
+through an accessor, column(j) = C[:j, j], and sums them unscaled in
+ascending node order, so every path gets the same floats.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ METHODS = ("auto", "enumerate", "parametric", "bisect")
 
 
 def check_method(method: str) -> None:
-    """Reject an unknown threshold method, before any cost matrix is built."""
+    """Reject an unknown threshold method, before any cost table is built."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
 
@@ -58,28 +59,24 @@ def chain_dp(w, beta: float, column, c: float = 1.0) -> tuple[int, ...]:
     return tuple(reversed(sel))
 
 
-def _argmax_sums(w, beta: float, costT: np.ndarray, c: float):
-    """(value, weight sum, cost sum) of the first-argmax chain, no tie-breaks.
-
-    costT is the transposed cost matrix, so row j holds the column C[:, j]
-    contiguously.
-    """
+def _argmax_sums(w, beta: float, column, c: float):
+    """(value, weight sum, cost sum) of the first-argmax chain, no tie-breaks."""
     m = w.size
     wx = np.append(w, 0.0)
     best = np.zeros(m + 2)
     wsum = np.zeros(m + 2)
     csum = np.zeros(m + 2)
     for j in range(1, m + 2):
-        row = costT[j, :j]
-        cand = best[:j] + beta * wx[j - 1] - c * row
+        col = column(j)
+        cand = best[:j] + beta * wx[j - 1] - c * col
         i = int(cand.argmax())
         best[j] = cand[i]
         wsum[j] = wsum[i] + wx[j - 1]
-        csum[j] = csum[i] + row[i]
+        csum[j] = csum[i] + col[i]
     return best[m + 1], wsum[m + 1], csum[m + 1]
 
 
-def _subsets(w, cost, beta=None, c=1.0):
+def _subsets(w, column, beta=None, c=1.0):
     """Yield (first mask, weight sums, chain costs, scores) over all 2^m subsets.
 
     Bit i of a mask selects node i+1.  The low CHUNK_BITS bits are built
@@ -96,7 +93,7 @@ def _subsets(w, cost, beta=None, c=1.0):
     top = np.zeros(1 << b, dtype=np.int64)  # last chosen node, 0 = left endpoint
     for hb in range(b):
         lo = 1 << hb
-        edge = cost[top[:lo], hb + 1]
+        edge = column(hb + 1)[top[:lo]]
         wsum[lo : 2 * lo] = wsum[:lo] + w[hb]
         csum[lo : 2 * lo] = csum[:lo] + edge
         if score is not None:
@@ -106,25 +103,25 @@ def _subsets(w, cost, beta=None, c=1.0):
         hw, hc, hs, last = wsum, csum, score, top
         for p in range(b, m):
             if high >> (p - b) & 1:
-                edge = cost[last, p + 1]
+                edge = column(p + 1)[last]
                 hw = hw + w[p]
                 hc = hc + edge
                 if hs is not None:
                     hs = (hs + beta * w[p]) - c * edge
                 last = p + 1
-        edge = cost[last, m + 1]
+        edge = column(m + 1)[last]
         if hs is not None:
             hs = (hs + beta * 0.0) - c * edge
         yield high << b, hw, hc + edge, hs
 
 
-def enumerate_best(w, beta: float, cost: np.ndarray, c: float = 1.0) -> tuple[int, ...]:
+def enumerate_best(w, beta: float, column, c: float = 1.0) -> tuple[int, ...]:
     """Maximizing chain by exhaustive enumeration, with chain_dp's scores
     and its ranking of ties: fewer points, then the smallest last index,
     then the smallest index before it, and so on (the smallest predecessor
     at every node)."""
     best, ties = -math.inf, []
-    for first, _, _, values in _subsets(w, cost, beta, c):
+    for first, _, _, values in _subsets(w, column, beta, c):
         vmax = values.max()
         if vmax > best:
             best, ties = vmax, []
@@ -134,36 +131,37 @@ def enumerate_best(w, beta: float, cost: np.ndarray, c: float = 1.0) -> tuple[in
     return min(chains, key=lambda ix: (len(ix), ix[::-1]))
 
 
-def min_ratio(w, cost: np.ndarray, c: float, method: str, enum_max: int) -> float:
+def min_ratio(w, column, c: float, method: str, enum_max: int) -> float:
     """min over nonempty chains of c * (C(chain) - C(empty)) / W(chain).
 
-    "enumerate" scans every chain (at most enum_max points); "parametric"
-    is Dinkelbach's iteration on the chain DP, exact after finitely many
-    solves; "bisect" halves the coupling until the tie-breaking DP's
-    verdict (empty or not) is pinned to BISECT_TOL.  "auto" enumerates up
-    to enum_max points and iterates above.
+    "auto" and "parametric" are Dinkelbach's iteration on the chain DP,
+    exact after finitely many solves.  The oracles: "enumerate" scans every
+    chain (at most enum_max points); "bisect" halves the coupling until the
+    tie-breaking DP's verdict (empty or not) is pinned to BISECT_TOL.
     """
     check_method(method)
     m = w.size
-    base = cost[0, m + 1]
+    last = column(m + 1)
+    base = last[0]
     # each single point bounds the threshold from above
-    single = c * (cost[0, 1 : m + 1] + cost[1 : m + 1, m + 1] - base) / w
-    if method == "enumerate" or (method == "auto" and m <= enum_max):
+    opening = np.array([column(j)[0] for j in range(1, m + 1)])
+    single = c * (opening + last[1:] - base) / w
+    if method == "enumerate":
         if m > enum_max:
             raise ValueError(f"enumeration capped at {enum_max} points")
         best = math.inf
-        for first, wsum, csum, _ in _subsets(w, cost):
+        for first, wsum, csum, _ in _subsets(w, column):
             skip = 1 if first == 0 else 0  # the empty chain has no ratio
             best = min(best, float((c * (csum[skip:] - base) / wsum[skip:]).min()))
         return best
     if method == "bisect":
         hi = float(single.min()) * (1.0 + 1e-6) + 1e-12
         lo = 0.0
-        if not chain_dp(w, hi, lambda j: cost[:j, j], c):  # numerical guard; widen once
+        if not chain_dp(w, hi, column, c):  # numerical guard; widen once
             hi *= 1.0 + 1e-3
         while hi - lo > BISECT_TOL:
             mid = 0.5 * (lo + hi)
-            if chain_dp(w, mid, lambda j: cost[:j, j], c):  # the maximizer is not empty
+            if chain_dp(w, mid, column, c):  # the maximizer is not empty
                 hi = mid
             else:
                 lo = mid
@@ -172,9 +170,8 @@ def min_ratio(w, cost: np.ndarray, c: float, method: str, enum_max: int) -> floa
     # the current maximizing chain; the iterate decreases strictly and lands
     # on the minimizing ratio after finitely many DP solves (typically < 10)
     beta = float(single.min())
-    costT = np.ascontiguousarray(cost.T)
     for _ in range(100):
-        value, wsum, csum = _argmax_sums(w, beta, costT, c)
+        value, wsum, csum = _argmax_sums(w, beta, column, c)
         # the empty chain scores exactly -c * C(empty)
         if wsum <= 0.0 or value <= -c * base:
             return beta

@@ -58,8 +58,8 @@ class CoupledDisorder:
     T holds cumulative sums of unit-mean exponentials; M_inf[i] = T[i]^(-1/alpha)
     exactly, while M_disc uses the order-statistics representation
     b_N^(-1) * quantile(1 - T_i/T_N), so its marginal law equals that of
-    ranked i.i.d. Pareto maxima divided by b_N.  Y_disc is a bijection onto
-    the interior grid {1/N, ..., (N-1)/N} obtained by snapping Y_inf.
+    ranked i.i.d. Pareto maxima divided by b_N.  slots is a bijection onto
+    the interior sites 1..N-1 obtained by snapping Y_inf, and Y_disc = slots/N.
     """
 
     law: DisorderLaw
@@ -69,11 +69,19 @@ class CoupledDisorder:
     Y_inf: np.ndarray
     M_disc: np.ndarray
     Y_disc: np.ndarray
+    slots: np.ndarray
     b_N: float
 
     def __post_init__(self):
-        for name in ("T", "M_inf", "Y_inf", "M_disc", "Y_disc"):
+        for name in ("T", "M_inf", "Y_inf", "M_disc", "Y_disc", "slots"):
             getattr(self, name).setflags(write=False)
+
+    @property
+    def omega(self) -> np.ndarray:
+        """Site disorder on 1..N-1: the maximum M_disc[i] * b_N at site slots[i]."""
+        out = np.zeros(self.N - 1)
+        out[self.slots - 1] = self.M_disc * self.b_N
+        return out
 
 
 def draw_base(size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -137,7 +145,7 @@ def couple(law: DisorderLaw, T: np.ndarray, Y_inf: np.ndarray, N: int) -> Couple
     Y_disc = slots / float(N)
     return CoupledDisorder(
         law=law, N=N, T=T.copy(), M_inf=M_inf, Y_inf=Y_inf.copy(),
-        M_disc=M_disc, Y_disc=Y_disc, b_N=b_N,
+        M_disc=M_disc, Y_disc=Y_disc, slots=slots, b_N=b_N,
     )
 
 

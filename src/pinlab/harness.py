@@ -310,25 +310,43 @@ def _renewal_law(cfg: ExperimentConfig):
 
 
 _UNDERFLOW = "alpha = {!r} is too small: a weight T^(-1/alpha) underflows to 0"
+_OVERFLOW = "alpha = {!r} is too small: a weight {} overflows to inf"
 
 
 def _marks(T: np.ndarray, alpha: float) -> np.ndarray:
     """The weights T^(-1/alpha) of increasing arrival times T.  They decrease,
-    and none may underflow to 0, which no kernel accepts as a weight; as T
-    is random, validate cannot see this, so the run stops here instead."""
-    w = T ** (-1.0 / alpha)
+    and none may underflow to 0 or overflow to inf, which no kernel accepts
+    as a weight; as T is random, validate cannot see this, so the run stops
+    here instead."""
+    with np.errstate(over="ignore"):
+        w = T ** (-1.0 / alpha)
     if w[-1] == 0.0:
         raise ConfigError(_UNDERFLOW.format(alpha))
+    if w[0] == math.inf:
+        raise ConfigError(_OVERFLOW.format(alpha, "T^(-1/alpha)"))
     return w
+
+
+def _coupled(cfg: ExperimentConfig, T: np.ndarray, Y: np.ndarray, N: int):
+    """disorder.couple at size N, stopped as _marks stops when a rescaled
+    maximum M_disc overflows to inf."""
+    with np.errstate(over="ignore"):
+        d = couple(DisorderLaw(cfg.alpha), T, Y, N)
+    if d.M_disc[0] == math.inf:
+        raise ConfigError(_OVERFLOW.format(cfg.alpha, f"M_disc at N = {N}"))
+    return d
 
 
 def _environment(alpha: float, k: int, rng: np.random.Generator) -> PolymerEnvironment:
     """PolymerEnvironment.sample, which rejects a charge weight T^(-1/alpha)
-    that underflows to 0, its only failure at a valid alpha."""
+    that underflows to 0 or overflows to inf, its only failures at a valid
+    alpha."""
     try:
-        return PolymerEnvironment.sample(alpha, k, rng)
+        with np.errstate(over="ignore"):
+            return PolymerEnvironment.sample(alpha, k, rng)
     except ValueError as exc:
-        raise ConfigError(f"{_UNDERFLOW.format(alpha)} ({exc})") from None
+        raise ConfigError(f"alpha = {alpha!r} is too small: a charge weight T^(-1/alpha) "
+                          f"underflows to 0 or overflows to inf ({exc})") from None
 
 
 def _binom_half_ppf(q: float, n: int) -> int:
@@ -401,7 +419,6 @@ def _slope_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 
 def _convergence_cells(cfg: ExperimentConfig) -> list[Cell]:
-    law = DisorderLaw(cfg.alpha)
     k = cfg.k_list[0]
     refs = {}  # replica -> continuum maximizer, which does not depend on N
 
@@ -413,7 +430,7 @@ def _convergence_cells(cfg: ExperimentConfig) -> list[Cell]:
                 Y[:k], _marks(T[:k], cfg.alpha), cfg.beta_hat, cfg.gamma, cfg.c
             )
             refs[r] = solve_dp(ref_land).maximizer
-        d = couple(law, T, Y, N)
+        d = _coupled(cfg, T, Y, N)
         land = EnergyLandscape.from_marks(d.Y_disc, d.M_disc, cfg.beta_hat, cfg.gamma, cfg.c)
         return hausdorff(solve_dp(land).maximizer, refs[r])
 
@@ -449,16 +466,12 @@ def _concentration_cells(cfg: ExperimentConfig) -> list[Cell]:
 
     def columns(N: int) -> list:
         rng_dis = substream(cfg.seed, "concentration", "disorder")
-        law = DisorderLaw(cfg.alpha)
         T, Y = draw_base(max(max(cfg.N_list), BUFFER_MIN), rng_dis)
-        d = couple(law, T, Y, N)
-        omega = np.zeros(N - 1)
-        slots = np.rint(d.Y_disc * N).astype(int)
-        omega[slots - 1] = d.M_disc * d.b_N
+        d = _coupled(cfg, T, Y, N)
         land = EnergyLandscape.from_marks(d.Y_disc, d.M_disc, cfg.beta_hat, cfg.gamma, cfg.c)
         ref = solve_dp(land).maximizer
         beta_bare = cfg.beta_hat * N**cfg.gamma / d.b_N
-        model = PinningModel(law=terminating, omega=omega, beta=beta_bare, N=N)
+        model = PinningModel(law=terminating, omega=d.omega, beta=beta_bare, N=N)
         est = concentration_probability(
             model, ref, cfg.delta, cfg.n_samples, substream(cfg.seed, "concentration", N)
         )

@@ -18,7 +18,7 @@ from .chain import chain_dp, check_method, enumerate_best, min_ratio
 
 ON_PATH_TOL = 1e-12
 
-ENUM_MAX = 20  # enumeration cap (oracle and threshold); the DP handles anything larger
+ENUM_MAX = 20  # enumeration cap of the oracles; the DP handles anything larger
 
 
 def binary_entropy_rate(x):
@@ -57,8 +57,9 @@ class PolymerEnvironment:
             raise ValueError(f"alpha must lie in (0,2), got {self.alpha}")
         if x.size and np.any(np.abs(y) > np.minimum(x, 1.0 - x)):
             raise ValueError("charges must lie in the diamond |y| <= min(x,1-x)")
-        if np.any(w <= 0.0) or (w.size > 1 and np.any(np.diff(w) >= 0.0)):
-            raise ValueError("weights must be positive and strictly decreasing")
+        if (np.any(w <= 0.0) or not np.all(np.isfinite(w))
+                or (w.size > 1 and np.any(np.diff(w) >= 0.0))):
+            raise ValueError("weights must be positive, finite and strictly decreasing")
         for a in (x, y, w):
             a.setflags(write=False)
         object.__setattr__(self, "x", x)
@@ -171,9 +172,12 @@ def _segment_entropy(dx, dy):
     return out
 
 
-def _segment_entropy_matrix(ex, ey) -> np.ndarray:
-    """Entropy cost between endpoint-augmented nodes; +inf where infeasible."""
-    return _segment_entropy(ex[None, :] - ex[:, None], ey[None, :] - ey[:, None])
+def _segment_entropy_matrix(ex, ey):
+    """Column accessor of the entropy cost between endpoint-augmented nodes,
+    +inf where infeasible: one table, row j holding column j, each sliced
+    once (every Dinkelbach step reads all of them)."""
+    table = _segment_entropy(ex[:, None] - ex[None, :], ey[:, None] - ey[None, :])
+    return [table[j, :j] for j in range(ex.size)].__getitem__
 
 
 def _solution(ex, ey, ws, beta, sel) -> tuple[PolymerPath, float]:
@@ -212,10 +216,10 @@ def polymer_beta_critical(env: PolymerEnvironment, method: str = "auto") -> floa
 
     min over feasible nonempty chains of path entropy / collected weight;
     0 as soon as a charge sits on the axis, +inf for an empty environment.
-    Ratio enumeration up to 20 charges; above that a parametric
-    (Dinkelbach) iteration on the chain DP lands on the minimizing ratio
-    exactly.  "bisect" is kept as a cross-check oracle: plain bisection on
-    the coupling via the chain DP, tolerance 1e-9.
+    A parametric (Dinkelbach) iteration on the chain DP lands on the
+    minimizing ratio exactly ("auto" and "parametric").  The oracles:
+    "enumerate" scans every chain (at most 20 charges), "bisect" halves the
+    coupling via the chain DP to tolerance 1e-9.
     """
     check_method(method)
     if env.size == 0:

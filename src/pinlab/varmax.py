@@ -42,8 +42,8 @@ class EnergyLandscape:
             raise ValueError("positions must lie strictly inside (0,1)")
         if pos.size > 1 and np.any(np.diff(pos) <= 0.0):
             raise ValueError("positions must be strictly increasing")
-        if np.any(w <= 0.0):
-            raise ValueError("weights must be positive")
+        if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
+            raise ValueError("weights must be positive and finite")
         if self.beta < 0.0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
         if not 0.0 < self.gamma < 1.0:
@@ -106,11 +106,15 @@ def _canonical_value(L: EnergyLandscape, idx) -> float:
     return L.beta * float(np.sum(L.weights[list(idx)])) - L.c_entropy * set_entropy(I, L.gamma)
 
 
-def _gap_powers(L: EnergyLandscape) -> np.ndarray:
-    """(m+2)x(m+2) matrix of (p_j - p_i)^gamma over endpoint-augmented nodes."""
+def _gap_powers(L: EnergyLandscape):
+    """Column accessor of the gap powers (p_j - p_i)^gamma, i < j, over the
+    endpoint-augmented nodes: one (m+2)^2 table, row j holding column j,
+    each sliced once (every Dinkelbach step reads all of them)."""
     ext = np.concatenate(([0.0], L.positions, [1.0]))
-    diff = ext[None, :] - ext[:, None]
-    return np.where(diff > 0.0, np.abs(diff) ** L.gamma, 0.0)
+    table = ext[:, None] - ext[None, :]
+    np.maximum(table, 0.0, out=table)  # the upper triangle is never read
+    table **= L.gamma
+    return [table[j, :j] for j in range(ext.size)].__getitem__
 
 
 def solve_bruteforce(L: EnergyLandscape) -> VarSolution:
@@ -165,9 +169,6 @@ def _prune(positions, weights, beta: float, gamma: float, c: float) -> np.ndarra
       is within (2m + 19) u P of the exact one.  G exceeds twice that, so
       every chain through a dropped point scores strictly below the same
       chain without them, in floats as in exact arithmetic.
-    - A ratio c * (C(S) - 1) / W(S) scanned by the enumeration is off by at
-      most (2m + 19) u P / W(S).  beta_critical explains why a gain of
-      three times that suffices.
     Ties keep a position, and an infinite or NaN bound (from an infinite
     weight) keeps every position.
     """
@@ -213,41 +214,25 @@ def beta_critical(positions, weights, gamma: float, c_entropy: float = 1.0,
     """Smallest coupling at which the maximizer leaves {0,1}.
 
     Equals min over nonempty subsets A of c * (E(Y_A) - 1) / sum of weights
-    in A; computed by exact ratio enumeration up to 25 positions and by the
-    parametric (Dinkelbach) DP iteration above that.  "bisect" is kept as a
-    cross-check oracle: plain bisection on the coupling via the chain DP
-    over all positions, tolerance 1e-9, about 10x more DP solves.  Returns
-    +inf for an empty landscape.
+    in A, computed by the parametric (Dinkelbach) DP iteration ("auto" and
+    "parametric").  The oracles run over all positions: "enumerate" scans
+    every subset (at most 25 positions), "bisect" halves the coupling via
+    the chain DP to tolerance 1e-9.  Returns +inf for an empty landscape.
 
-    The enumerate and parametric branches run on the positions that _prune
-    keeps at beta0, the best single-point ratio, and return the same float
-    as over all positions.  The branch and the 25-point cap follow the full
-    count.  beta0 is computed with the arithmetic of the threshold's own
-    single-point bound, so the point p0 attaining it survives (its computed
-    gain is at most 77u P, below the margin).
-    - Parametric: Dinkelbach starts at beta0 and solves the DP only at
-      couplings at or below it.  At each, every chain through a dropped
-      point scores below a kept chain (see _prune), so the DP over the
-      survivors selects the same chain with the same sums.
-    - Enumerate: a chain whose computed ratio is at least beta0 does no
-      better than {p0}.  Take a chain S through dropped points with a computed ratio
-      below beta0, let S' be S without them, and h(b) the exact gain in
-      score of S' over S at coupling b, at least the smallest gain G at
-      b = beta0 and linear in b.  The exact ratio r of S lies below beta0
-      plus its error, so h(r) >= G - (2m + 19) u P > 0, which rules out an
-      empty S' (there h(r) = 0).  Then
-      W(S') * (r(S) - r(S')) = h(r) > 2 (2m + 19) u P, more than the two
-      ratios' errors: S' computes a smaller ratio than S does.  Hence the
-      least computed ratio is attained by a chain of survivors.
+    The iteration runs on the positions that _prune keeps at beta0, the
+    best single-point ratio, and returns the same float as over all
+    positions.  beta0 is computed with the arithmetic of the threshold's own
+    single-point bound, so the point attaining it survives (its computed
+    gain is at most 77u P, below the margin).  Dinkelbach starts at beta0
+    and solves the DP only at couplings at or below it.  At each, every
+    chain through a dropped point scores below a kept chain (see _prune), so
+    the DP over the survivors selects the same chain with the same sums.
     """
     check_method(method)
     L = EnergyLandscape.from_marks(positions, weights, 0.0, gamma, c_entropy)
-    m = L.size
-    if m == 0:
+    if L.size == 0:
         return math.inf
-    if method == "auto":
-        method = "enumerate" if m <= BRUTEFORCE_MAX else "parametric"
-    if method == "parametric" or (method == "enumerate" and m <= BRUTEFORCE_MAX):
+    if method in ("auto", "parametric"):
         p, w = L.positions, L.weights
         # min_ratio's single-point bound, with the same floats
         beta0 = float((c_entropy * (p**gamma + (1.0 - p) ** gamma - 1.0) / w).min())

@@ -104,11 +104,8 @@ def _gibbs_instance(N: int):
     law = tilt(build_law(0.5, 1.0, 0.0, 0.0, n_max=2000), 4.0)
     dlaw = DisorderLaw(0.5)
     d = sample_coupled(dlaw, N, substream(99, "acc3", N))
-    omega = np.zeros(N - 1)
-    slots = np.rint(d.Y_disc * N).astype(int)
-    omega[slots - 1] = d.M_disc * d.b_N
     beta = 10.0 * N**0.5 / d.b_N
-    return PinningModel(law=law, omega=omega, beta=beta, N=N)
+    return PinningModel(law=law, omega=d.omega, beta=beta, N=N)
 
 
 def test_criterion_03_gibbs_exactness():

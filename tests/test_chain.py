@@ -9,7 +9,7 @@ import pinlab.chain as chain
 import pinlab.polymer as polymer
 import pinlab.varmax as varmax
 from pinlab.chain import chain_dp, enumerate_best
-from pinlab.disorder import draw_base
+from pinlab.disorder import BUFFER_MIN, draw_base
 from pinlab.polymer import (
     PolymerEnvironment,
     _segment_entropy_matrix,
@@ -79,11 +79,11 @@ def test_dp_tie_breaks_match_enumeration_pinning(half, beta, gamma):
     pos = np.concatenate([p, 1.0 - p[::-1]])
     w = np.ones(pos.size)
     L = EnergyLandscape(pos, w, beta, gamma)
-    cost = _gap_powers(L)
-    best = chain_dp(w, beta, lambda j: cost[:j, j])
-    assert best == enumerate_best(w, beta, cost)
+    column = _gap_powers(L)
+    best = chain_dp(w, beta, column)
+    assert best == enumerate_best(w, beta, column)
     assert solve_dp(L).selected == best  # on the pruned candidates
-    assert beta_critical(pos, w, gamma) == chain.min_ratio(w, cost, 1.0, "enumerate", 25)
+    assert beta_critical(pos, w, gamma) == chain.min_ratio(w, column, 1.0, "enumerate", 25)
 
 
 @given(
@@ -100,8 +100,8 @@ def test_dp_tie_breaks_match_enumeration_polymer(xs, frac, beta):
     ex = np.concatenate(([0.0], np.repeat(x, 2), [1.0]))
     ey = np.concatenate(([0.0], np.column_stack([-y, y]).ravel(), [0.0]))
     w = np.ones(2 * x.size)
-    cost = _segment_entropy_matrix(ex, ey)
-    assert chain_dp(w, beta, lambda j: cost[:j, j]) == enumerate_best(w, beta, cost)
+    column = _segment_entropy_matrix(ex, ey)
+    assert chain_dp(w, beta, column) == enumerate_best(w, beta, column)
 
 
 def test_equal_length_ties_prefer_the_smallest_last_point():
@@ -113,7 +113,7 @@ def test_equal_length_ties_prefer_the_smallest_last_point():
     cost[0, 5] = 1.0
     w = np.ones(4)
     assert chain_dp(w, 1.0, lambda j: cost[:j, j]) == (1, 2)
-    assert enumerate_best(w, 1.0, cost) == (1, 2)
+    assert enumerate_best(w, 1.0, lambda j: cost[:j, j]) == (1, 2)
 
 
 @given(
@@ -130,7 +130,8 @@ def test_dp_tie_breaks_match_enumeration_exact_costs(m, beta, data):
     flat = data.draw(st.lists(entries, min_size=(m + 2) ** 2, max_size=(m + 2) ** 2))
     cost = np.array(flat).reshape(m + 2, m + 2)
     cost[0, m + 1] = 2.0  # the empty chain stays feasible
-    assert chain_dp(w, beta, lambda j: cost[:j, j]) == enumerate_best(w, beta, cost)
+    column = lambda j: cost[:j, j]  # noqa: E731
+    assert chain_dp(w, beta, column) == enumerate_best(w, beta, column)
 
 
 @given(
@@ -148,9 +149,9 @@ def test_dp_and_enumeration_agree_at_the_critical_coupling(half, weights):
     wh = np.array(weights[: p.size], dtype=float)
     w = np.concatenate([wh, wh[::-1]])
     L = EnergyLandscape(pos, w, beta_critical(pos, w, 0.5), 0.5)
-    cost = _gap_powers(L)
-    assert L.beta == chain.min_ratio(w, cost, 1.0, "enumerate", 25)  # unpruned
-    assert chain_dp(w, L.beta, lambda j: cost[:j, j]) == enumerate_best(w, L.beta, cost)
+    column = _gap_powers(L)
+    assert L.beta == chain.min_ratio(w, column, 1.0, "enumerate", 25)  # unpruned
+    assert chain_dp(w, L.beta, column) == enumerate_best(w, L.beta, column)
     assert solve_dp(L).selected == solve_bruteforce(L).selected
 
 
@@ -177,7 +178,8 @@ def test_argmax_sums_on_transposed_costs_match_strided_columns(m, beta, c, inf_s
     cost = rng.random((m + 2, m + 2))
     cost[rng.random(cost.shape) < inf_share] = np.inf
     cost[0, m + 1] = 1.0
-    got = chain._argmax_sums(w, beta, np.ascontiguousarray(cost.T), c)
+    costT = np.ascontiguousarray(cost.T)  # row j holds column j, as the cost tables do
+    got = chain._argmax_sums(w, beta, lambda j: costT[j, :j], c)
     assert got == _argmax_sums_strided(w, beta, cost, c)
 
 
@@ -217,3 +219,64 @@ def test_unknown_method_is_rejected_before_any_cost_is_built(monkeypatch):
     env = PolymerEnvironment.sample(0.8, 64, substream(5, "bogus"))
     with pytest.raises(ValueError, match="unknown method 'bogus'"):
         polymer_beta_critical(env, method="bogus")
+
+
+def test_auto_equals_enumeration_at_the_benchmark_pinning_draws():
+    # the chain-thresholds benchmark's threshold-pinning draws (alpha = gamma
+    # = 0.5, one base of BUFFER_MIN per replica).  k = 16: 50 replicas of
+    # seeds 1-5; k = 25, where one unpruned enumeration scans 2^25 subsets
+    # (about 0.5 CPU s on one core), the first and last replica of each seed,
+    # as the benchmark's own check takes them
+    for seed in range(1, 6):
+        for r in range(50):
+            T, Y = draw_base(BUFFER_MIN, substream(seed, "threshold-pinning", r))
+            for k in (16, 25) if r in (0, 49) else (16,):
+                w = T[:k] ** -2.0
+                assert beta_critical(Y[:k], w, 0.5) == beta_critical(
+                    Y[:k], w, 0.5, method="enumerate"), (seed, r, k)
+
+
+def test_auto_equals_enumeration_at_small_polymer_draws():
+    # environments drawn as the threshold-polymer runner draws them, at the
+    # chain-thresholds benchmark's alpha = 0.8, truncated to k <= 20
+    for seed in range(1, 6):
+        for r in range(50):
+            env = PolymerEnvironment.sample(0.8, 20, substream(seed, "threshold-polymer", r))
+            for k in (5, 10, 20):
+                sub = env.truncate(k)
+                assert polymer_beta_critical(sub) == polymer_beta_critical(
+                    sub, method="enumerate"), (seed, r, k)
+
+
+def _lazy_columns(module, solve):
+    # every column that module's solver hands chain_dp
+    seen = []
+
+    def spy(w, beta, column, c=1.0):
+        seen.extend(column(j) for j in range(1, w.size + 2))
+        return ()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "chain_dp", spy)
+        solve()
+    return seen
+
+
+@given(m=st.integers(0, 40), gamma=st.sampled_from((0.25, 0.5, 0.75, 0.8)),
+       alpha=st.sampled_from((0.3, 0.8, 1.5)), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_cost_tables_match_the_lazy_columns(m, gamma, alpha, seed):
+    # the tables of the oracles and thresholds against the columns solve_dp
+    # and solve_polymer compute one at a time, byte for byte; at this beta
+    # _prune keeps every position
+    rng = np.random.default_rng(seed)
+    T, Y = draw_base(m, rng)
+    L = EnergyLandscape.from_marks(Y, T**-2.0, 1e6, gamma)
+    column = _gap_powers(L)
+    lazy = _lazy_columns(varmax, lambda: solve_dp(L))
+    assert [c.tobytes() for c in lazy] == [column(j).tobytes() for j in range(1, m + 2)]
+    env = PolymerEnvironment.sample(alpha, m, rng)
+    ex, ey, _ = polymer._sorted_nodes(env)
+    column = _segment_entropy_matrix(ex, ey)
+    lazy = _lazy_columns(polymer, lambda: polymer.solve_polymer(env, 1.0))
+    assert [c.tobytes() for c in lazy] == [column(j).tobytes() for j in range(1, m + 2)]

@@ -80,6 +80,16 @@ def test_coupled_structure():
         sample_coupled(law, N=1, rng=rng)
 
 
+
+def test_site_disorder_holds_each_maximum_at_its_slot():
+    # omega is what the Gibbs callers built from the grid positions before
+    for N in (2, 3, 64, 1000):
+        d = sample_coupled(DisorderLaw(0.5), N, np.random.default_rng(N))
+        assert np.array_equal(d.Y_disc, d.slots / float(N))
+        want = np.zeros(N - 1)
+        want[np.rint(d.Y_disc * N).astype(int) - 1] = d.M_disc * d.b_N
+        assert d.omega.tobytes() == want.tobytes()
+
 def test_grid_snap_is_nearest_when_free():
     law = DisorderLaw(0.5)
     T = np.arange(1.0, 9.0)
@@ -165,7 +175,7 @@ def test_truncation_residual_examples():
     fake = CoupledDisorder(
         law=law, N=5, T=np.arange(1.0, 6.0), M_inf=np.arange(1.0, 6.0) ** -2,
         Y_inf=np.linspace(0.1, 0.9, 5), M_disc=np.array([3.0, 2.0, 1.0, 0.5]),
-        Y_disc=np.array([0.2, 0.4, 0.6, 0.8]), b_N=25.0,
+        Y_disc=np.array([0.2, 0.4, 0.6, 0.8]), slots=np.array([1, 2, 3, 4]), b_N=25.0,
     )
     assert truncation_residual(fake, 2) == pytest.approx(1.5)
     assert truncation_residual(fake, 4) == 0.0

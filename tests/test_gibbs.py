@@ -45,11 +45,8 @@ def term(law):
 def _disordered_model(law, N, beta_hat=1.0, seed=17):
     dlaw = DisorderLaw(0.5)
     d = sample_coupled(dlaw, N, substream(seed, "gibbs-test"))
-    omega = np.zeros(N - 1)
-    slots = np.rint(d.Y_disc * N).astype(int)
-    omega[slots - 1] = d.M_disc * d.b_N
     beta = beta_hat * N**0.5 / d.b_N
-    return PinningModel(law=law, omega=omega, beta=beta, N=N), d
+    return PinningModel(law=law, omega=d.omega, beta=beta, N=N), d
 
 
 def test_partition_two_paths(term):

@@ -396,6 +396,24 @@ def test_weights_that_underflow_exit_2(tmp_path, capsys, data):
         assert "Traceback" not in err
 
 
+
+@pytest.mark.parametrize("data", [
+    {"experiment": "threshold-pinning", "k_list": [8], "replicas": 2000, "seed": 1},
+    {"experiment": "convergence", "N_list": [64, 1024], "k_list": [64], "replicas": 3},
+    {"experiment": "threshold-polymer", "k_list": [8], "replicas": 900, "seed": 2},
+], ids=["threshold-pinning", "convergence", "threshold-polymer"])
+def test_weights_that_overflow_exit_2(tmp_path, capsys, data):
+    # at alpha = 0.01 a weight T^(-1/alpha) overflows to inf once T < 8.3e-4
+    # (one of the replicas here), and the rescaled maximum M_disc at N = 1024
+    # once T_i < 0.85 T_1023 (convergence); an infinite weight would give
+    # beta_c = 0 or a landscape of inf maxima
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(data, alpha=0.01, out_dir=str(tmp_path / "out"))))
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: alpha = 0.01 is too small" in err and "overflows to inf" in err, err
+    assert "Traceback" not in err
+
 def _strict_json(text):
     def reject(constant):
         raise ValueError(f"{constant} is not JSON")

@@ -3,10 +3,13 @@ workloads run pinlab configs; keep both valid."""
 
 import importlib
 import importlib.util
+import math
+import re
 from pathlib import Path
 
 import pytest
 
+from pinlab.chain import METHODS
 from pinlab.harness import config_from_mapping
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -48,3 +51,19 @@ def test_every_workload_config_validates(seed):
     for workload in run.WORKLOADS:
         for data in run.workload_configs(workload, seed):
             config_from_mapping(dict(data, out_dir="out"))
+
+
+def test_rederive_runs_every_method_the_check_passes():
+    # child.rederive recomputes threshold cells through the public API, by
+    # the default method and by every method name check_thresholds passes
+    child = _load("child")
+    source = (PERFBENCH / "child.py").read_text(encoding="utf-8")
+    methods = {"auto", *re.findall(r'rederive\(cfg, k, r, "(\w+)"\)', source)}
+    assert methods <= set(METHODS) and len(methods) > 1, methods
+    for data in ({"experiment": "threshold-pinning", "k_list": [8, 16], "replicas": 2, "seed": 3},
+                 {"experiment": "threshold-polymer", "k_list": [8, 16], "replicas": 2, "seed": 3}):
+        cfg = config_from_mapping(dict(data, out_dir="out"))
+        for method in sorted(methods):
+            for k in cfg.k_list:
+                value = child.rederive(cfg, k, 1, method)
+                assert math.isfinite(value) and value >= 0.0, (data["experiment"], method, k)

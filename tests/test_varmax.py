@@ -253,8 +253,7 @@ def test_landscape_validation():
 
 
 def _full_dp(L):
-    cost = _gap_powers(L)
-    return chain_dp(L.weights, L.beta, lambda j: cost[:j, j], L.c_entropy)
+    return chain_dp(L.weights, L.beta, _gap_powers(L), L.c_entropy)
 
 
 def _full_threshold(L, method="auto"):
@@ -330,15 +329,16 @@ def test_pruned_beta_critical_matches_full_threshold(m, alpha, gamma, c, flat, s
 def test_branch_follows_the_full_count():
     # {0.45} and {0.45, 0.55} have the same exact ratio at this w2, and the
     # enumeration and the parametric iteration round that tie to different
-    # floats.  24 light points bring m to 26; pruning leaves the heavy two,
-    # so a branch chosen from the survivors would enumerate
+    # floats.  "auto" is the parametric iteration at every count, and the
+    # enumeration's float stays reachable by name.  24 light points bring m
+    # to 26, and pruning leaves the heavy two
     w2 = 0.5950639282703815
     heavy = EnergyLandscape(np.array([0.45, 0.55]), np.array([1.0, w2]), 0.0, 0.5)
-    cost = _gap_powers(heavy)
-    enum = min_ratio(heavy.weights, cost, 1.0, "enumerate", BRUTEFORCE_MAX)
-    par = min_ratio(heavy.weights, cost, 1.0, "parametric", BRUTEFORCE_MAX)
+    enum = beta_critical(heavy.positions, heavy.weights, 0.5, method="enumerate")
+    par = beta_critical(heavy.positions, heavy.weights, 0.5, method="parametric")
     assert enum != par
-    assert beta_critical(heavy.positions, heavy.weights, 0.5) == enum
+    assert enum == _full_threshold(heavy, "enumerate")
+    assert beta_critical(heavy.positions, heavy.weights, 0.5) == par
     light = np.linspace(0.02, 0.98, 24)
     L = EnergyLandscape.from_marks(np.concatenate(([0.45, 0.55], light)),
                                    np.concatenate(([1.0, w2], np.full(24, 1e-9))), 0.0, 0.5)
@@ -372,25 +372,15 @@ def test_pruning_margin_where_the_entropy_gain_cancels(log_a, ulps, t, gamma, be
     assert solve_dp(L).selected == _full_dp(L)
 
 
-def _gap_powers_in_one_buffer(L):
-    # _gap_powers(L) built in place, as the transpose of a C-ordered array,
-    # so that min_ratio's contiguous transpose is a view: one (m+2)^2 buffer
-    ext = np.concatenate(([0.0], L.positions, [1.0]))
-    costT = ext[:, None] - ext[None, :]
-    np.maximum(costT, 0.0, out=costT)
-    costT **= L.gamma
-    return costT.T
-
-
 def test_threshold_at_large_k():
     """beta_c^(k) for k = 512, 10^4, 10^5 on one base per replica, drawn as
     the threshold-pinning runner draws it, over the nine (alpha, gamma) of
     criterion 6; then the pruned threshold at m = 4096 against the unpruned
-    parametric iteration on the full gap-power matrix.
+    parametric iteration on the full gap-power table.
 
-    Measured: 2.8 s on 2 cores (Python 3.11, numpy 2.4), about 1 s of it in
-    the three unpruned m = 4096 thresholds; the process peaks at 230 MB.  The
-    full-matrix parametric iteration at m = 10^5 would need 80 GB."""
+    Measured: 3.2 s on 2 cores (Python 3.11, numpy 2.4); the process peaks
+    at 190 MB.  The full-table parametric iteration at m = 10^5 would need
+    80 GB."""
     R = 20
     ks = (512, 10_000, 100_000)
     for r in range(R):
@@ -403,12 +393,9 @@ def test_threshold_at_large_k():
                     # a longer prefix only adds chains, so the minimum ratio can only fall
                     assert 0.0 < bc <= prev * (1.0 + 1e-12)
                     prev = bc
-    T, Y = draw_base(300, np.random.default_rng(0))
-    small = EnergyLandscape.from_marks(Y, T ** -2.0, 0.0, 0.8)
-    assert np.array_equal(_gap_powers_in_one_buffer(small), _gap_powers(small))
     for r in range(3):
         T, Y = draw_base(4096, substream(6, "threshold-pinning", r))
         w = T ** -2.0
         L = EnergyLandscape.from_marks(Y, w, 0.0, 0.5)
-        full = min_ratio(L.weights, _gap_powers_in_one_buffer(L), 1.0, "parametric", BRUTEFORCE_MAX)
+        full = min_ratio(L.weights, _gap_powers(L), 1.0, "parametric", BRUTEFORCE_MAX)
         assert beta_critical(Y, w, 0.5) == full
