@@ -24,10 +24,13 @@ BISECT_TOL = 1e-9
 METHODS = ("auto", "enumerate", "parametric", "bisect")
 
 
-def check_method(method: str) -> None:
-    """Reject an unknown threshold method, before any cost table is built."""
+def check_method(method: str, size: int, enum_max: int) -> None:
+    """Reject an unknown threshold method, and an enumeration over more than
+    enum_max points, before any cost table is built."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
+    if method == "enumerate" and size > enum_max:
+        raise ValueError(f"enumeration capped at {enum_max} points")
 
 
 def chain_dp(w, beta: float, column, c: float = 1.0) -> tuple[int, ...]:
@@ -139,16 +142,14 @@ def min_ratio(w, column, c: float, method: str, enum_max: int) -> float:
     chain (at most enum_max points); "bisect" halves the coupling until the
     tie-breaking DP's verdict (empty or not) is pinned to BISECT_TOL.
     """
-    check_method(method)
     m = w.size
+    check_method(method, m, enum_max)
     last = column(m + 1)
     base = last[0]
     # each single point bounds the threshold from above
     opening = np.array([column(j)[0] for j in range(1, m + 1)])
     single = c * (opening + last[1:] - base) / w
     if method == "enumerate":
-        if m > enum_max:
-            raise ValueError(f"enumeration capped at {enum_max} points")
         best = math.inf
         for first, wsum, csum, _ in _subsets(w, column):
             skip = 1 if first == 0 else 0  # the empty chain has no ratio

@@ -37,9 +37,7 @@ from .gibbs import PinningModel, concentration_probability
 from .polymer import PolymerEnvironment, polymer_beta_critical
 from .renewal import build_law, ratio_table, tilt
 from .streams import substream
-from .subordinator import (
-    MarkedPointSet, band_process, edge_evaluator, edge_jump_times, growth_check,
-)
+from .subordinator import MarkedPointSet, band_process, growth_check
 from .varmax import EnergyLandscape, beta_critical, solve_dp
 
 log = logging.getLogger(__name__)
@@ -71,7 +69,6 @@ class ExperimentConfig:
     q: float = 1.5
     t_lo: float = 1e-4
     t_hi: float = 1e-1
-    t_points: int = 40
 
     def __post_init__(self):
         # -0.0 reads as 0.0 everywhere but in json.dumps, which would key it apart
@@ -95,7 +92,7 @@ class ExperimentConfig:
         for key, kind in kinds.items():
             if kind is float and not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite, got {getattr(self, key)!r}")
-        # an unread field keeps its default, as repr writes it, so it cannot move _config_key
+        # an unread field keeps its default, as repr writes it: _config_key does not hash it
         default = ExperimentConfig(self.experiment).with_defaults()
         for key in sorted(kinds.keys() - {*SPECS[self.experiment].keys, "seed", "out_dir"}):
             want = getattr(default, key)
@@ -145,13 +142,11 @@ class ExperimentConfig:
         if self.experiment == "renewal-asymptotics" and self.n_eval + 1 > self.n_max:
             raise ConfigError("renewal.subexp_diagnostics requires n_eval + 1 <= n_max")
         if self.experiment == "subordinator-growth":
-            if not 0.0 < self.t_lo <= self.t_hi:
-                raise ConfigError("subordinator.growth_check requires 0 < t_lo <= t_hi")
-            try:
-                for grid in _growth_grids(self):
-                    growth_check(lambda t: 0.0, self.alpha, self.q, grid)
+            try:  # no marks: this checks only q, t_lo, t_hi and the envelope
+                growth_check(MarkedPointSet(np.empty(0), np.empty(0)),
+                             self.alpha, self.q, self.t_lo, self.t_hi)
             except ValueError as exc:
-                raise ConfigError(f"subordinator.growth_check rejected the grids: {exc}") from exc
+                raise ConfigError(f"subordinator.growth_check rejected the config: {exc}") from exc
         if self.experiment in ("renewal-asymptotics", "concentration"):
             try:
                 _renewal_law(self)
@@ -579,26 +574,18 @@ def _renewal_summary(cfg: ExperimentConfig, tables: list[dict]) -> dict:
     }
 
 
-def _growth_grids(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
-    """subordinator-growth's coarse grid and the one ten times finer."""
-    return (np.geomspace(cfg.t_lo, cfg.t_hi, cfg.t_points),
-            np.geomspace(cfg.t_lo, cfg.t_hi, cfg.t_points * 10))
-
-
 def _subordinator_cells(cfg: ExperimentConfig) -> list[Cell]:
+    """sup_coarse and sup_fine both hold the growth supremum over
+    [t_lo, t_hi]; the header stays as readers of the cell format pin it."""
     k = cfg.k_list[0]
-    coarse, fine = _growth_grids(cfg)
     inc_ts = (0.0, 1.0 / 16.0, 1.0 / 8.0)
     s = 1.0 / 32.0
 
     def one(r: int) -> list:
         rng = substream(cfg.seed, "subordinator-growth", r)
         T, Y = draw_base(k, rng)
-        mps = MarkedPointSet(_marks(T, cfg.alpha), Y)
-        jumps = edge_jump_times(mps)
-        ev = edge_evaluator(mps)  # shared by both grids
-        sup_c = growth_check(ev, cfg.alpha, cfg.q, coarse, jumps)
-        sup_f = growth_check(ev, cfg.alpha, cfg.q, fine, jumps)
+        sup = growth_check(MarkedPointSet(_marks(T, cfg.alpha), Y),
+                           cfg.alpha, cfg.q, cfg.t_lo, cfg.t_hi)
         env = _environment(cfg.alpha, k, substream(cfg.seed, "subordinator-band", r))
         wu_min = math.inf
         for t in np.linspace(0.0, 0.25, 11):
@@ -609,7 +596,7 @@ def _subordinator_cells(cfg: ExperimentConfig) -> list[Cell]:
             _, w1 = band_process(env, t0 + s)
             _, w0 = band_process(env, t0)
             incs.append(w1 - w0)
-        return [r, sup_c, sup_f, wu_min] + incs
+        return [r, sup, sup, wu_min] + incs
 
     header = ["replica", "sup_coarse", "sup_fine", "min_w_minus_u", "inc0", "inc1", "inc2"]
     return [Cell("subordinator_growth.csv", header, cfg.replicas,
@@ -618,8 +605,6 @@ def _subordinator_cells(cfg: ExperimentConfig) -> list[Cell]:
 
 def _subordinator_summary(cfg: ExperimentConfig, tables: list[dict]) -> dict:
     (t,) = tables
-    p95_c = float(np.percentile(t["sup_coarse"], 95))
-    p95_f = float(np.percentile(t["sup_fine"], 95))
     homo = {}
     ok3 = True
     for (i, j) in ((0, 1), (0, 2), (1, 2)):
@@ -629,9 +614,7 @@ def _subordinator_summary(cfg: ExperimentConfig, tables: list[dict]) -> dict:
         homo[f"t{i}_vs_t{j}"] = {"mean_diff": float(np.mean(dvals)), "se": se, "z": z}
         ok3 &= abs(z) <= 3.0
     return {
-        "p95_coarse": p95_c,
-        "p95_fine": p95_f,
-        "refinement_ratio": p95_f / p95_c if p95_c > 0 else None,
+        "p95_coarse": float(np.percentile(t["sup_coarse"], 95)),
         "w_ge_u_ok": bool(np.all(t["min_w_minus_u"] >= 0.0)),
         "homogeneity": homo,
         "homogeneity_ok_3sigma": ok3,
@@ -667,22 +650,21 @@ SPECS = {
     "subordinator-growth": Spec(
         "growth envelopes and band-process checks",
         {"k_list": (1000,), "replicas": 1000},
-        ("alpha", "k_list", "q", "replicas", "t_hi", "t_lo", "t_points"),
-        _subordinator_cells, _subordinator_summary),
+        ("alpha", "k_list", "q", "replicas", "t_hi", "t_lo"),
+        _subordinator_cells, _subordinator_summary, schema=1),
 }
 EXPERIMENTS = tuple(SPECS)
 
 
 def _config_key(cfg: ExperimentConfig) -> str:
-    """Cells are keyed by everything but out_dir, so one directory can hold
-    runs of several configs without stale-cell contamination, and by the
-    experiment's schema version, so cells written by older code are not
-    reused.  Version 0 adds nothing to the key, which keeps the directory
-    names from before versions existed."""
-    d = dataclasses.asdict(cfg)
-    d.pop("out_dir")
-    if SPECS[cfg.experiment].schema:
-        d["schema"] = SPECS[cfg.experiment].schema
+    """Cells are keyed by the experiment, the seed and the keys it reads
+    (validate holds every other field at its default), so one directory can
+    hold runs of several configs without stale-cell contamination, and by
+    the experiment's schema version, so cells written by older code are not
+    reused."""
+    spec = SPECS[cfg.experiment]
+    d = {key: getattr(cfg, key) for key in ("experiment", "seed", *spec.keys)}
+    d["schema"] = spec.schema
     return hashlib.sha1(json.dumps(d, sort_keys=True).encode()).hexdigest()[:12]
 
 

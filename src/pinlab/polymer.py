@@ -221,7 +221,7 @@ def polymer_beta_critical(env: PolymerEnvironment, method: str = "auto") -> floa
     "enumerate" scans every chain (at most 20 charges), "bisect" halves the
     coupling via the chain DP to tolerance 1e-9.
     """
-    check_method(method)
+    check_method(method, env.size, ENUM_MAX)
     if env.size == 0:
         return math.inf
     if np.any(np.abs(env.y) <= ON_PATH_TOL):

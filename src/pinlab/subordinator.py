@@ -45,34 +45,14 @@ class MarkedPointSet:
 def edge_process(points: MarkedPointSet, t: float) -> float:
     """Mark mass within distance t of either endpoint of [0,1].
 
-    Non-decreasing and right-continuous in t; at t = 1/2 it is the full sum.
+    Non-decreasing and right-continuous in t, jumping at the edge distances
+    min(y, 1 - y) (computed exactly: 1 - y is exact for y in [1/2, 1]); at
+    t = 1/2 it is the full sum.
     """
     if not 0.0 <= t <= 0.5:
         raise ValueError(f"t must lie in [0, 1/2], got {t}")
     loc = points.locations
-    inside = (loc <= t) | (loc >= 1.0 - t)
-    return float(np.sum(points.marks[inside]))
-
-
-def edge_evaluator(points: MarkedPointSet):
-    """t -> edge_process(points, t), evaluated once per distinct edge set.
-
-    The set (loc <= t) | (loc >= 1 - t) is fixed by two counts over the
-    sorted locations, those <= t and those < 1 - t; equal counts select
-    the same marks in the same order, so the memoized sum is the same float.
-    """
-    loc = np.sort(points.locations)
-    memo = {}
-
-    def evaluate(t: float) -> float:
-        if not 0.0 <= t <= 0.5:
-            raise ValueError(f"t must lie in [0, 1/2], got {t}")
-        key = (int(loc.searchsorted(t, "right")), int(loc.searchsorted(1.0 - t, "left")))
-        if key not in memo:
-            memo[key] = edge_process(points, t)
-        return memo[key]
-
-    return evaluate
+    return float(np.sum(points.marks[np.minimum(loc, 1.0 - loc) <= t]))
 
 
 def edge_jump_times(points: MarkedPointSet) -> np.ndarray:
@@ -81,35 +61,47 @@ def edge_jump_times(points: MarkedPointSet) -> np.ndarray:
     return np.sort(np.minimum(loc, 1.0 - loc))
 
 
-def growth_check(evaluator, alpha: float, q: float, t_grid,
-                 jump_times=()) -> float:
-    """sup over the grid of X_t / h(t), h(t) = t^(1/alpha) log^(q/alpha)(1/t).
+def growth_check(points: MarkedPointSet, alpha: float, q: float,
+                 t_lo: float, t_hi: float) -> float:
+    """sup over [t_lo, t_hi] of X_t / h(t), X the edge process of points and
+    h(t) = t^(1/alpha) log^(q/alpha)(1/t).
 
-    Known jump times inside the grid range are added automatically, which
-    makes this the supremum over all of [min, max] of the grid: h rises up to
-    t = e^(-q) and falls after it (on all of (0, 0.1] only if q <= ln 10), so
-    on each stretch where X is constant, X/h is largest at an end of the
-    stretch, a jump time or a grid end, and X does not fall at a jump.  Grids
-    with the same ends give the same value.  Raises ValueError where h is 0
+    X is the cumulative sum of the marks sorted by edge distance, so one
+    sort and one cumsum give it at every jump time.  h rises up to
+    t = e^(-q) and falls after it (on all of (0, 0.1] only if q <= ln 10),
+    so on each stretch where X is constant, X/h is largest at an end of the
+    stretch, a jump time or t_lo or t_hi, and X does not fall at a jump: the
+    largest ratio over those points is the supremum over all of
+    [t_lo, t_hi].  Marks at one distance share the jump time, and the last
+    partial sum among them, the largest, is X there.  For the same reason
+    h on [t_lo, t_hi] lies between its values at the ends and at its peak
+    min(max(e^(-q), t_lo), t_hi); raises ValueError where one of those is 0
     or not finite.
     """
     if q <= 1.0:
         raise ValueError(f"q must exceed 1, got {q}")
-    ts = np.asarray(t_grid, dtype=float)
-    if ts.size == 0:
-        raise ValueError("t_grid must be nonempty")
-    if np.any(ts <= 0.0) or np.any(ts > 0.1):
-        raise ValueError("t_grid must lie in (0, 0.1]")
-    jumps = np.asarray(jump_times, dtype=float)
-    if jumps.size:
-        inside = jumps[(jumps >= ts.min()) & (jumps <= ts.max())]
-        ts = np.unique(np.concatenate([ts, inside]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = ts ** (1.0 / alpha) * np.log(1.0 / ts) ** (q / alpha)
+    if not 0.0 < t_lo <= t_hi <= 0.1:
+        raise ValueError(f"need 0 < t_lo <= t_hi <= 0.1, got t_lo={t_lo}, t_hi={t_hi}")
+    peak = min(max(math.exp(-q), t_lo), t_hi)
+    h = _envelope(np.array([t_lo, peak, t_hi]), alpha, q)
     if not np.all((h > 0.0) & np.isfinite(h)):
-        raise ValueError(f"envelope at alpha={alpha}, q={q} is 0 or not finite on the grid")
-    ratios = [evaluator(float(t)) / ht for t, ht in zip(ts, h)]
-    return float(max(ratios))
+        raise ValueError(f"envelope at alpha={alpha}, q={q} is 0 or not finite "
+                         f"on [{t_lo}, {t_hi}]")
+    loc = points.locations
+    dist = np.minimum(loc, 1.0 - loc)
+    order = np.argsort(dist, kind="stable")
+    ts = dist[order]
+    X = np.cumsum(np.concatenate(([0.0], points.marks[order])))  # X[i]: the i nearest marks
+    lo, hi = ts.searchsorted(t_lo, "right"), ts.searchsorted(t_hi, "right")
+    # X at t_lo, at each jump time in (t_lo, t_hi], and at t_hi
+    at = np.concatenate(([t_lo], ts[lo:hi], [t_hi]))
+    return float((np.append(X[lo:hi + 1], X[hi]) / _envelope(at, alpha, q)).max())
+
+
+def _envelope(ts: np.ndarray, alpha: float, q: float) -> np.ndarray:
+    """h(t) = t^(1/alpha) log^(q/alpha)(1/t), 0 or inf where it under- or overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ts ** (1.0 / alpha) * np.log(1.0 / ts) ** (q / alpha)
 
 
 def band_area_phi(t: float) -> float:

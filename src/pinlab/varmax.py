@@ -228,7 +228,7 @@ def beta_critical(positions, weights, gamma: float, c_entropy: float = 1.0,
     chain through a dropped point scores below a kept chain (see _prune), so
     the DP over the survivors selects the same chain with the same sums.
     """
-    check_method(method)
+    check_method(method, np.size(positions), BRUTEFORCE_MAX)
     L = EnergyLandscape.from_marks(positions, weights, 0.0, gamma, c_entropy)
     if L.size == 0:
         return math.inf

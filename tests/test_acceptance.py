@@ -24,6 +24,7 @@ from pinlab.harness import ExperimentConfig, run_experiment
 from pinlab.polymer import binary_entropy_rate, tent_entropy
 from pinlab.renewal import build_law, tilt
 from pinlab.streams import substream
+from pinlab.subordinator import MarkedPointSet
 from pinlab.varmax import EnergyLandscape, solve_bruteforce, solve_dp
 
 GRID = (0.3, 0.5, 0.8)
@@ -260,20 +261,32 @@ def test_criterion_08_entropy_laws():
     assert violations == 0
 
 
-def test_criterion_09_subordinator_checks(tmp_path):
+def test_criterion_09_subordinator_checks(tmp_path, growth_oracle):
     cfg = ExperimentConfig(experiment="subordinator-growth", alpha=0.5, q=1.5,
                            k_list=(1000,), replicas=1000, seed=14,
                            out_dir=str(tmp_path))
     rep = run_experiment(cfg)
     s = rep.summary
-    ratio = s["refinement_ratio"]
-    ok = s["w_ge_u_ok"] and s["homogeneity_ok_3sigma"] and 0.5 <= ratio <= 2.0
+    cell = np.loadtxt(rep.cells[0], delimiter=",", skiprows=1)
+    sups = cell[:, 1]
+    # every tenth replica's marks, redrawn: sup_coarse is the edge_process
+    # supremum over [t_lo, t_hi] within the summation bound of growth_oracle
+    checked = range(0, cfg.replicas, 10)
+    off = 0
+    for r in checked:
+        T, Y = draw_base(cfg.k_list[0], substream(cfg.seed, "subordinator-growth", r))
+        mps = MarkedPointSet(T ** (-1.0 / cfg.alpha), Y)
+        want, rel = growth_oracle(mps, cfg.alpha, cfg.q, cfg.t_lo, cfg.t_hi)
+        off += abs(sups[r] - want) > rel * want
+    oracle_ok = off == 0 and np.array_equal(cell[:, 2], sups)
+    ok = s["w_ge_u_ok"] and s["homogeneity_ok_3sigma"] and oracle_ok
     zs = {k: round(v["z"], 2) for k, v in s["homogeneity"].items()}
     _report(9, "subordinator band and growth checks", ok,
-            f"W>=U: {s['w_ge_u_ok']}, homogeneity z={zs}, p95 refine ratio={ratio:.3f}")
+            f"W>=U: {s['w_ge_u_ok']}, homogeneity z={zs}, "
+            f"growth supremum off the oracle in {off} of {len(checked)} replicas")
     assert s["w_ge_u_ok"]
     assert s["homogeneity_ok_3sigma"]
-    assert 0.5 <= ratio <= 2.0
+    assert oracle_ok
 
 
 def test_criterion_10_determinism(tmp_path):

@@ -206,19 +206,33 @@ def test_chain_dp_matches_flatnonzero_tie_rule(m, beta, seed):
     assert chain_dp(w, beta, lambda j: cost[:j, j]) == tuple(reversed(sel))
 
 
+def _never(*args):
+    raise AssertionError("cost matrix built for a call that must fail")
+
+
 def test_unknown_method_is_rejected_before_any_cost_is_built(monkeypatch):
     # the cost matrices take (m+2)^2 floats; a bad method name must not pay for one
-    def never(*args):
-        raise AssertionError("cost matrix built for an unknown method")
-
-    monkeypatch.setattr(varmax, "_gap_powers", never)
-    monkeypatch.setattr(polymer, "_segment_entropy_matrix", never)
+    monkeypatch.setattr(varmax, "_gap_powers", _never)
+    monkeypatch.setattr(polymer, "_segment_entropy_matrix", _never)
     T, Y = draw_base(64, substream(5, "bogus"))
     with pytest.raises(ValueError, match="unknown method 'bogus'"):
         beta_critical(Y, T**-2.0, 0.5, method="bogus")
     env = PolymerEnvironment.sample(0.8, 64, substream(5, "bogus"))
     with pytest.raises(ValueError, match="unknown method 'bogus'"):
         polymer_beta_critical(env, method="bogus")
+
+
+def test_enumeration_cap_is_checked_before_any_cost_is_built(monkeypatch):
+    # one position or charge past the cap; at m = 4096 the table alone would
+    # take 134 MB before the enumeration refused to start
+    monkeypatch.setattr(varmax, "_gap_powers", _never)
+    monkeypatch.setattr(polymer, "_segment_entropy_matrix", _never)
+    T, Y = draw_base(varmax.BRUTEFORCE_MAX + 1, substream(5, "cap"))
+    with pytest.raises(ValueError, match="enumeration capped at 25 points"):
+        beta_critical(Y, T**-2.0, 0.5, method="enumerate")
+    env = PolymerEnvironment.sample(0.8, polymer.ENUM_MAX + 1, substream(5, "cap"))
+    with pytest.raises(ValueError, match="enumeration capped at 20 points"):
+        polymer_beta_critical(env, method="enumerate")
 
 
 def test_auto_equals_enumeration_at_the_benchmark_pinning_draws():

@@ -1,6 +1,7 @@
 """Config parsing, CLI exit codes, determinism, and resumability."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -41,7 +42,7 @@ _SMALL = {
     "threshold-pinning": dict(k_list=(8, 16, 32), replicas=6),
     "threshold-polymer": dict(k_list=(4, 8, 16), replicas=6),
     "renewal-asymptotics": dict(n_eval=300, n_max=2000),
-    "subordinator-growth": dict(k_list=(64,), replicas=12, t_points=10),
+    "subordinator-growth": dict(k_list=(64,), replicas=12),
 }
 
 
@@ -255,22 +256,30 @@ def test_schema_version_keys_renewal_cells_apart(tmp_path, monkeypatch):
     assert _cell_bytes(new) == [_renewal_cell_by_rows(new.config)]
 
 
-def test_schema_version_0_keeps_the_config_keys():
-    # the experiments at schema version 0 keep the directory names they had
-    # before versions existed
+def test_config_key_hashes_the_read_keys_and_the_schema():
+    # the directory name is a hash of the experiment, the seed, the keys the
+    # experiment reads and its schema version; pinned, so that a change to
+    # any of them shows here
     keys = {name: harness._config_key(
         ExperimentConfig(experiment=name, seed=1, **_SMALL[name]).with_defaults())
         for name in EXPERIMENTS}
     assert keys == {
-        "convergence": "38003cbb5012",
-        "concentration": "9d5b384bb1f5",
-        "threshold-pinning": "72306fb29b0b",
-        "threshold-polymer": "b730a4ade456",
-        "renewal-asymptotics": "c24112965f62",  # 124ab4d99815 before version 1
-        "subordinator-growth": "a0b896f30361",
+        "convergence": "b7a625e02839",
+        "concentration": "7bc66be50770",
+        "threshold-pinning": "791f5f5d0386",
+        "threshold-polymer": "1b0794ba07fc",
+        "renewal-asymptotics": "37225e48b02e",
+        "subordinator-growth": "d93a0e932740",
     }
-    assert [name for name in EXPERIMENTS if harness.SPECS[name].schema] == [
-        "renewal-asymptotics"]
+    assert {name: harness.SPECS[name].schema for name in EXPERIMENTS} == {
+        "convergence": 0, "concentration": 0, "threshold-pinning": 0,
+        "threshold-polymer": 0, "renewal-asymptotics": 1, "subordinator-growth": 1}
+    cfg = ExperimentConfig(experiment="subordinator-growth", seed=1, **_SMALL[
+        "subordinator-growth"]).with_defaults()
+    want = {"experiment": "subordinator-growth", "seed": 1, "schema": 1, "alpha": 0.5,
+            "k_list": [64], "q": 1.5, "replicas": 12, "t_hi": 0.1, "t_lo": 0.0001}
+    text = json.dumps(want, sort_keys=True).encode()
+    assert harness._config_key(cfg) == hashlib.sha1(text).hexdigest()[:12]
 
 
 def test_all_experiments_run_small(tmp_path):
@@ -320,9 +329,10 @@ _CONV = {"experiment": "convergence", "N_list": [16, 32], "k_list": [8], "replic
 
 
 def test_bad_input_exits_2(tmp_path):
-    # each is rejected before its out_dir is made.  Rows 2-7 pass the
+    # each is rejected before its out_dir is made.  Rows 2-8 pass the
     # per-field checks and are caught by building the renewal law (validate
-    # builds it) or by growth_check on an empty grid; the rest are non-finite numbers
+    # builds it) or by growth_check on a range [t_lo, t_hi] it does not take;
+    # the rest are non-finite numbers
     # (json.dumps writes NaN and Infinity), deltas outside [0, 1/2), size
     # lists that do not strictly increase, a second k where one is read and a
     # subordinator run with one replica (its z-scores need a spread)
@@ -333,7 +343,8 @@ def test_bad_input_exits_2(tmp_path):
         {"experiment": "renewal-asymptotics", "n_eval": 100, "n_max": 2000, "rho": 5},
         {"experiment": "concentration", "N_list": [16], "n_max": 16},  # tail budget
         {"experiment": "concentration", "h": 800},  # the tilt underflows
-        {"experiment": "subordinator-growth", "t_points": 0},  # empty grid
+        {"experiment": "subordinator-growth", "t_hi": 0.2},  # past 0.1
+        {"experiment": "subordinator-growth", "t_lo": 0.05, "t_hi": 0.01},  # t_lo > t_hi
         dict(_CONV, beta_hat=math.nan),
         dict(_CONV, beta_hat=math.inf),
         {"experiment": "threshold-pinning", "k_list": [8], "replicas": 2, "c": math.nan},
@@ -433,11 +444,7 @@ def _strict_json(text):
      [("u_over_K_target",), ("u_over_K_rel_err",)]),
     ({"experiment": "renewal-asymptotics", "k_inf": 1e-170, "n_eval": 50, "n_max": 2000},
      [("u_over_K_target",), ("u_over_K_rel_err",)]),
-    # one mark, never within t_hi of an end: both 95th percentiles are 0
-    ({"experiment": "subordinator-growth", "k_list": [1], "replicas": 2},
-     [("refinement_ratio",)]),
-], ids=["concentration", "renewal-proper", "renewal-1e-160", "renewal-1e-170",
-        "subordinator-growth"])
+], ids=["concentration", "renewal-proper", "renewal-1e-160", "renewal-1e-170"])
 def test_undefined_summary_values_are_json_null(tmp_path, capsys, data, undefined):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(data, out_dir=str(tmp_path / "out"))))
@@ -538,7 +545,7 @@ _LEAST = {
     "threshold-pinning": dict(k_list=(8,), replicas=1),
     "threshold-polymer": dict(k_list=(4,), replicas=1),
     "renewal-asymptotics": dict(n_eval=3, n_max=2000),
-    "subordinator-growth": dict(k_list=(64,), replicas=2, t_points=10),
+    "subordinator-growth": dict(k_list=(64,), replicas=2),
 }
 
 

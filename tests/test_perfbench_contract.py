@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from pinlab.chain import METHODS
-from pinlab.harness import config_from_mapping
+from pinlab.harness import EXPERIMENTS, SPECS, config_from_mapping
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -67,3 +67,13 @@ def test_rederive_runs_every_method_the_check_passes():
             for k in cfg.k_list:
                 value = child.rederive(cfg, k, 1, method)
                 assert math.isfinite(value) and value >= 0.0, (data["experiment"], method, k)
+
+
+def test_cell_headers_match_the_benchmark():
+    # child.check_outputs fails a cell whose header is not HEADERS[name];
+    # cells(cfg) lists the cells without computing them
+    headers = _load("child").HEADERS
+    for name in EXPERIMENTS:
+        cfg = config_from_mapping({"experiment": name, "out_dir": "out"})
+        assert {tuple(cell.header) for cell in SPECS[name].cells(cfg)} == {
+            tuple(headers[name])}, name

@@ -16,7 +16,6 @@ from pinlab.subordinator import (
     band_area_phi,
     band_process,
     band_u,
-    edge_evaluator,
     edge_jump_times,
     edge_process,
     growth_check,
@@ -49,71 +48,65 @@ def test_edge_process_step_structure():
 
 def test_growth_check_examples():
     empty = MarkedPointSet(np.array([]), np.array([]))
-    assert growth_check(lambda t: edge_process(empty, t), 0.5, 1.5, [0.01, 0.1]) == 0.0
-    one = MarkedPointSet(np.array([2.0]), np.array([0.05]))
-    val = growth_check(lambda t: edge_process(one, t), 0.5, 1.5, [0.06])
+    assert growth_check(empty, 0.5, 1.5, 0.01, 0.1) == 0.0
+    one = MarkedPointSet(np.array([2.0]), np.array([0.95]))  # edge distance 0.05
+    assert growth_check(one, 0.5, 1.5, 0.01, 0.04) == 0.0
+    val = growth_check(one, 0.5, 1.5, 0.06, 0.06)
     h = 0.06 ** 2 * math.log(1 / 0.06) ** 3
     assert val == pytest.approx(2.0 / h, rel=1e-12)
-    # the jump inside the grid range is added automatically
-    val2 = growth_check(
-        lambda t: edge_process(one, t), 0.5, 1.5, [0.01, 0.06],
-        jump_times=edge_jump_times(one),
-    )
+    # the jump at 0.05 beats both ends: h rises up to e^(-1.5) = 0.22
+    val2 = growth_check(one, 0.5, 1.5, 0.01, 0.06)
     h5 = 0.05 ** 2 * math.log(1 / 0.05) ** 3
     assert val2 == pytest.approx(2.0 / h5, rel=1e-12)
+    # past the peak e^(-q) = 0.018 at q = 4, h falls, so the range's end wins
+    val3 = growth_check(one, 0.5, 4.0, 0.01, 0.08)
+    h8 = 0.08 ** 2 * math.log(1 / 0.08) ** 8
+    assert val3 == pytest.approx(2.0 / h8, rel=1e-12)
 
 
 def test_growth_check_domain():
     mps = MarkedPointSet(np.array([1.0]), np.array([0.3]))
-    ev = lambda t: edge_process(mps, t)
-    with pytest.raises(ValueError):
-        growth_check(ev, 0.5, 1.0, [0.01])  # q must exceed 1
-    with pytest.raises(ValueError):
-        growth_check(ev, 0.5, 1.5, [0.0, 0.01])
-    with pytest.raises(ValueError):
-        growth_check(ev, 0.5, 1.5, [0.2])
+    with pytest.raises(ValueError, match="q must exceed 1"):
+        growth_check(mps, 0.5, 1.0, 0.01, 0.1)
+    for t_lo, t_hi in ((0.0, 0.01), (0.02, 0.01), (0.01, 0.2)):
+        with pytest.raises(ValueError, match="t_lo"):
+            growth_check(mps, 0.5, 1.5, t_lo, t_hi)
 
 
 def test_growth_check_rejects_an_envelope_that_is_zero_or_not_finite():
     # t^(1/alpha) underflows to 0 at alpha = 0.01; log^(q/alpha)(1/t) overflows at q = 1e300
+    empty = MarkedPointSet(np.array([]), np.array([]))
     for alpha, q in ((0.01, 1.5), (0.5, 1e300)):
         with pytest.raises(ValueError, match="envelope"):
-            growth_check(lambda t: 0.0, alpha, q, np.geomspace(1e-4, 1e-1, 40))
+            growth_check(empty, alpha, q, 1e-4, 1e-1)
 
 
-@given(k=st.integers(0, 80), alpha=st.floats(0.05, 0.99), q=st.floats(1.0, 6.0, exclude_min=True),
-       n_a=st.integers(2, 50), n_b=st.integers(2, 500), seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=200, deadline=None)
-def test_growth_supremum_depends_only_on_the_grid_ends(k, alpha, q, n_a, n_b, seed):
-    # h is unimodal, so grid points inside a stretch of constant X never
-    # beat the stretch's ends, which both grids hold with the jump times
+@given(k=st.integers(0, 80), dup=st.floats(0.0, 1.0), mirror=st.floats(0.0, 1.0),
+       alpha=st.floats(0.1, 0.99), q=st.floats(1.0, 6.0, exclude_min=True),
+       lo_on_jump=st.booleans(), hi_on_jump=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300)
+def test_growth_check_matches_the_edge_process_oracle(growth_oracle, k, dup, mirror, alpha, q,
+                                                      lo_on_jump, hi_on_jump, seed):
+    # half the locations near an end, so that many jumps fall in [t_lo, t_hi];
+    # duplicates on a grid of 1/400 (exact ties of the jump times), mirrored
+    # pairs loc / 1 - loc, heavy-tailed marks, and range ends on jump times
     rng = np.random.default_rng(seed)
-    t_lo, t_hi = np.sort(rng.uniform(1e-5, 0.1, 2))
-    mps = MarkedPointSet(rng.pareto(alpha, k) + 1e-3, rng.uniform(0.0, 1.0, k))
+    near = 10.0 ** rng.uniform(-5.0, -0.7, k)
+    loc = np.where(rng.random(k) < 0.5, near, rng.uniform(0.0, 1.0, k))
+    on_grid = rng.random(k) < dup
+    loc[on_grid] = rng.integers(0, 41, on_grid.sum()) / 400.0
+    mirrored = rng.random(k) < mirror
+    loc = np.concatenate([loc, 1.0 - loc[mirrored]])
+    mps = MarkedPointSet(rng.pareto(0.5, loc.size) + 1e-3, rng.permutation(loc))
+    t_lo, t_hi = 10.0 ** rng.uniform(-5.0, -1.0, 2)
     jumps = edge_jump_times(mps)
-    ev = edge_evaluator(mps)
-    a = growth_check(ev, alpha, q, np.geomspace(t_lo, t_hi, n_a), jumps)
-    b = growth_check(ev, alpha, q, np.geomspace(t_lo, t_hi, n_b), jumps)
-    assert a == pytest.approx(b, rel=1e-12, abs=0.0)
-
-
-def test_growth_ratio_bounded_over_realizations():
-    # the 95th percentile stays within a factor 2 under 10x grid refinement
-    coarse = np.geomspace(1e-4, 1e-1, 30)
-    fine = np.geomspace(1e-4, 1e-1, 300)
-    sups_c, sups_f = [], []
-    for r in range(200):
-        rng = substream(77, "growth", r)
-        T, Y = draw_base(256, rng)
-        mps = MarkedPointSet(T ** -2.0, Y)
-        jumps = edge_jump_times(mps)
-        ev = lambda t: edge_process(mps, t)
-        sups_c.append(growth_check(ev, 0.5, 1.5, coarse, jumps))
-        sups_f.append(growth_check(ev, 0.5, 1.5, fine, jumps))
-    p_c = np.percentile(sups_c, 95)
-    p_f = np.percentile(sups_f, 95)
-    assert np.isfinite(p_c) and p_c > 0
-    assert 0.5 <= p_f / p_c <= 2.0
+    jumps = jumps[(jumps > 0.0) & (jumps <= 0.1)]
+    if jumps.size:
+        t_lo = rng.choice(jumps) if lo_on_jump else t_lo
+        t_hi = rng.choice(jumps) if hi_on_jump else t_hi
+    t_lo, t_hi = sorted((float(t_lo), float(t_hi)))
+    want, rel = growth_oracle(mps, alpha, q, t_lo, t_hi)
+    assert abs(growth_check(mps, alpha, q, t_lo, t_hi) - want) <= rel * want
 
 
 def test_band_area_phi_values():
@@ -191,33 +184,3 @@ def test_marked_point_set_validation():
     d = sample_coupled(DisorderLaw(0.5), 8, substream(1, "mpsa"))
     mps = MarkedPointSet(d.M_inf[:16], d.Y_inf[:16])
     assert mps.size == 16
-
-
-@given(k=st.integers(0, 60), dup=st.floats(0.0, 1.0), mirror=st.floats(0.0, 1.0),
-       seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=300)
-def test_memoized_growth_supremum_matches_per_point_edge_process(k, dup, mirror, seed):
-    # locations on a coarse grid (duplicates), mirrored pairs loc / 1 - loc,
-    # and heavy-tailed marks, so the summation order shows in the last bits
-    rng = np.random.default_rng(seed)
-    loc = rng.uniform(0.0, 1.0, k)
-    on_grid = rng.random(k) < dup
-    loc[on_grid] = rng.integers(0, 41, on_grid.sum()) / 40.0
-    mirrored = rng.random(k) < mirror
-    loc = np.concatenate([loc, 1.0 - loc[mirrored]])
-    marks = rng.pareto(0.5, loc.size) + 1e-3
-    mps = MarkedPointSet(marks, rng.permutation(loc))
-    jumps = edge_jump_times(mps)
-    coarse = np.geomspace(1e-3, 1e-1, 12)
-    fine = np.geomspace(1e-3, 1e-1, 120)
-    oracle = lambda t: edge_process(mps, t)
-    ev = edge_evaluator(mps)  # one memo across both grids, as the harness uses it
-    for grid in (coarse, fine):
-        want = growth_check(oracle, 0.5, 1.5, grid, jumps)
-        assert growth_check(ev, 0.5, 1.5, grid, jumps) == want
-    # every jump time, the values just below it, and the ends of [0, 1/2]
-    for t in [*jumps.tolist(), *np.nextafter(jumps, -1.0).tolist(), 0.0, 0.5]:
-        t = min(max(t, 0.0), 0.5)
-        assert ev(t) == edge_process(mps, t)
-    with pytest.raises(ValueError):
-        ev(0.6)

@@ -168,6 +168,20 @@ def test_threshold_dichotomy():
         assert len(solve_dp(above).selected) > 0
 
 
+def test_threshold_dichotomy_at_large_k():
+    # no enumeration reaches these sizes; the pruned DP must find the
+    # maximizer empty just below the threshold and not empty just above it
+    for k in (512, 10_000):
+        for r in range(20):
+            T, Y = draw_base(k, substream(16, "dichotomy", k, r))
+            w = T**-2.0
+            bc = beta_critical(Y, w, 0.5)
+            below = EnergyLandscape.from_marks(Y, w, bc * (1.0 - 1e-9), 0.5)
+            above = EnergyLandscape.from_marks(Y, w, bc * (1.0 + 1e-9), 0.5)
+            assert solve_dp(below).selected == (), (k, r)
+            assert solve_dp(above).selected != (), (k, r)
+
+
 def test_value_monotone_convex_in_beta():
     rng = np.random.default_rng(5)
     L0 = _random_landscape(rng, 10, beta=0.0)
