@@ -20,6 +20,9 @@ import numpy as np
 #: subset enumeration works through 2^CHUNK_BITS subsets at a time
 CHUNK_BITS = 16
 
+#: cost tables are built BLOCK rows at a time
+BLOCK = 64
+
 BISECT_TOL = 1e-9
 METHODS = ("auto", "enumerate", "parametric", "bisect")
 
@@ -31,6 +34,21 @@ def check_method(method: str, size: int, enum_max: int) -> None:
         raise ValueError(f"unknown method {method!r}")
     if method == "enumerate" and size > enum_max:
         raise ValueError(f"enumeration capped at {enum_max} points")
+
+
+def lower_columns(n: int, rows):
+    """Column accessor, column(j) = C[:j, j] for j < n, of a cost table built
+    BLOCK rows at a time: rows(j0, j1) returns the (j1 - j0) x j1 block whose
+    row r holds column j0 + r (its entries at and past the diagonal are never
+    read).  Only the views below the diagonal are kept; with the blocks they
+    hold, that is about n^2 / 2 + BLOCK * n / 2 floats, and no temporary of
+    rows() needs more than BLOCK * n.
+    """
+    cols = []
+    for j0 in range(0, n, BLOCK):
+        block = rows(j0, min(j0 + BLOCK, n))
+        cols.extend(row[: j0 + r] for r, row in enumerate(block))
+    return cols.__getitem__
 
 
 def chain_dp(w, beta: float, column, c: float = 1.0) -> tuple[int, ...]:

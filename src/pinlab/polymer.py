@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import chain_dp, check_method, enumerate_best, min_ratio
+from .chain import chain_dp, check_method, enumerate_best, lower_columns, min_ratio
 
 ON_PATH_TOL = 1e-12
 
@@ -164,8 +164,8 @@ def _sorted_nodes(env: PolymerEnvironment):
 def _segment_entropy(dx, dy):
     """Entropy cost dx * e(dy/dx) of straight segments; +inf where infeasible.
 
-    The entropy rate is evaluated on the feasible segments only (about a
-    quarter of all node pairs)."""
+    The entropy rate is evaluated on the feasible segments only, those with
+    dx > 0 and |dy| <= dx (for uniform charges, about half of each column)."""
     f = (dx > 0.0) & (np.abs(dy) <= dx)
     out = np.full(dx.shape, np.inf)
     out[f] = dx[f] * binary_entropy_rate(dy[f] / dx[f])
@@ -174,10 +174,10 @@ def _segment_entropy(dx, dy):
 
 def _segment_entropy_matrix(ex, ey):
     """Column accessor of the entropy cost between endpoint-augmented nodes,
-    +inf where infeasible: one table, row j holding column j, each sliced
-    once (every Dinkelbach step reads all of them)."""
-    table = _segment_entropy(ex[:, None] - ex[None, :], ey[:, None] - ey[None, :])
-    return [table[j, :j] for j in range(ex.size)].__getitem__
+    +inf where infeasible, computed once for every column (every Dinkelbach
+    step reads all of them) and a block of rows at a time (chain.lower_columns)."""
+    return lower_columns(ex.size, lambda j0, j1: _segment_entropy(
+        ex[j0:j1, None] - ex[None, :j1], ey[j0:j1, None] - ey[None, :j1]))
 
 
 def _solution(ex, ey, ws, beta, sel) -> tuple[PolymerPath, float]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import chain_dp, check_method, enumerate_best, min_ratio
+from .chain import chain_dp, check_method, enumerate_best, lower_columns, min_ratio
 from .geometry import PinnedSet, nearest_distances, set_entropy
 
 MEMBER_TOL = 1e-12
@@ -108,13 +108,18 @@ def _canonical_value(L: EnergyLandscape, idx) -> float:
 
 def _gap_powers(L: EnergyLandscape):
     """Column accessor of the gap powers (p_j - p_i)^gamma, i < j, over the
-    endpoint-augmented nodes: one (m+2)^2 table, row j holding column j,
-    each sliced once (every Dinkelbach step reads all of them)."""
+    endpoint-augmented nodes, computed once for every column (every
+    Dinkelbach step reads all of them) and a block of rows at a time
+    (chain.lower_columns)."""
     ext = np.concatenate(([0.0], L.positions, [1.0]))
-    table = ext[:, None] - ext[None, :]
-    np.maximum(table, 0.0, out=table)  # the upper triangle is never read
-    table **= L.gamma
-    return [table[j, :j] for j in range(ext.size)].__getitem__
+
+    def rows(j0, j1):
+        block = ext[j0:j1, None] - ext[None, :j1]
+        np.maximum(block, 0.0, out=block)  # entries at i >= j are never read
+        block **= L.gamma
+        return block
+
+    return lower_columns(ext.size, rows)
 
 
 def solve_bruteforce(L: EnergyLandscape) -> VarSolution:

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 import pinlab.chain as chain
 import pinlab.polymer as polymer
 import pinlab.varmax as varmax
-from pinlab.chain import chain_dp, enumerate_best
+from pinlab.chain import BLOCK, chain_dp, enumerate_best
 from pinlab.disorder import BUFFER_MIN, draw_base
 from pinlab.polymer import (
     PolymerEnvironment,
     _segment_entropy_matrix,
+    binary_entropy_rate,
     polymer_beta_critical,
     solve_polymer_bruteforce,
 )
@@ -211,7 +212,7 @@ def _never(*args):
 
 
 def test_unknown_method_is_rejected_before_any_cost_is_built(monkeypatch):
-    # the cost matrices take (m+2)^2 floats; a bad method name must not pay for one
+    # the cost tables take about (m+2)^2 / 2 floats; a bad method name must not pay for one
     monkeypatch.setattr(varmax, "_gap_powers", _never)
     monkeypatch.setattr(polymer, "_segment_entropy_matrix", _never)
     T, Y = draw_base(64, substream(5, "bogus"))
@@ -224,7 +225,7 @@ def test_unknown_method_is_rejected_before_any_cost_is_built(monkeypatch):
 
 def test_enumeration_cap_is_checked_before_any_cost_is_built(monkeypatch):
     # one position or charge past the cap; at m = 4096 the table alone would
-    # take 134 MB before the enumeration refused to start
+    # take 67 MB before the enumeration refused to start
     monkeypatch.setattr(varmax, "_gap_powers", _never)
     monkeypatch.setattr(polymer, "_segment_entropy_matrix", _never)
     T, Y = draw_base(varmax.BRUTEFORCE_MAX + 1, substream(5, "cap"))
@@ -276,13 +277,21 @@ def _lazy_columns(module, solve):
     return seen
 
 
-@given(m=st.integers(0, 40), gamma=st.sampled_from((0.25, 0.5, 0.75, 0.8)),
+# endpoint-augmented sizes m + 2 on either side of one and two block edges
+_BLOCK_EDGES = (BLOCK - 3, BLOCK - 2, BLOCK - 1, 2 * BLOCK - 1)
+
+
+@given(m=st.integers(0, 3 * BLOCK), gamma=st.sampled_from((0.25, 0.5, 0.75, 0.8)),
        alpha=st.sampled_from((0.3, 0.8, 1.5)), seed=st.integers(0, 2**32 - 1))
+@example(m=_BLOCK_EDGES[0], gamma=0.5, alpha=0.8, seed=1)
+@example(m=_BLOCK_EDGES[1], gamma=0.25, alpha=0.3, seed=2)
+@example(m=_BLOCK_EDGES[2], gamma=0.75, alpha=1.5, seed=3)
+@example(m=_BLOCK_EDGES[3], gamma=0.8, alpha=0.8, seed=4)
 @settings(max_examples=100, deadline=None)
 def test_cost_tables_match_the_lazy_columns(m, gamma, alpha, seed):
     # the tables of the oracles and thresholds against the columns solve_dp
-    # and solve_polymer compute one at a time, byte for byte; at this beta
-    # _prune keeps every position
+    # and solve_polymer compute one at a time, byte for byte, over up to
+    # three blocks of rows; at this beta _prune keeps every position
     rng = np.random.default_rng(seed)
     T, Y = draw_base(m, rng)
     L = EnergyLandscape.from_marks(Y, T**-2.0, 1e6, gamma)
@@ -294,3 +303,56 @@ def test_cost_tables_match_the_lazy_columns(m, gamma, alpha, seed):
     column = _segment_entropy_matrix(ex, ey)
     lazy = _lazy_columns(polymer, lambda: polymer.solve_polymer(env, 1.0))
     assert [c.tobytes() for c in lazy] == [column(j).tobytes() for j in range(1, m + 2)]
+
+
+def _full_gap_powers(ext, gamma):
+    # the whole (m+2)^2 table, row j holding column j
+    table = ext[:, None] - ext[None, :]
+    np.maximum(table, 0.0, out=table)
+    table **= gamma
+    return table
+
+
+def _full_segment_entropy(ex, ey):
+    # the whole (m+2)^2 table, row j holding column j; the entropy rate on
+    # the feasible pairs only, +inf elsewhere
+    dx = ex[:, None] - ex[None, :]
+    dy = ey[:, None] - ey[None, :]
+    f = (dx > 0.0) & (np.abs(dy) <= dx)
+    table = np.full(dx.shape, np.inf)
+    table[f] = dx[f] * binary_entropy_rate(dy[f] / dx[f])
+    return table
+
+
+def _grid_charges(m, rng):
+    # charges with repeated x (on a 1/64 grid) and slopes of exactly 0 and
+    # +-1 between them: on the axis, on the diamond's edge, on the grid, or
+    # a drawn fraction of the height
+    x = np.where(rng.random(m) < 0.5, rng.integers(1, 64, m) / 64.0, rng.uniform(0.001, 0.999, m))
+    h = np.minimum(x, 1.0 - x)
+    y = np.choose(rng.integers(0, 4, m), [np.zeros(m), h, np.floor(h * 64.0) / 64.0, rng.random(m) * h])
+    y *= rng.choice((-1.0, 1.0), m)
+    order = np.lexsort((y, x))
+    return np.concatenate(([0.0], x[order], [1.0])), np.concatenate(([0.0], y[order], [0.0]))
+
+
+@given(m=st.integers(0, 3 * BLOCK), gamma=st.sampled_from((0.25, 0.5, 0.75, 0.8)),
+       seed=st.integers(0, 2**32 - 1))
+@example(m=_BLOCK_EDGES[0], gamma=0.5, seed=1)
+@example(m=_BLOCK_EDGES[1], gamma=0.25, seed=2)
+@example(m=_BLOCK_EDGES[2], gamma=0.75, seed=3)
+@example(m=_BLOCK_EDGES[3], gamma=0.8, seed=4)
+@settings(max_examples=60, deadline=None)
+def test_cost_tables_match_the_full_square(m, gamma, seed):
+    # every column of the blocked tables equals the column of the whole
+    # square table, byte for byte, so +inf sits in the same places
+    rng = np.random.default_rng(seed)
+    T, Y = draw_base(m, rng)
+    L = EnergyLandscape.from_marks(Y, T**-2.0, 0.0, gamma)
+    column = _gap_powers(L)
+    full = _full_gap_powers(np.concatenate(([0.0], L.positions, [1.0])), gamma)
+    assert all(column(j).tobytes() == full[j, :j].tobytes() for j in range(m + 2))
+    ex, ey = _grid_charges(m, rng)
+    column = _segment_entropy_matrix(ex, ey)
+    full = _full_segment_entropy(ex, ey)
+    assert all(column(j).tobytes() == full[j, :j].tobytes() for j in range(m + 2))

@@ -1,6 +1,7 @@
 """Directed polymer ground state: entropy rate, DP solver, threshold."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +168,32 @@ def test_threshold_dichotomy():
         _, above = solve_polymer(env, bc + 1e-9)
         assert below == 0.0
         assert above > 0.0
+
+
+def test_threshold_dichotomy_at_large_k():
+    # no enumeration reaches k = 512; the chain DP must find the flat path
+    # just below the threshold and a path through charges just above it
+    for r in range(20):
+        env = PolymerEnvironment.sample(0.8, 512, substream(17, "dichotomy", 512, r))
+        bc = polymer_beta_critical(env)
+        below, _ = solve_polymer(env, bc * (1.0 - 1e-9))
+        above, _ = solve_polymer(env, bc * (1.0 + 1e-9))
+        assert below.vertices.shape[0] == 2, r
+        assert above.vertices.shape[0] > 2, r
+
+
+def test_threshold_table_stays_below_one_square_table():
+    # the threshold reads the costs below the diagonal only; at k = 2048 the
+    # traced peak must stay below one (k+2)^2 float64 table (33.6 MB)
+    k = 2048
+    env = PolymerEnvironment.sample(0.8, k, substream(17, "memory"))
+    tracemalloc.start()
+    try:
+        polymer_beta_critical(env)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (k + 2) ** 2 * 8
 
 
 def test_tent_entropy_quadratic_sandwich():

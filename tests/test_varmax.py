@@ -390,11 +390,11 @@ def test_threshold_at_large_k():
     """beta_c^(k) for k = 512, 10^4, 10^5 on one base per replica, drawn as
     the threshold-pinning runner draws it, over the nine (alpha, gamma) of
     criterion 6; then the pruned threshold at m = 4096 against the unpruned
-    parametric iteration on the full gap-power table.
+    parametric iteration on the gap-power table of all positions.
 
-    Measured: 3.2 s on 2 cores (Python 3.11, numpy 2.4); the process peaks
-    at 190 MB.  The full-table parametric iteration at m = 10^5 would need
-    80 GB."""
+    Measured: 4.3 s on 2 cores (Python 3.11, numpy 2.4); the process peaks
+    at 127 MB.  The unpruned parametric iteration at m = 10^5 would need a
+    40 GB table."""
     R = 20
     ks = (512, 10_000, 100_000)
     for r in range(R):
