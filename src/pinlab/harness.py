@@ -646,7 +646,7 @@ SPECS = {
         "renewal-function and convolution-ratio diagnostics",
         {"replicas": 1},
         ("c", "gamma", "k_inf", "n_eval", "n_max", "rho"),
-        _renewal_cells, _renewal_summary, schema=1),
+        _renewal_cells, _renewal_summary, schema=2),
     "subordinator-growth": Spec(
         "growth envelopes and band-process checks",
         {"k_list": (1000,), "replicas": 1000},

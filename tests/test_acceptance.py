@@ -65,28 +65,31 @@ def test_criterion_02_renewal_asymptotics(tmp_path):
     # For K(n) ~ exp(-c n^gamma) with gamma = 1/2, the ratio r(n) = u(n)/K(n)
     # expands as L + a n^(-1/2) + b n^(-1) + O(n^(-3/2)), and L = 1/K_inf^2 is
     # met only around n ~ 1e5. Each 4x step in n halves n^(-1/2), so two
-    # Richardson steps over n = 2000, 8000, 32000 cancel a and b.
+    # Richardson steps over n = 2000, 8000, 32000 cancel a and b. The value
+    # at n = 128000 is also read directly, and must lie in the same window.
     t0 = time.monotonic()
-    horizons = (2000, 8000, 32000)
+    horizons = (2000, 8000, 32000, 128_000)
     diags = {}
     for n_eval in horizons:
         cfg = ExperimentConfig(experiment="renewal-asymptotics", gamma=0.5, c=1.0,
-                               rho=0.0, k_inf=0.3, n_eval=n_eval, n_max=100_000,
+                               rho=0.0, k_inf=0.3, n_eval=n_eval,
+                               n_max=130_000 if n_eval == 128_000 else 100_000,
                                seed=0, out_dir=str(tmp_path))
         diags[n_eval] = run_experiment(cfg).summary["diagnostics"]
     elapsed = time.monotonic() - t0
-    r1, r2, r3 = (diags[n]["u_over_K"] for n in horizons)
+    r1, r2, r3, r4 = (diags[n]["u_over_K"] for n in horizons)
     conv2 = diags[2000]["conv2_ratio"]
     limit = (4.0 * (2.0 * r3 - r2) - (2.0 * r2 - r1)) / 3.0
     target = 1.0 / 0.3**2
     conv2_ok = abs(conv2 - 2.0) <= 0.2
     from_above = r1 > r2 > r3 > target
     limit_ok = 10.56 <= limit <= 11.67
-    ok = limit_ok and from_above and conv2_ok and elapsed < 30.0
+    direct_ok = 10.56 <= r4 <= 11.67
+    ok = limit_ok and direct_ok and from_above and conv2_ok and elapsed < 30.0
     _report(2, "renewal limit u/K -> 1/K_inf^2", ok,
             f"u/K at n=2000, 8000, 32000 = {r1:.4f}, {r2:.4f}, {r3:.4f}; "
-            f"extrapolated limit={limit:.4f} (window [10.56, 11.67]), "
-            f"q*2/q={conv2:.4f}, {elapsed:.1f}s")
+            f"extrapolated limit={limit:.4f}, u/K at n=128000 = {r4:.5f} "
+            f"(window [10.56, 11.67]), q*2/q={conv2:.4f}, {elapsed:.1f}s")
     assert elapsed < 30.0
     assert conv2_ok, f"q*2/q at 2000 = {conv2}, outside 2 +- 10%"
     assert from_above, (
@@ -97,6 +100,7 @@ def test_criterion_02_renewal_asymptotics(tmp_path):
         f"extrapolated limit of u/K = {limit:.4f} (from {r1:.4f}, {r2:.4f}, "
         f"{r3:.4f} at n=2000, 8000, 32000) is outside [10.56, 11.67]"
     )
+    assert direct_ok, f"u/K at n=128000 = {r4:.5f} is outside [10.56, 11.67]"
 
 
 def _gibbs_instance(N: int):

@@ -238,13 +238,13 @@ def test_schema_version_keys_renewal_cells_apart(tmp_path, monkeypatch):
     cfg = ExperimentConfig(experiment="renewal-asymptotics", out_dir=str(tmp_path),
                            **_SMALL["renewal-asymptotics"])
     spec = harness.SPECS["renewal-asymptotics"]
-    assert spec.schema == 1
+    assert spec.schema == 2
     with monkeypatch.context() as m:
-        m.setitem(harness.SPECS, "renewal-asymptotics", spec._replace(schema=0))
+        m.setitem(harness.SPECS, "renewal-asymptotics", spec._replace(schema=1))
         old = run_experiment(cfg)
     (old_cell,) = old.cells
     with open(old_cell) as fh:
-        stale = fh.read().replace("0.", "1.", 1)  # well formed, but not what version 1 writes
+        stale = fh.read().replace("0.", "1.", 1)  # well formed, but not what version 2 writes
     with open(old_cell, "w") as fh:
         fh.write(stale)
     calls, ratio_table = [], harness.ratio_table
@@ -268,12 +268,12 @@ def test_config_key_hashes_the_read_keys_and_the_schema():
         "concentration": "7bc66be50770",
         "threshold-pinning": "791f5f5d0386",
         "threshold-polymer": "1b0794ba07fc",
-        "renewal-asymptotics": "37225e48b02e",
+        "renewal-asymptotics": "5eabd499415e",
         "subordinator-growth": "d93a0e932740",
     }
     assert {name: harness.SPECS[name].schema for name in EXPERIMENTS} == {
         "convergence": 0, "concentration": 0, "threshold-pinning": 0,
-        "threshold-polymer": 0, "renewal-asymptotics": 1, "subordinator-growth": 1}
+        "threshold-polymer": 0, "renewal-asymptotics": 2, "subordinator-growth": 1}
     cfg = ExperimentConfig(experiment="subordinator-growth", seed=1, **_SMALL[
         "subordinator-growth"]).with_defaults()
     want = {"experiment": "subordinator-growth", "seed": 1, "schema": 1, "alpha": 0.5,
@@ -329,7 +329,7 @@ _CONV = {"experiment": "convergence", "N_list": [16, 32], "k_list": [8], "replic
 
 
 def test_bad_input_exits_2(tmp_path):
-    # each is rejected before its out_dir is made.  Rows 2-8 pass the
+    # each is rejected before its out_dir is made.  Rows 2-10 pass the
     # per-field checks and are caught by building the renewal law (validate
     # builds it) or by growth_check on a range [t_lo, t_hi] it does not take;
     # the rest are non-finite numbers
@@ -340,6 +340,8 @@ def test_bad_input_exits_2(tmp_path):
         {"experiment": "renewal-asymptotics", "n_eval": 2, "n_max": 2000},
         {"experiment": "renewal-asymptotics", "n_eval": 5, "n_max": 20},  # tail budget
         {"experiment": "renewal-asymptotics", "n_eval": 4, "n_max": 6},  # n_max < 10
+        {"experiment": "renewal-asymptotics", "n_eval": 20, "n_max": 10**11},  # n_max > 10^6
+        {"experiment": "concentration", "n_max": 10**11},
         {"experiment": "renewal-asymptotics", "n_eval": 100, "n_max": 2000, "rho": 5},
         {"experiment": "concentration", "N_list": [16], "n_max": 16},  # tail budget
         {"experiment": "concentration", "h": 800},  # the tilt underflows

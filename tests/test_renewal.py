@@ -19,6 +19,7 @@ from scipy import integrate
 import pinlab
 from pinlab.renewal import (
     _BLOCK,
+    MAX_SUPPORT,
     TAIL_BUDGET,
     _convolve_head,
     _log_upper_gamma,
@@ -73,6 +74,8 @@ def test_build_errors():
         build_law(0.5, -1.0)
     with pytest.raises(ValueError):
         build_law(0.5, 1.0, K_inf_target=1.0)
+    with pytest.raises(ValueError, match="n_max must lie in"):
+        build_law(0.5, 1.0, n_max=MAX_SUPPORT + 1)  # checked before any allocation
 
 
 def test_tilt(proper_law):
@@ -114,6 +117,45 @@ def test_renewal_function_matches_series_oracle(terminating_law):
     u = renewal_function(terminating_law, n)
     # abs=0: u(2000) ~ 3e-19, far below pytest.approx's default abs=1e-12
     assert u[1:] == pytest.approx(series[1:], rel=1e-10, abs=0.0)
+
+
+def _renewal_rows(law, n):
+    """u(0..n) by the row loop, each u(m) one dot product over a
+    negative-stride view, which numpy sums term by term from j = 1."""
+    u = np.empty(n + 1)
+    u[0] = 1.0
+    for m in range(1, n + 1):
+        u[m] = law.K[1 : m + 1] @ u[m - 1 :: -1]
+    return u
+
+
+@given(gamma=st.floats(0.3, 0.9), tail=st.floats(50.0, 300.0), rho=st.floats(-2.0, 2.0),
+       k_inf=st.one_of(st.just(0.0), st.floats(0.0, 0.95)),
+       h=st.one_of(st.just(0.0), st.floats(0.01, 5.0)),
+       n=st.one_of(st.integers(0, _BLOCK), st.sampled_from(
+           [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 3 * _BLOCK + 7])))
+def test_renewal_function_matches_the_row_loop(gamma, tail, rho, k_inf, h, n):
+    # c sets K's tail exponent c n_max^gamma to `tail`, so the law meets the
+    # tail budget and no product K(j) u(m-j) underflows.  Up to _BLOCK the
+    # blocked recursion sums in the row order.  Past it both sides sum the
+    # same m positive terms per u(m), in different orders: each is the exact
+    # sum over its computed inputs times 1 + theta, |theta| <= gamma_m =
+    # m u / (1 - m u), u = 2^-53 (Higham, Accuracy and Stability of Numerical
+    # Algorithms, 2nd ed., section 3.1), and its relative error is at most the
+    # largest of its inputs' times 1 + gamma_m.  By induction each side is
+    # within e_m = prod_{i<=m} (1 + gamma_i) - 1 of the exact u(m), so the
+    # two differ by at most 2 e_m / (1 - e_m) relative.
+    n_max = 3 * _BLOCK + 8
+    law = build_law(gamma, tail / n_max**gamma, rho, k_inf, n_max=n_max)
+    if h:
+        law = tilt(law, h)
+    got, want = renewal_function(law, n), _renewal_rows(law, n)
+    if n <= _BLOCK:
+        assert got.tobytes() == want.tobytes()
+    m = np.arange(1, n + 1)
+    e = np.expm1(np.cumsum(np.log1p(m * 2.0**-53 / (1.0 - m * 2.0**-53))))
+    assert got[0] == 1.0
+    assert np.all(np.abs(got[1:] - want[1:]) <= 2.0 * e / (1.0 - e) * want[1:])
 
 
 def test_renewal_function_horizon_error(terminating_law):
