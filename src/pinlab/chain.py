@@ -152,16 +152,17 @@ def enumerate_best(w, beta: float, column, c: float = 1.0) -> tuple[int, ...]:
     return min(chains, key=lambda ix: (len(ix), ix[::-1]))
 
 
-def min_ratio(w, column, c: float, method: str, enum_max: int) -> float:
+def min_ratio(w, column, c: float, method: str) -> float:
     """min over nonempty chains of c * (C(chain) - C(empty)) / W(chain).
 
     "auto" and "parametric" are Dinkelbach's iteration on the chain DP,
     exact after finitely many solves.  The oracles: "enumerate" scans every
-    chain (at most enum_max points); "bisect" halves the coupling until the
-    tie-breaking DP's verdict (empty or not) is pinned to BISECT_TOL.
+    chain; "bisect" halves the coupling until the tie-breaking DP's verdict
+    (empty or not) is pinned to BISECT_TOL.  The callers reject an unknown
+    method, and cap the enumeration, by check_method before they build the
+    costs behind column.
     """
     m = w.size
-    check_method(method, m, enum_max)
     last = column(m + 1)
     base = last[0]
     # each single point bounds the threshold from above

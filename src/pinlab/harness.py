@@ -10,11 +10,15 @@ writes the others, hands summarize the cells' float columns by header name,
 and atomically writes a summary JSON embedding the config and library version.
 Reports are a pure function of (config, seed): replica r of experiment E
 always uses the RNG substream (seed, E, cell, r), and replicas run one
-after another in replica order.
+after another in replica order.  A config takes its experiment's default
+grids when it is built; validate rejects bad input before anything is
+allocated, and a weight T^(-1/alpha) that a kernel rejects, which only the
+run can see, stops the run with a ConfigError as well.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -47,6 +51,12 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exit code 2)."""
 
 
+# Bounds that validate puts on sizes a run would otherwise fail to allocate.
+SIZE_MAX = 2**22  # N and k: 4x past the paper-scale N = 2^20 and k = 10^6
+POLYMER_K_MAX = 2**14  # threshold-polymer's cost table holds k^2/2 floats: 1 GiB
+REPLICAS_MAX = 10**6  # a cell row per replica: 1000x the largest default
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -75,13 +85,11 @@ class ExperimentConfig:
         for key, kind in typing.get_type_hints(ExperimentConfig).items():
             if kind is float and getattr(self, key) == 0.0:
                 object.__setattr__(self, key, abs(getattr(self, key)))
-
-    def with_defaults(self) -> "ExperimentConfig":
-        """Fill experiment-specific default grids where none were given."""
+        # an unset grid (empty, or 0 replicas) takes the experiment's default
         spec = SPECS.get(self.experiment)
-        updates = {key: val for key, val in (spec.defaults.items() if spec else ())
-                   if not getattr(self, key)}
-        return dataclasses.replace(self, **updates) if updates else self
+        for key, val in (spec.defaults.items() if spec else ()):
+            if not getattr(self, key):
+                object.__setattr__(self, key, val)
 
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
@@ -93,7 +101,7 @@ class ExperimentConfig:
             if kind is float and not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite, got {getattr(self, key)!r}")
         # an unread field keeps its default, as repr writes it: _config_key does not hash it
-        default = ExperimentConfig(self.experiment).with_defaults()
+        default = ExperimentConfig(self.experiment)
         for key in sorted(kinds.keys() - {*SPECS[self.experiment].keys, "seed", "out_dir"}):
             want = getattr(default, key)
             if repr(getattr(self, key)) != repr(want):
@@ -108,14 +116,17 @@ class ExperimentConfig:
             raise ConfigError("varmax.EnergyLandscape requires beta >= 0")
         if self.c <= 0.0:
             raise ConfigError("renewal.build_law requires c > 0")
-        if not 0.0 <= self.k_inf < 1.0:
-            raise ConfigError("renewal.build_law requires K_inf_target in [0,1)")
-        if self.replicas < (2 if self.experiment == "subordinator-growth" else 1):
-            raise ConfigError("replicas must be >= 1, and >= 2 for subordinator-growth's z-scores")
+        least = 2 if self.experiment == "subordinator-growth" else 1
+        if not least <= self.replicas <= REPLICAS_MAX:
+            raise ConfigError(f"replicas must lie in [1, {REPLICAS_MAX}], and be >= 2 for "
+                              "subordinator-growth's z-scores")
         if any(n < 2 for n in self.N_list):
             raise ConfigError("disorder.sample_coupled requires N >= 2")
         if any(k < 1 for k in self.k_list):
             raise ConfigError("k_list sizes must be >= 1")
+        size_max = POLYMER_K_MAX if self.experiment == "threshold-polymer" else SIZE_MAX
+        if any(size > size_max for size in (*self.N_list, *self.k_list)):
+            raise ConfigError(f"{self.experiment} takes sizes up to {size_max}")
         for key in ("N_list", "k_list"):
             sizes = getattr(self, key)
             if any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -185,7 +196,7 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
                 kwargs[key] = _coerce(kind, value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key}: {value!r}") from exc
-    cfg = ExperimentConfig(**kwargs).with_defaults()
+    cfg = ExperimentConfig(**kwargs)
     cfg.validate()
     return cfg
 
@@ -304,43 +315,20 @@ def _renewal_law(cfg: ExperimentConfig):
     return _law(cfg.gamma, cfg.c, cfg.rho, cfg.k_inf, cfg.n_max)
 
 
-_UNDERFLOW = "alpha = {!r} is too small: a weight T^(-1/alpha) underflows to 0"
-_OVERFLOW = "alpha = {!r} is too small: a weight {} overflows to inf"
-
-
-def _marks(T: np.ndarray, alpha: float) -> np.ndarray:
-    """The weights T^(-1/alpha) of increasing arrival times T.  They decrease,
-    and none may underflow to 0 or overflow to inf, which no kernel accepts
-    as a weight; as T is random, validate cannot see this, so the run stops
-    here instead."""
-    with np.errstate(over="ignore"):
-        w = T ** (-1.0 / alpha)
-    if w[-1] == 0.0:
-        raise ConfigError(_UNDERFLOW.format(alpha))
-    if w[0] == math.inf:
-        raise ConfigError(_OVERFLOW.format(alpha, "T^(-1/alpha)"))
-    return w
-
-
-def _coupled(cfg: ExperimentConfig, T: np.ndarray, Y: np.ndarray, N: int):
-    """disorder.couple at size N, stopped as _marks stops when a rescaled
-    maximum M_disc overflows to inf."""
-    with np.errstate(over="ignore"):
-        d = couple(DisorderLaw(cfg.alpha), T, Y, N)
-    if d.M_disc[0] == math.inf:
-        raise ConfigError(_OVERFLOW.format(cfg.alpha, f"M_disc at N = {N}"))
-    return d
-
-
-def _environment(alpha: float, k: int, rng: np.random.Generator) -> PolymerEnvironment:
-    """PolymerEnvironment.sample, which rejects a charge weight T^(-1/alpha)
-    that underflows to 0 or overflows to inf, its only failures at a valid
-    alpha."""
+@contextlib.contextmanager
+def _too_small(alpha: float):
+    """Turn a ValueError from a block that takes the weights T^(-1/alpha)
+    into a ConfigError naming alpha.  At a small alpha a weight underflows
+    to 0 or overflows to inf, which every kernel taking weights rejects; T
+    is random, so validate cannot see it.  At a config validate accepted,
+    nothing else there raises: the sizes and shape parameters are checked,
+    and positions are uniform draws in [0, 1) (one at 0 or two equal has
+    probability below k^2 2^-53)."""
     try:
         with np.errstate(over="ignore"):
-            return PolymerEnvironment.sample(alpha, k, rng)
+            yield
     except ValueError as exc:
-        raise ConfigError(f"alpha = {alpha!r} is too small: a charge weight T^(-1/alpha) "
+        raise ConfigError(f"alpha = {alpha!r} is too small: a weight T^(-1/alpha) "
                           f"underflows to 0 or overflows to inf ({exc})") from None
 
 
@@ -421,12 +409,14 @@ def _convergence_cells(cfg: ExperimentConfig) -> list[Cell]:
         rng = substream(cfg.seed, "convergence", r)
         T, Y = draw_base(max(max(cfg.N_list), k, BUFFER_MIN), rng)
         if r not in refs:
-            ref_land = EnergyLandscape.from_marks(
-                Y[:k], _marks(T[:k], cfg.alpha), cfg.beta_hat, cfg.gamma, cfg.c
-            )
+            with _too_small(cfg.alpha):
+                ref_land = EnergyLandscape.from_marks(
+                    Y[:k], T[:k] ** (-1.0 / cfg.alpha), cfg.beta_hat, cfg.gamma, cfg.c
+                )
             refs[r] = solve_dp(ref_land).maximizer
-        d = _coupled(cfg, T, Y, N)
-        land = EnergyLandscape.from_marks(d.Y_disc, d.M_disc, cfg.beta_hat, cfg.gamma, cfg.c)
+        with _too_small(cfg.alpha):
+            d = couple(DisorderLaw(cfg.alpha), T, Y, N)
+            land = EnergyLandscape.from_marks(d.Y_disc, d.M_disc, cfg.beta_hat, cfg.gamma, cfg.c)
         return hausdorff(solve_dp(land).maximizer, refs[r])
 
     return _replica_cells(cfg, "convergence_N", ["N", "replica", "d_H"], cfg.N_list, one)
@@ -462,8 +452,9 @@ def _concentration_cells(cfg: ExperimentConfig) -> list[Cell]:
     def columns(N: int) -> list:
         rng_dis = substream(cfg.seed, "concentration", "disorder")
         T, Y = draw_base(max(max(cfg.N_list), BUFFER_MIN), rng_dis)
-        d = _coupled(cfg, T, Y, N)
-        land = EnergyLandscape.from_marks(d.Y_disc, d.M_disc, cfg.beta_hat, cfg.gamma, cfg.c)
+        with _too_small(cfg.alpha):
+            d = couple(DisorderLaw(cfg.alpha), T, Y, N)
+            land = EnergyLandscape.from_marks(d.Y_disc, d.M_disc, cfg.beta_hat, cfg.gamma, cfg.c)
         ref = solve_dp(land).maximizer
         beta_bare = cfg.beta_hat * N**cfg.gamma / d.b_N
         model = PinningModel(law=terminating, omega=d.omega, beta=beta_bare, N=N)
@@ -499,7 +490,8 @@ def _threshold_pinning_cells(cfg: ExperimentConfig) -> list[Cell]:
     def one(k: int, r: int) -> float:
         rng = substream(cfg.seed, "threshold-pinning", r)
         T, Y = draw_base(max(max(cfg.k_list), BUFFER_MIN), rng)
-        return beta_critical(Y[:k], _marks(T[:k], cfg.alpha), cfg.gamma, cfg.c)
+        with _too_small(cfg.alpha):
+            return beta_critical(Y[:k], T[:k] ** (-1.0 / cfg.alpha), cfg.gamma, cfg.c)
 
     return _replica_cells(cfg, "threshold_pinning_k", ["k", "replica", "beta_c"], cfg.k_list, one)
 
@@ -528,7 +520,8 @@ def _threshold_pinning_summary(cfg: ExperimentConfig, tables: list[dict]) -> dic
 def _threshold_polymer_cells(cfg: ExperimentConfig) -> list[Cell]:
     def one(k: int, r: int) -> float:
         rng = substream(cfg.seed, "threshold-polymer", r)
-        env = _environment(cfg.alpha, max(cfg.k_list), rng)
+        with _too_small(cfg.alpha):
+            env = PolymerEnvironment.sample(cfg.alpha, max(cfg.k_list), rng)
         return polymer_beta_critical(env.truncate(k))
 
     return _replica_cells(cfg, "threshold_polymer_k", ["k", "replica", "beta_c"], cfg.k_list, one)
@@ -584,9 +577,11 @@ def _subordinator_cells(cfg: ExperimentConfig) -> list[Cell]:
     def one(r: int) -> list:
         rng = substream(cfg.seed, "subordinator-growth", r)
         T, Y = draw_base(k, rng)
-        sup = growth_check(MarkedPointSet(_marks(T, cfg.alpha), Y),
-                           cfg.alpha, cfg.q, cfg.t_lo, cfg.t_hi)
-        env = _environment(cfg.alpha, k, substream(cfg.seed, "subordinator-band", r))
+        with _too_small(cfg.alpha):
+            points = MarkedPointSet(T ** (-1.0 / cfg.alpha), Y)
+            env = PolymerEnvironment.sample(cfg.alpha, k,
+                                            substream(cfg.seed, "subordinator-band", r))
+        sup = growth_check(points, cfg.alpha, cfg.q, cfg.t_lo, cfg.t_hi)
         wu_min = math.inf
         for t in np.linspace(0.0, 0.25, 11):
             U, W = band_process(env, float(t))
@@ -670,7 +665,6 @@ def _config_key(cfg: ExperimentConfig) -> str:
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run one experiment end to end, reusing any cells already on disk."""
-    cfg = cfg.with_defaults()
     cfg.validate()
     spec = SPECS[cfg.experiment]
     out = os.path.join(cfg.out_dir, cfg.experiment, _config_key(cfg))

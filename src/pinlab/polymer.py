@@ -227,4 +227,4 @@ def polymer_beta_critical(env: PolymerEnvironment, method: str = "auto") -> floa
     if np.any(np.abs(env.y) <= ON_PATH_TOL):
         return 0.0
     ex, ey, ws = _sorted_nodes(env)
-    return min_ratio(ws, _segment_entropy_matrix(ex, ey), 1.0, method, ENUM_MAX)
+    return min_ratio(ws, _segment_entropy_matrix(ex, ey), 1.0, method)

@@ -243,4 +243,4 @@ def beta_critical(positions, weights, gamma: float, c_entropy: float = 1.0,
         beta0 = float((c_entropy * (p**gamma + (1.0 - p) ** gamma - 1.0) / w).min())
         keep = _prune(p, w, beta0, gamma, c_entropy)
         L = EnergyLandscape(p[keep], w[keep], 0.0, gamma, c_entropy)
-    return min_ratio(L.weights, _gap_powers(L), c_entropy, method, BRUTEFORCE_MAX)
+    return min_ratio(L.weights, _gap_powers(L), c_entropy, method)

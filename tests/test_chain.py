@@ -84,7 +84,7 @@ def test_dp_tie_breaks_match_enumeration_pinning(half, beta, gamma):
     best = chain_dp(w, beta, column)
     assert best == enumerate_best(w, beta, column)
     assert solve_dp(L).selected == best  # on the pruned candidates
-    assert beta_critical(pos, w, gamma) == chain.min_ratio(w, column, 1.0, "enumerate", 25)
+    assert beta_critical(pos, w, gamma) == chain.min_ratio(w, column, 1.0, "enumerate")
 
 
 @given(
@@ -151,7 +151,7 @@ def test_dp_and_enumeration_agree_at_the_critical_coupling(half, weights):
     w = np.concatenate([wh, wh[::-1]])
     L = EnergyLandscape(pos, w, beta_critical(pos, w, 0.5), 0.5)
     column = _gap_powers(L)
-    assert L.beta == chain.min_ratio(w, column, 1.0, "enumerate", 25)  # unpruned
+    assert L.beta == chain.min_ratio(w, column, 1.0, "enumerate")  # unpruned
     assert chain_dp(w, L.beta, column) == enumerate_best(w, L.beta, column)
     assert solve_dp(L).selected == solve_bruteforce(L).selected
 

@@ -96,8 +96,10 @@ def test_validation_names_module_preconditions():
 
 
 def test_defaults_fill_only_when_unset():
-    cfg = config_from_mapping({"experiment": "threshold-pinning"})
-    assert cfg.k_list == (128, 512) and cfg.replicas == 500
+    for cfg in (config_from_mapping({"experiment": "threshold-pinning"}),
+                ExperimentConfig("threshold-pinning")):
+        assert cfg.k_list == (128, 512) and cfg.replicas == 500
+        assert dataclasses.replace(cfg, replicas=0).replicas == 500
     cfg2 = config_from_mapping({"experiment": "threshold-pinning", "replicas": 7})
     assert cfg2.replicas == 7
 
@@ -261,7 +263,7 @@ def test_config_key_hashes_the_read_keys_and_the_schema():
     # experiment reads and its schema version; pinned, so that a change to
     # any of them shows here
     keys = {name: harness._config_key(
-        ExperimentConfig(experiment=name, seed=1, **_SMALL[name]).with_defaults())
+        ExperimentConfig(experiment=name, seed=1, **_SMALL[name]))
         for name in EXPERIMENTS}
     assert keys == {
         "convergence": "b7a625e02839",
@@ -275,7 +277,7 @@ def test_config_key_hashes_the_read_keys_and_the_schema():
         "convergence": 0, "concentration": 0, "threshold-pinning": 0,
         "threshold-polymer": 0, "renewal-asymptotics": 2, "subordinator-growth": 1}
     cfg = ExperimentConfig(experiment="subordinator-growth", seed=1, **_SMALL[
-        "subordinator-growth"]).with_defaults()
+        "subordinator-growth"])
     want = {"experiment": "subordinator-growth", "seed": 1, "schema": 1, "alpha": 0.5,
             "k_list": [64], "q": 1.5, "replicas": 12, "t_hi": 0.1, "t_lo": 0.0001}
     text = json.dumps(want, sort_keys=True).encode()
@@ -334,8 +336,10 @@ def test_bad_input_exits_2(tmp_path):
     # builds it) or by growth_check on a range [t_lo, t_hi] it does not take;
     # the rest are non-finite numbers
     # (json.dumps writes NaN and Infinity), deltas outside [0, 1/2), size
-    # lists that do not strictly increase, a second k where one is read and a
-    # subordinator run with one replica (its z-scores need a spread)
+    # lists that do not strictly increase, a second k where one is read, a
+    # subordinator run with one replica (its z-scores need a spread), and
+    # sizes and replica counts far and just past their bounds (the far ones
+    # once passed validate and failed mid-run, on allocations of terabytes)
     bad = [
         {"experiment": "renewal-asymptotics", "n_eval": 2, "n_max": 2000},
         {"experiment": "renewal-asymptotics", "n_eval": 5, "n_max": 20},  # tail budget
@@ -362,6 +366,18 @@ def test_bad_input_exits_2(tmp_path):
         dict(_CONV, k_list=[8, 64]),
         {"experiment": "subordinator-growth", "k_list": [64, 128], "replicas": 2},
         {"experiment": "subordinator-growth", "k_list": [64], "replicas": 1},
+        dict(_CONV, N_list=[64, 10**15]),
+        dict(_CONV, N_list=[64, harness.SIZE_MAX + 1]),
+        dict(_CONV, k_list=[10**12]),
+        dict(_CONV, k_list=[harness.SIZE_MAX + 1]),
+        dict(_CONV, replicas=10**15),
+        dict(_CONV, replicas=harness.REPLICAS_MAX + 1),
+        {"experiment": "threshold-pinning", "k_list": [10**12]},
+        {"experiment": "threshold-pinning", "k_list": [harness.SIZE_MAX + 1]},
+        {"experiment": "threshold-polymer", "k_list": [10**12]},
+        {"experiment": "threshold-polymer", "k_list": [harness.POLYMER_K_MAX + 1]},
+        {"experiment": "subordinator-growth", "k_list": [10**12]},
+        {"experiment": "subordinator-growth", "k_list": [harness.SIZE_MAX + 1]},
     ]
     for i, data in enumerate(bad):
         path = tmp_path / f"bad{i}.json"
@@ -373,6 +389,14 @@ def test_bad_input_exits_2(tmp_path):
         assert main(["validate", "--config", str(path)]) == 2, data
         assert main(["run", "--config", str(path)]) == 2, data
         assert not (tmp_path / f"out{i}").exists(), data
+    # each bound itself is accepted; only validate runs, as a run would allocate
+    for data in (dict(_CONV, N_list=[64, harness.SIZE_MAX]),
+                 dict(_CONV, k_list=[harness.SIZE_MAX]),
+                 dict(_CONV, replicas=harness.REPLICAS_MAX),
+                 {"experiment": "threshold-pinning", "k_list": [harness.SIZE_MAX]},
+                 {"experiment": "threshold-polymer", "k_list": [harness.POLYMER_K_MAX]},
+                 {"experiment": "subordinator-growth", "k_list": [harness.SIZE_MAX]}):
+        config_from_mapping(data)
 
 
 @pytest.mark.parametrize("data", [{"alpha": 0.01}, {"q": 1e300}], ids=["alpha", "q"])
@@ -388,24 +412,28 @@ def test_growth_envelope_that_underflows_or_overflows_exits_2(tmp_path, data):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("data", [
-    {"experiment": "threshold-pinning", "k_list": [8, 512], "replicas": 2},
-    {"experiment": "convergence", "N_list": [64], "k_list": [64], "replicas": 2},
-    {"experiment": "threshold-polymer", "k_list": [32], "replicas": 2},
-], ids=["threshold-pinning", "convergence", "threshold-polymer"])
-@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
-def test_weights_that_underflow_exit_2(tmp_path, capsys, data):
-    # at alpha = 1e-3 the weights T^(-1/alpha) underflow to 0 once T > 2.1;
-    # validate cannot see the random T, so the run stops with a config error
-    # that names alpha (convergence is caught earlier, by validate: its scale
-    # N^(1/alpha) overflows).  alpha = 0.01 runs.
-    for alpha, code in ((1e-3, 2), (0.01, 0)):
+@pytest.mark.parametrize("data, small, runs", [
+    ({"experiment": "threshold-pinning", "k_list": [8, 512], "replicas": 2}, 1e-3, 0.01),
+    ({"experiment": "convergence", "N_list": [64], "k_list": [64], "replicas": 2}, 1e-3, 0.01),
+    ({"experiment": "threshold-polymer", "k_list": [32], "replicas": 2}, 1e-3, 0.01),
+    ({"experiment": "subordinator-growth", "t_lo": 0.05, "t_hi": 0.1, "k_list": [2000],
+      "replicas": 2}, 0.01, 0.1),
+], ids=["threshold-pinning", "convergence", "threshold-polymer", "subordinator-growth"])
+def test_weights_that_underflow_exit_2(tmp_path, capsys, data, small, runs):
+    # at alpha = 1e-3 the weights T^(-1/alpha) underflow to 0 once T > 2.1,
+    # and at alpha = 0.01 once T > 1700 (the 2000th mark); validate cannot
+    # see the random T, so the run stops with a config error that names
+    # alpha (convergence is caught earlier, by validate: its scale
+    # N^(1/alpha) overflows).  The larger alpha runs.
+    for alpha, code in ((small, 2), (runs, 0)):
         path = tmp_path / f"cfg{alpha}.json"
         path.write_text(json.dumps(dict(data, alpha=alpha, out_dir=str(tmp_path / "out"))))
         capsys.readouterr()
-        assert main(["run", "--config", str(path)]) == code, alpha
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", "--config", str(path)]) == code, alpha
         err = capsys.readouterr().err
-        assert ("config error: alpha = 0.001 is too small" in err) == (code == 2), err
+        assert (f"config error: alpha = {small!r} is too small" in err) == (code == 2), err
         assert "Traceback" not in err
 
 
@@ -414,15 +442,20 @@ def test_weights_that_underflow_exit_2(tmp_path, capsys, data):
     {"experiment": "threshold-pinning", "k_list": [8], "replicas": 2000, "seed": 1},
     {"experiment": "convergence", "N_list": [64, 1024], "k_list": [64], "replicas": 3},
     {"experiment": "threshold-polymer", "k_list": [8], "replicas": 900, "seed": 2},
-], ids=["threshold-pinning", "convergence", "threshold-polymer"])
+    {"experiment": "concentration", "N_list": [16, 32, 64], "n_samples": 10, "n_max": 2000,
+     "seed": 1},
+], ids=["threshold-pinning", "convergence", "threshold-polymer", "concentration"])
 def test_weights_that_overflow_exit_2(tmp_path, capsys, data):
     # at alpha = 0.01 a weight T^(-1/alpha) overflows to inf once T < 8.3e-4
     # (one of the replicas here), and the rescaled maximum M_disc at N = 1024
-    # once T_i < 0.85 T_1023 (convergence); an infinite weight would give
-    # beta_c = 0 or a landscape of inf maxima
+    # once T_i < 0.85 T_1023 (convergence; concentration's overflows at
+    # N = 32); an infinite weight would give beta_c = 0 or a landscape of
+    # inf maxima
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict(data, alpha=0.01, out_dir=str(tmp_path / "out"))))
-    assert main(["run", "--config", str(path)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "config error: alpha = 0.01 is too small" in err and "overflows to inf" in err, err
     assert "Traceback" not in err
@@ -483,7 +516,7 @@ def test_direct_config_rejects_non_finite_floats(tmp_path, field, value):
     cfg = ExperimentConfig(experiment="concentration", out_dir=str(tmp_path / "out"),
                            **{field: value})
     with pytest.raises(ConfigError, match=f"{field} must be finite"):
-        cfg.with_defaults().validate()
+        cfg.validate()
     with pytest.raises(ConfigError, match=f"{field} must be finite"):
         run_experiment(cfg)
     assert not (tmp_path / "out").exists()
@@ -505,7 +538,7 @@ def test_spec_keys_are_the_fields_read(name):
     # _SMALL reaches every branch that reads the config: three sizes give
     # the concentration slope fit and the threshold changes between sizes
     spec = harness.SPECS[name]
-    cfg = _Reads(ExperimentConfig(experiment=name, seed=1, **_SMALL[name]).with_defaults())
+    cfg = _Reads(ExperimentConfig(experiment=name, seed=1, **_SMALL[name]))
     tables = [{h: np.asarray(col, dtype=float) for h, col in zip(cell.header, cell.compute())}
               for cell in spec.cells(cfg)]
     spec.summarize(cfg, tables)
@@ -520,7 +553,7 @@ def _changed(value):
 
 
 _UNREAD = [
-    (name, key, _changed(getattr(ExperimentConfig(name).with_defaults(), key)))
+    (name, key, _changed(getattr(ExperimentConfig(name), key)))
     for name in EXPERIMENTS for key in typing.get_type_hints(ExperimentConfig)
     if key not in (*harness.SPECS[name].keys, "experiment", "seed", "out_dir")
 ] + [("threshold-pinning", "h", 0.7)]  # once keyed apart from h = 0.5 with the same cells
@@ -530,7 +563,7 @@ _UNREAD = [
 def test_unread_field_exits_2(tmp_path, name, key, value):
     out = tmp_path / "out"
     cfg = ExperimentConfig(experiment=name, out_dir=str(out), **{key: value})
-    for call in (lambda: cfg.with_defaults().validate(), lambda: run_experiment(cfg)):
+    for call in (lambda: cfg.validate(), lambda: run_experiment(cfg)):
         with pytest.raises(ConfigError, match=f"{name} does not read {key}"):
             call()
     path = tmp_path / "cfg.json"
@@ -593,7 +626,7 @@ def test_convergence_uses_the_entropy_constant(tmp_path):
 
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ExperimentConfig)])
 def test_flat_config_values_take_the_annotated_type(field):
-    base = ExperimentConfig(experiment="convergence").with_defaults()
+    base = ExperimentConfig(experiment="convergence")
     value = getattr(base, field)
     text = ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
     cfg = parse_config_text(f"experiment = convergence\n{field} = {text}\n")

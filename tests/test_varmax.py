@@ -271,7 +271,7 @@ def _full_dp(L):
 
 
 def _full_threshold(L, method="auto"):
-    return min_ratio(L.weights, _gap_powers(L), L.c_entropy, method, BRUTEFORCE_MAX)
+    return min_ratio(L.weights, _gap_powers(L), L.c_entropy, method)
 
 
 def _margin(L):
@@ -411,5 +411,5 @@ def test_threshold_at_large_k():
         T, Y = draw_base(4096, substream(6, "threshold-pinning", r))
         w = T ** -2.0
         L = EnergyLandscape.from_marks(Y, w, 0.0, 0.5)
-        full = min_ratio(L.weights, _gap_powers(L), 1.0, "parametric", BRUTEFORCE_MAX)
+        full = min_ratio(L.weights, _gap_powers(L), 1.0, "parametric")
         assert beta_critical(Y, w, 0.5) == full
