@@ -8,7 +8,9 @@ polymer (polymer) uses the segment entropies, +inf where infeasible, with
 c = 1.  Both thresholds are the minimum over nonempty chains of
 c * (C(chain) - C(empty)) / W(chain).  Every routine reads the costs
 through an accessor, column(j) = C[:j, j], and sums them unscaled in
-ascending node order, so every path gets the same floats.
+ascending node order, so every path gets the same floats.  Pinning
+computes each column as it reads it; only the polymer's thresholds and
+oracles read a table (lower_columns).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ METHODS = ("auto", "enumerate", "parametric", "bisect")
 
 def check_method(method: str, size: int, enum_max: int) -> None:
     """Reject an unknown threshold method, and an enumeration over more than
-    enum_max points, before any cost table is built."""
+    enum_max points, before any cost is computed."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method == "enumerate" and size > enum_max:
@@ -42,7 +44,8 @@ def lower_columns(n: int, rows):
     row r holds column j0 + r (its entries at and past the diagonal are never
     read).  Only the views below the diagonal are kept; with the blocks they
     hold, that is about n^2 / 2 + BLOCK * n / 2 floats, and no temporary of
-    rows() needs more than BLOCK * n.
+    rows() needs more than BLOCK * n.  Its callers are the polymer's
+    thresholds and oracles, which read every column at every step.
     """
     cols = []
     for j0 in range(0, n, BLOCK):
@@ -159,8 +162,8 @@ def min_ratio(w, column, c: float, method: str) -> float:
     exact after finitely many solves.  The oracles: "enumerate" scans every
     chain; "bisect" halves the coupling until the tie-breaking DP's verdict
     (empty or not) is pinned to BISECT_TOL.  The callers reject an unknown
-    method, and cap the enumeration, by check_method before they build the
-    costs behind column.
+    method, and cap the enumeration, by check_method before they compute
+    the costs behind column.
     """
     m = w.size
     last = column(m + 1)

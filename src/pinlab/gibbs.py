@@ -181,11 +181,12 @@ class ExactSampler:
     in ROW_BUDGET; none is ever evicted, so the rows of the first draws stay
     and a row first built after the budget is spent is rebuilt at each
     visit.  A kept row is the array a rebuild would give, so keeping rows
-    changes no draw.
+    changes no draw.  Each sampler builds the model's forward table, so a
+    run of many draws uses one sampler.
     """
 
-    def __init__(self, model: PinningModel, table: np.ndarray | None = None):
-        self._table = forward_table(model) if table is None else table
+    def __init__(self, model: PinningModel):
+        self._table = forward_table(model)
         self._logK = _log_kernel(model)
         self._cdf_N = _backward_cdf(self._table, self._logK, model.N)
         self.rows: dict[int, np.ndarray] = {}
@@ -217,10 +218,9 @@ class ExactSampler:
         return out
 
 
-def exact_sample(model: PinningModel, rng: np.random.Generator,
-                 table: np.ndarray | None = None) -> GibbsSample:
+def exact_sample(model: PinningModel, rng: np.random.Generator) -> GibbsSample:
     """One exact draw from the pinned Gibbs measure (see ExactSampler)."""
-    (indices,) = ExactSampler(model, table).draws(rng, 1)
+    (indices,) = ExactSampler(model).draws(rng, 1)
     return GibbsSample(indices=indices, N=model.N)
 
 
@@ -263,19 +263,18 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
 
 
 def concentration_probability(model: PinningModel, ref: PinnedSet, delta: float,
-                              n_samples: int, rng: np.random.Generator,
-                              table: np.ndarray | None = None) -> ConcentrationEstimate:
+                              n_samples: int, rng: np.random.Generator) -> ConcentrationEstimate:
     """Estimate P(d_H(I, ref) > delta) under the model by exact sampling.
 
-    One ExactSampler serves every draw, so the CDF rows below N that fit in
-    ROW_BUDGET floats (2^16, 512 KiB) are built once per call; the first
-    rows built are kept and none is evicted.  Draws are scored SCORE_BLOCK
-    at a time by grid_hausdorff, which keeps memory independent of
-    n_samples and gives each draw the distance hausdorff would give.
+    One ExactSampler serves every draw, so the forward table and the CDF
+    rows below N that fit in ROW_BUDGET floats (2^16, 512 KiB) are built
+    once per call; the first rows built are kept and none is evicted.
+    Draws are scored SCORE_BLOCK at a time by grid_hausdorff: memory stays
+    independent of n_samples, and each draw gets hausdorff's distance.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    sampler = ExactSampler(model, table)
+    sampler = ExactSampler(model)
     exceed = 0
     for done in range(0, n_samples, SCORE_BLOCK):
         sets = sampler.draws(rng, min(SCORE_BLOCK, n_samples - done))

@@ -217,10 +217,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        sep = "=" if "=" in line else (":" if ":" in line else None)
-        if sep is None:
+        key, sep, value = line.partition("=")
+        if not sep:
             raise ConfigError(f"line {lineno}: expected key = value")
-        key, _, value = line.partition(sep)
         data[key.strip()] = value.strip()
     return config_from_mapping(data)
 
@@ -270,20 +269,23 @@ def _write_atomic(path: str, text: str) -> None:
 def _ensure_cell(path: str, cell: Cell) -> dict:
     """Return the cell's float columns by header name, computing and writing
     the cell only if it is absent or malformed.  A cell on disk is reused only
-    with the expected header and row count, every row of the header's width
-    and every value a float; repr-written floats read back exactly.  A computed
-    column is written as repr over its array's tolist() (str of an int, repr
-    of a float) and returned as float without a parse-back."""
+    if it is UTF-8 with the expected header and row count, every row of the
+    header's width and every value a finite float, as every computed value
+    is; repr-written floats read back exactly.  A computed column is written
+    as repr over its array's tolist() (str of an int, repr of a float) and
+    returned as float without a parse-back."""
     if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            rows = [line.split(",") for line in fh.read().splitlines()]
-        if (rows[:1] == [cell.header] and len(rows) == cell.rows + 1
-                and all(len(r) == len(cell.header) for r in rows)):
-            try:
-                return {h: np.array([float(v) for v in col])
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                rows = [line.split(",") for line in fh.read().splitlines()]
+            if (rows[:1] == [cell.header] and len(rows) == cell.rows + 1
+                    and all(len(r) == len(cell.header) for r in rows)):
+                cols = {h: np.array([float(v) for v in col])
                         for h, col in zip(cell.header, zip(*rows[1:]))}
-            except ValueError:
-                pass
+                if all(np.isfinite(col).all() for col in cols.values()):
+                    return cols
+        except ValueError:  # a value that is not a float, or bytes that are not UTF-8
+            pass
         log.warning("recomputing malformed cell %s", path)
     columns = [np.asarray(col) for col in cell.compute()]
     rows = zip(*(map(repr, col.tolist()) for col in columns))
@@ -347,12 +349,12 @@ def _binom_half_ppf(q: float, n: int) -> int:
     return n
 
 
-def _median_ci(values: np.ndarray, level: float = 0.95) -> tuple[float, float]:
-    """Order-statistic confidence interval for the median."""
+def _median_ci(values: np.ndarray) -> tuple[float, float]:
+    """Order-statistic 95% confidence interval for the median."""
     x = np.sort(values)
-    n = x.size
-    lo = x[_binom_half_ppf((1 - level) / 2, n)]
-    hi = x[min(n - 1, _binom_half_ppf(1 - (1 - level) / 2, n))]
+    n, tail = x.size, (1 - 0.95) / 2  # the mass outside it on either side
+    lo = x[_binom_half_ppf(tail, n)]
+    hi = x[min(n - 1, _binom_half_ppf(1 - tail, n))]
     return float(lo), float(hi)
 
 

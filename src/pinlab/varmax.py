@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import chain_dp, check_method, enumerate_best, lower_columns, min_ratio
+from .chain import chain_dp, check_method, enumerate_best, min_ratio
 from .geometry import PinnedSet, nearest_distances, set_entropy
 
 MEMBER_TOL = 1e-12
@@ -106,20 +106,13 @@ def _canonical_value(L: EnergyLandscape, idx) -> float:
     return L.beta * float(np.sum(L.weights[list(idx)])) - L.c_entropy * set_entropy(I, L.gamma)
 
 
-def _gap_powers(L: EnergyLandscape):
+def _gap_column(positions, gamma: float):
     """Column accessor of the gap powers (p_j - p_i)^gamma, i < j, over the
-    endpoint-augmented nodes, computed once for every column (every
-    Dinkelbach step reads all of them) and a block of rows at a time
-    (chain.lower_columns)."""
-    ext = np.concatenate(([0.0], L.positions, [1.0]))
-
-    def rows(j0, j1):
-        block = ext[j0:j1, None] - ext[None, :j1]
-        np.maximum(block, 0.0, out=block)  # entries at i >= j are never read
-        block **= L.gamma
-        return block
-
-    return lower_columns(ext.size, rows)
+    endpoint-augmented nodes, computed each time it is read.  Every caller
+    but the bisect oracle runs on the few positions _prune keeps or on at
+    most BRUTEFORCE_MAX positions, so a table would not pay for itself."""
+    ext = np.concatenate(([0.0], positions, [1.0]))
+    return lambda j: (ext[j] - ext[:j]) ** gamma
 
 
 def solve_bruteforce(L: EnergyLandscape) -> VarSolution:
@@ -133,7 +126,7 @@ def solve_bruteforce(L: EnergyLandscape) -> VarSolution:
     m = L.size
     if m > BRUTEFORCE_MAX:
         raise ValueError(f"instance has {m} positions, enumeration capped at {BRUTEFORCE_MAX}")
-    idx = enumerate_best(L.weights, L.beta, _gap_powers(L), L.c_entropy)
+    idx = enumerate_best(L.weights, L.beta, _gap_column(L.positions, L.gamma), L.c_entropy)
     return VarSolution(_pinned_from_indices(L, idx), _canonical_value(L, idx), idx)
 
 
@@ -208,8 +201,7 @@ def solve_dp(L: EnergyLandscape) -> VarSolution:
     memory stays linear.
     """
     keep = _prune(L.positions, L.weights, L.beta, L.gamma, L.c_entropy)
-    ext = np.concatenate(([0.0], L.positions[keep], [1.0]))
-    sel = chain_dp(L.weights[keep], L.beta, lambda j: (ext[j] - ext[:j]) ** L.gamma, L.c_entropy)
+    sel = chain_dp(L.weights[keep], L.beta, _gap_column(L.positions[keep], L.gamma), L.c_entropy)
     idx = tuple(int(keep[i]) for i in sel)
     return VarSolution(_pinned_from_indices(L, idx), _canonical_value(L, idx), idx)
 
@@ -237,10 +229,10 @@ def beta_critical(positions, weights, gamma: float, c_entropy: float = 1.0,
     L = EnergyLandscape.from_marks(positions, weights, 0.0, gamma, c_entropy)
     if L.size == 0:
         return math.inf
+    p, w = L.positions, L.weights
     if method in ("auto", "parametric"):
-        p, w = L.positions, L.weights
         # min_ratio's single-point bound, with the same floats
         beta0 = float((c_entropy * (p**gamma + (1.0 - p) ** gamma - 1.0) / w).min())
         keep = _prune(p, w, beta0, gamma, c_entropy)
-        L = EnergyLandscape(p[keep], w[keep], 0.0, gamma, c_entropy)
-    return min_ratio(L.weights, _gap_powers(L), c_entropy, method)
+        p, w = p[keep], w[keep]
+    return min_ratio(w, _gap_column(p, gamma), c_entropy, method)

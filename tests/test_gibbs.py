@@ -111,9 +111,8 @@ def test_sampler_two_site_frequencies(term):
     z = math.exp(log_partition(model))
     p_mid = term.K[1] ** 2 * math.exp(0.9 * 1.5) / z
     rng = substream(8, "freq")
-    table = forward_table(model)
     n = 100_000
-    hits = sum(exact_sample(model, rng, table).indices == (0, 1, 2) for _ in range(n))
+    hits = sum(idx == (0, 1, 2) for idx in ExactSampler(model).draws(rng, n))
     sigma = math.sqrt(p_mid * (1 - p_mid) / n)
     assert abs(hits / n - p_mid) < 3 * sigma
 
@@ -121,12 +120,10 @@ def test_sampler_two_site_frequencies(term):
 def test_sampler_matches_enumeration_tv(term):
     model, _ = _disordered_model(term, N=8, beta_hat=2.0)
     dist = enumerate_distribution(model)
-    table = forward_table(model)
     rng = substream(15, "tv")
     n = 40_000
     counts = {}
-    for _ in range(n):
-        idx = exact_sample(model, rng, table).indices
+    for idx in ExactSampler(model).draws(rng, n):
         counts[idx] = counts.get(idx, 0) + 1
     tv = 0.5 * sum(abs(counts.get(idx, 0) / n - p) for idx, p in dist.items())
     assert tv < 0.02
@@ -180,9 +177,8 @@ def test_concentration_probability_edges(term):
     rng = substream(9, "conc")
     est = concentration_probability(model, ref, 1.5, 200, rng)
     assert est.estimate == 0.0 and est.exceed == 0
-    table = forward_table(model)
     rng = substream(9, "conc0")
-    draws = [exact_sample(model, rng, table) for _ in range(500)]
+    draws = [GibbsSample(idx, model.N) for idx in ExactSampler(model).draws(rng, 500)]
     frac_neq = np.mean([s.set != ref for s in draws])
     rng = substream(9, "conc0")
     est0 = concentration_probability(model, ref, 0.0, 500, rng)
@@ -328,10 +324,12 @@ def test_forward_table_matches_scipy_logsumexp_at_infinite_site_weight(law):
 @settings(max_examples=100, deadline=None)
 def test_exact_sample_matches_choice_sampler(law, N, beta, h, alpha, zeros, seed, draws):
     model = _heavy_tailed_model(law, N, beta, h, alpha, zeros, seed)
+    # one draw by exact_sample, then `draws` by one sampler
     table = forward_table(model)
     fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-    for _ in range(draws):
-        assert exact_sample(model, fast, table).indices == _exact_sample_oracle(model, slow, table)
+    assert exact_sample(model, fast).indices == _exact_sample_oracle(model, slow, table)
+    got = ExactSampler(model).draws(fast, draws)
+    assert got == [_exact_sample_oracle(model, slow, table) for _ in range(draws)]
     assert fast.bit_generator.state == slow.bit_generator.state
 
 
@@ -343,7 +341,7 @@ def test_concentration_probability_matches_per_draw_pinned_sets(
     table = forward_table(model)
     ref = PinnedSet(np.linspace(0.0, 1.0, 2 + seed % 5))
     fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-    est = concentration_probability(model, ref, delta, n_samples, fast, table)
+    est = concentration_probability(model, ref, delta, n_samples, fast)
     exceed = 0
     for _ in range(n_samples):
         s = GibbsSample(_exact_sample_oracle(model, slow, table), N)
@@ -360,7 +358,7 @@ def test_concentration_probability_matches_per_draw_pinned_sets(
 def test_sampler_past_the_row_budget_matches_choice_sampler(law, N, beta_hat, seed, draws):
     model, _ = _disordered_model(tilt(law, 0.5), N, beta_hat=beta_hat, seed=seed)
     table = forward_table(model)
-    sampler = ExactSampler(model, table)
+    sampler = ExactSampler(model)
     fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
     got = sampler.draws(fast, draws)
     assert got == [_exact_sample_oracle(model, slow, table) for _ in range(draws)]
@@ -384,7 +382,7 @@ def test_concentration_counts_across_score_blocks(term, ref):
              for _ in range(n_samples)]
     for delta in (0.0, sorted(dists)[n_samples // 2], max(dists)):
         fast = substream(12, "blocks")
-        est = concentration_probability(model, ref, delta, n_samples, fast, table)
+        est = concentration_probability(model, ref, delta, n_samples, fast)
         assert est.exceed == sum(d > delta for d in dists)
         assert fast.bit_generator.state == slow.bit_generator.state
 
@@ -397,7 +395,6 @@ def test_concentration_memory_stays_within_row_budget():
     law = build_law(0.5, 1.0, 0.0, 0.0, n_max=4000)
     N = 2048
     model, _ = _disordered_model(tilt(law, 1.0), N=N, beta_hat=1.0, seed=3)
-    table = forward_table(model)
     ref = PinnedSet([0.0, 0.5, 1.0])
 
     def peak(run):
@@ -410,8 +407,8 @@ def test_concentration_memory_stays_within_row_budget():
 
     def estimate(n_samples):
         return lambda: concentration_probability(
-            model, ref, 0.1, n_samples, substream(5, "mem"), table)
+            model, ref, 0.1, n_samples, substream(5, "mem"))
 
-    sets = pickle.dumps(ExactSampler(model, table).draws(substream(5, "mem"), SCORE_BLOCK))
+    sets = pickle.dumps(ExactSampler(model).draws(substream(5, "mem"), SCORE_BLOCK))
     block = peak(lambda: grid_hausdorff(pickle.loads(sets), N, ref))
     assert peak(estimate(4 * SCORE_BLOCK)) - peak(estimate(SCORE_BLOCK)) <= 8 * ROW_BUDGET + block

@@ -77,6 +77,8 @@ def test_parse_errors():
         config_from_mapping({"experiment": "convergence", "replicas": "many"})
     with pytest.raises(ConfigError):
         config_from_mapping({"experiment": "no-such-thing"})
+    with pytest.raises(ConfigError, match="line 1: expected key = value"):
+        parse_config_text("experiment: convergence\n")  # only `=` separates
 
 
 def test_validation_names_module_preconditions():
@@ -150,10 +152,10 @@ def test_resumability_skips_completed_cells(tmp_path):
 
 
 def test_malformed_cells_are_recomputed(tmp_path, caplog):
-    # a cell with a foreign header, a short row, a missing row or a value that
-    # is not a float is not reused: a rerun rewrites each with the fresh bytes
-    # and logs its path
-    cfg = dataclasses.replace(_tiny_convergence(tmp_path), N_list=(16, 32, 48, 64))
+    # a cell with a foreign header, a short row, a missing row, a value that
+    # is not a float or not finite, or bytes that are not UTF-8 is not reused:
+    # a rerun rewrites each with the fresh bytes and logs its path
+    cfg = dataclasses.replace(_tiny_convergence(tmp_path), N_list=(16, 32, 48, 64, 80, 96, 112))
     rep1 = run_experiment(cfg)
     fresh = {c: open(c, "rb").read() for c in rep1.cells}
 
@@ -169,11 +171,21 @@ def test_malformed_cells_are_recomputed(tmp_path, caplog):
     def not_a_float(lines):
         lines[4] = lines[4].rsplit(",", 1)[0] + ",0.5x"
 
-    corruptions = (foreign_header, short_row, missing_row, not_a_float)
+    def not_utf8(lines):
+        lines[5] = lines[5].rsplit(",", 1)[0] + ",0.5\udcff"  # written as the byte 0xff
+
+    def nan(lines):
+        lines[6] = lines[6].rsplit(",", 1)[0] + ",nan"
+
+    def inf(lines):
+        lines[1] = lines[1].rsplit(",", 1)[0] + ",inf"
+
+    corruptions = (foreign_header, short_row, missing_row, not_a_float, not_utf8, nan, inf)
+    assert len(rep1.cells) == len(corruptions)
     for cell, corrupt in zip(rep1.cells, corruptions):
         lines = fresh[cell].decode().splitlines()
         corrupt(lines)
-        with open(cell, "w", encoding="utf-8") as fh:
+        with open(cell, "w", encoding="utf-8", errors="surrogateescape") as fh:
             fh.write("\n".join(lines) + "\n")
     with caplog.at_level("WARNING", logger="pinlab.harness"):
         rep2 = run_experiment(cfg)

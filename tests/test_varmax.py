@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pinlab.varmax as varmax
 from pinlab.chain import chain_dp, min_ratio
 from pinlab.disorder import BUFFER_MIN, draw_base
 from pinlab.geometry import PinnedSet, hausdorff, set_entropy
@@ -16,7 +17,7 @@ from pinlab.varmax import (
     BRUTEFORCE_MAX,
     EnergyLandscape,
     _canonical_value,
-    _gap_powers,
+    _gap_column,
     _pinned_from_indices,
     _prune,
     beta_critical,
@@ -267,11 +268,11 @@ def test_landscape_validation():
 
 
 def _full_dp(L):
-    return chain_dp(L.weights, L.beta, _gap_powers(L), L.c_entropy)
+    return chain_dp(L.weights, L.beta, _gap_column(L.positions, L.gamma), L.c_entropy)
 
 
 def _full_threshold(L, method="auto"):
-    return min_ratio(L.weights, _gap_powers(L), L.c_entropy, method)
+    return min_ratio(L.weights, _gap_column(L.positions, L.gamma), L.c_entropy, method)
 
 
 def _margin(L):
@@ -386,15 +387,27 @@ def test_pruning_margin_where_the_entropy_gain_cancels(log_a, ulps, t, gamma, be
     assert solve_dp(L).selected == _full_dp(L)
 
 
-def test_threshold_at_large_k():
+def test_threshold_at_large_k(monkeypatch):
     """beta_c^(k) for k = 512, 10^4, 10^5 on one base per replica, drawn as
     the threshold-pinning runner draws it, over the nine (alpha, gamma) of
     criterion 6; then the pruned threshold at m = 4096 against the unpruned
-    parametric iteration on the gap-power table of all positions.
+    parametric iteration on the gap powers of all positions.
+
+    The threshold computes every column of gap powers at every Dinkelbach
+    step, which is cheap only because _prune leaves few positions: at most
+    211 here (alpha = gamma = 0.8, k = 10^5), and the test fails past 1000.
 
     Measured: 4.3 s on 2 cores (Python 3.11, numpy 2.4); the process peaks
     at 127 MB.  The unpruned parametric iteration at m = 10^5 would need a
     40 GB table."""
+    survivors, prune = [], varmax._prune
+
+    def spy(*args):
+        keep = prune(*args)
+        survivors.append(keep.size)
+        return keep
+
+    monkeypatch.setattr(varmax, "_prune", spy)
     R = 20
     ks = (512, 10_000, 100_000)
     for r in range(R):
@@ -404,6 +417,7 @@ def test_threshold_at_large_k():
                 prev = math.inf
                 for k in ks:
                     bc = beta_critical(Y[:k], T[:k] ** (-1.0 / alpha), gamma)
+                    assert survivors.pop() <= 1000, (r, alpha, gamma, k)
                     # a longer prefix only adds chains, so the minimum ratio can only fall
                     assert 0.0 < bc <= prev * (1.0 + 1e-12)
                     prev = bc
@@ -411,5 +425,5 @@ def test_threshold_at_large_k():
         T, Y = draw_base(4096, substream(6, "threshold-pinning", r))
         w = T ** -2.0
         L = EnergyLandscape.from_marks(Y, w, 0.0, 0.5)
-        full = min_ratio(L.weights, _gap_powers(L), 1.0, "parametric")
+        full = min_ratio(L.weights, _gap_column(L.positions, L.gamma), 1.0, "parametric")
         assert beta_critical(Y, w, 0.5) == full
