@@ -18,7 +18,6 @@ from .disorder import (
 from .geometry import PinnedSet, hausdorff, set_entropy
 from .gibbs import (
     ConcentrationEstimate,
-    ExactSampler,
     GibbsSample,
     PinningModel,
     concentration_probability,

@@ -105,20 +105,34 @@ def forward_table(model: PinningModel) -> np.ndarray:
     """log Z_0..log Z_N where Z_n sums path weights of bridges ending at n.
 
     Z_0 = 1; interior Z_n carry the site weight at n, the endpoint N does
-    not (the energy runs over n = 1..N-1 only).
+    not (the energy runs over n = 1..N-1 only).  Row n is _logsumexp of
+    logZ[:n] + logK[n:0:-1], read from a reversed copy of log K into one
+    buffer; with a single maximum, _logsumexp's division by the count and
+    its log(1) drop out exactly, so that case masks the top in place.
     """
     N = model.N
     if N > model.law.n_max:
         raise ValueError(f"horizon N={N} exceeds law support n_max={model.law.n_max}")
-    logK = _log_kernel(model)
-    site = model.site_log_weights
+    rev = np.ascontiguousarray(_log_kernel(model)[:0:-1])  # rev[N-n:] is logK[n:0:-1]
+    site = model.site_log_weights.tolist() + [0.0]
     logZ = np.empty(N + 1)
     logZ[0] = 0.0
+    buf = np.empty(N)
     # each row needs every row before it, so the loop over n stays
     with np.errstate(all="ignore"):
         for n in range(1, N + 1):
-            inner = _logsumexp(logZ[:n] + logK[n:0:-1])
-            logZ[n] = inner + (site[n - 1] if n < N else 0.0)
+            a = np.add(logZ[:n], rev[N - n:], out=buf[:n])
+            top = a.argmax()
+            a_max = a[top]
+            if np.count_nonzero(a == a_max) != 1:
+                inner = _logsumexp(a)
+            else:
+                a[top] = -np.inf
+                a -= a_max
+                inner = np.log1p(np.exp(a, out=a).sum()) + a_max
+                if not math.isfinite(inner):
+                    inner = np.log(np.exp(logZ[:n] + rev[N - n:]).sum())
+            logZ[n] = inner + site[n - 1]
     return logZ
 
 
@@ -165,62 +179,43 @@ def _backward_cdf(table: np.ndarray, logK: np.ndarray, n: int) -> np.ndarray:
     return cdf
 
 
-#: Floats of backward CDF rows below row N that one sampler keeps (512 KiB).
-ROW_BUDGET = 1 << 16
-#: Draws scored per grid_hausdorff call in concentration_probability.
+#: Draws per backward sweep in concentration_probability, each block scored
+#: by one grid_hausdorff call.
 SCORE_BLOCK = 1024
 
 
-class ExactSampler:
-    """Exact draws from one model's pinned Gibbs measure by backward decomposition.
+def backward_sweep(model: PinningModel, table: np.ndarray, rng: np.random.Generator,
+                   count: int) -> list[tuple[int, ...]]:
+    """Indices 0..N of `count` exact, independent draws, given table = forward_table(model).
 
     From n, the previous point is m with probability proportional to
-    Z_m * K(n-m); iterating down to 0 gives an exact draw because each Z_m
-    already accounts for everything left of m.  Every draw starts from the
-    CDF of row N.  A row n < N is kept in ``rows`` if its n floats still fit
-    in ROW_BUDGET; none is ever evicted, so the rows of the first draws stay
-    and a row first built after the budget is spent is rebuilt at each
-    visit.  A kept row is the array a rebuild would give, so keeping rows
-    changes no draw.  Each sampler builds the model's forward table, so a
-    run of many draws uses one sampler.
+    Z_m * K(n-m); iterating down to 0 gives an exact draw, because each Z_m
+    already accounts for everything left of m.  Every draw starts at N.  The
+    sweep visits in descending order only the rows n at which some draw
+    sits, builds row n's CDF once, and moves the k draws at n with one
+    rng.random(k), each uniform mapped as Generator.choice(n, p=p) maps it.
+    So uniforms go to (draw, step) pairs by rows descending and, within a
+    row, by ascending draw index.  Each step takes a fresh uniform, so the
+    draws are exact and i.i.d.; with one draw the order is rng.choice's step
+    by step.  No row outlives its visit.
     """
-
-    def __init__(self, model: PinningModel):
-        self._table = forward_table(model)
-        self._logK = _log_kernel(model)
-        self._cdf_N = _backward_cdf(self._table, self._logK, model.N)
-        self.rows: dict[int, np.ndarray] = {}
-        self._free = ROW_BUDGET
-
-    def draws(self, rng: np.random.Generator, count: int) -> list[tuple[int, ...]]:
-        """Indices 0..N of `count` successive draws.
-
-        One uniform per step, mapped as Generator.choice maps it, so the
-        draws and the generator's state match rng.choice(n, p=p) step by step.
-        """
-        table, logK, rows, random = self._table, self._logK, self.rows, rng.random
-        out = []
-        for _ in range(count):
-            points = [table.size - 1]
-            cdf = self._cdf_N
-            while True:
-                n = int(cdf.searchsorted(random(), side="right"))
-                points.append(n)
-                if n == 0:
-                    break
-                cdf = rows.get(n)
-                if cdf is None:
-                    cdf = _backward_cdf(table, logK, n)
-                    if n <= self._free:
-                        rows[n] = cdf
-                        self._free -= n
-            out.append(tuple(reversed(points)))
-        return out
+    logK = _log_kernel(model)
+    pos = np.full(count, model.N)
+    paths = [[model.N] for _ in range(count)]
+    n = model.N
+    while n > 0:
+        at = np.flatnonzero(pos == n)
+        to = _backward_cdf(table, logK, n).searchsorted(rng.random(at.size), side="right")
+        pos[at] = to
+        for i, m in zip(at.tolist(), to.tolist()):
+            paths[i].append(m)
+        n = int(pos.max())
+    return [tuple(reversed(path)) for path in paths]
 
 
 def exact_sample(model: PinningModel, rng: np.random.Generator) -> GibbsSample:
-    """One exact draw from the pinned Gibbs measure (see ExactSampler)."""
-    (indices,) = ExactSampler(model).draws(rng, 1)
+    """One exact draw from the pinned Gibbs measure (see backward_sweep)."""
+    (indices,) = backward_sweep(model, forward_table(model), rng, 1)
     return GibbsSample(indices=indices, N=model.N)
 
 
@@ -266,18 +261,17 @@ def concentration_probability(model: PinningModel, ref: PinnedSet, delta: float,
                               n_samples: int, rng: np.random.Generator) -> ConcentrationEstimate:
     """Estimate P(d_H(I, ref) > delta) under the model by exact sampling.
 
-    One ExactSampler serves every draw, so the forward table and the CDF
-    rows below N that fit in ROW_BUDGET floats (2^16, 512 KiB) are built
-    once per call; the first rows built are kept and none is evicted.
-    Draws are scored SCORE_BLOCK at a time by grid_hausdorff: memory stays
-    independent of n_samples, and each draw gets hausdorff's distance.
+    One forward table serves every draw.  Draws come SCORE_BLOCK at a time
+    from one backward_sweep each, which builds each CDF row it visits once,
+    and each block is scored by grid_hausdorff: memory stays independent of
+    n_samples, and each draw gets hausdorff's distance.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    sampler = ExactSampler(model)
+    table = forward_table(model)
     exceed = 0
     for done in range(0, n_samples, SCORE_BLOCK):
-        sets = sampler.draws(rng, min(SCORE_BLOCK, n_samples - done))
+        sets = backward_sweep(model, table, rng, min(SCORE_BLOCK, n_samples - done))
         exceed += int(np.count_nonzero(grid_hausdorff(sets, model.N, ref) > delta))
     lo, hi = wilson_interval(exceed, n_samples)
     return ConcentrationEstimate(exceed / n_samples, lo, hi, exceed, n_samples)

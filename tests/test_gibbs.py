@@ -3,6 +3,7 @@
 import math
 import pickle
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,15 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from pinlab import gibbs
 from pinlab.disorder import DisorderLaw, sample_coupled, truncation_residual
 from pinlab.geometry import PinnedSet, grid_hausdorff, hausdorff
 from pinlab.gibbs import (
-    ROW_BUDGET,
     SCORE_BLOCK,
-    ExactSampler,
     GibbsSample,
     _logsumexp,
     PinningModel,
+    backward_sweep,
     concentration_probability,
     enumerate_distribution,
     exact_sample,
@@ -112,7 +113,7 @@ def test_sampler_two_site_frequencies(term):
     p_mid = term.K[1] ** 2 * math.exp(0.9 * 1.5) / z
     rng = substream(8, "freq")
     n = 100_000
-    hits = sum(idx == (0, 1, 2) for idx in ExactSampler(model).draws(rng, n))
+    hits = sum(idx == (0, 1, 2) for idx in backward_sweep(model, forward_table(model), rng, n))
     sigma = math.sqrt(p_mid * (1 - p_mid) / n)
     assert abs(hits / n - p_mid) < 3 * sigma
 
@@ -123,7 +124,7 @@ def test_sampler_matches_enumeration_tv(term):
     rng = substream(15, "tv")
     n = 40_000
     counts = {}
-    for idx in ExactSampler(model).draws(rng, n):
+    for idx in backward_sweep(model, forward_table(model), rng, n):
         counts[idx] = counts.get(idx, 0) + 1
     tv = 0.5 * sum(abs(counts.get(idx, 0) / n - p) for idx, p in dist.items())
     assert tv < 0.02
@@ -178,7 +179,8 @@ def test_concentration_probability_edges(term):
     est = concentration_probability(model, ref, 1.5, 200, rng)
     assert est.estimate == 0.0 and est.exceed == 0
     rng = substream(9, "conc0")
-    draws = [GibbsSample(idx, model.N) for idx in ExactSampler(model).draws(rng, 500)]
+    oracle = _sweep_oracle(model, rng, forward_table(model), 500)
+    draws = [GibbsSample(idx, model.N) for idx in oracle]
     frac_neq = np.mean([s.set != ref for s in draws])
     rng = substream(9, "conc0")
     est0 = concentration_probability(model, ref, 0.0, 500, rng)
@@ -250,6 +252,24 @@ def _exact_sample_oracle(model, rng, table):
         n = int(rng.choice(n, p=p))
         points.append(n)
     return tuple(reversed(points))
+
+
+def _sweep_oracle(model, rng, table, count):
+    # rng.choice per step in backward_sweep's order: rows descending, and the
+    # draws at a row by ascending index
+    N = model.N
+    logK = np.full(N + 1, -np.inf)
+    logK[1:] = np.log(model.law.K[1 : N + 1])
+    paths = [[N] for _ in range(count)]
+    for n in range(N, 0, -1):
+        at = [path for path in paths if path[-1] == n]
+        if at:
+            logits = table[:n] + logK[n:0:-1]
+            p = np.exp(logits - logits.max())
+            p /= p.sum()
+            for path in at:
+                path.append(int(rng.choice(n, p=p)))
+    return [tuple(reversed(path)) for path in paths]
 
 
 def _hausdorff_oracle(A, B):
@@ -324,12 +344,12 @@ def test_forward_table_matches_scipy_logsumexp_at_infinite_site_weight(law):
 @settings(max_examples=100, deadline=None)
 def test_exact_sample_matches_choice_sampler(law, N, beta, h, alpha, zeros, seed, draws):
     model = _heavy_tailed_model(law, N, beta, h, alpha, zeros, seed)
-    # one draw by exact_sample, then `draws` by one sampler
+    # one draw by exact_sample, then `draws` by one sweep
     table = forward_table(model)
     fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
     assert exact_sample(model, fast).indices == _exact_sample_oracle(model, slow, table)
-    got = ExactSampler(model).draws(fast, draws)
-    assert got == [_exact_sample_oracle(model, slow, table) for _ in range(draws)]
+    assert fast.bit_generator.state == slow.bit_generator.state
+    assert backward_sweep(model, table, fast, draws) == _sweep_oracle(model, slow, table, draws)
     assert fast.bit_generator.state == slow.bit_generator.state
 
 
@@ -343,8 +363,8 @@ def test_concentration_probability_matches_per_draw_pinned_sets(
     fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
     est = concentration_probability(model, ref, delta, n_samples, fast)
     exceed = 0
-    for _ in range(n_samples):
-        s = GibbsSample(_exact_sample_oracle(model, slow, table), N)
+    for idx in _sweep_oracle(model, slow, table, n_samples):
+        s = GibbsSample(idx, N)
         d = _hausdorff_oracle(s.set, ref)
         assert hausdorff(s.set, ref) == d
         exceed += d > delta
@@ -353,19 +373,26 @@ def test_concentration_probability_matches_per_draw_pinned_sets(
 
 
 @given(N=st.integers(1024, 2000), beta_hat=st.floats(0.8, 2.0),
-       seed=st.integers(0, 2**32 - 1), draws=st.integers(300, 600))
+       seed=st.integers(0, 2**32 - 1), draws=st.integers(150, 300))
 @settings(max_examples=6, deadline=None)
-def test_sampler_past_the_row_budget_matches_choice_sampler(law, N, beta_hat, seed, draws):
+def test_sweep_at_large_N_matches_oracle_and_builds_each_row_once(law, N, beta_hat, seed, draws):
     model, _ = _disordered_model(tilt(law, 0.5), N, beta_hat=beta_hat, seed=seed)
     table = forward_table(model)
-    sampler = ExactSampler(model)
     fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = sampler.draws(fast, draws)
-    assert got == [_exact_sample_oracle(model, slow, table) for _ in range(draws)]
-    assert fast.bit_generator.state == slow.bit_generator.state
-    # the rows visited hold more floats than the budget; the kept ones fit in it
-    assert sum({n for idx in got for n in idx[1:-1]}) > ROW_BUDGET
-    assert sum(row.size for row in sampler.rows.values()) <= ROW_BUDGET
+    real = gibbs._backward_cdf
+
+    def counted(table, logK, n):
+        built.append(n)
+        return real(table, logK, n)
+
+    for _ in range(2):  # two blocks from one generator
+        built = []
+        with mock.patch.object(gibbs, "_backward_cdf", counted):
+            got = backward_sweep(model, table, fast, draws)
+        assert got == _sweep_oracle(model, slow, table, draws)
+        assert fast.bit_generator.state == slow.bit_generator.state
+        # each row some draw sits at is built once, in descending order
+        assert built == sorted({n for idx in got for n in idx[1:]}, reverse=True)
 
 
 @pytest.mark.parametrize("ref", [PinnedSet([0.0, 10 / 40, 1.0]),
@@ -378,8 +405,8 @@ def test_concentration_counts_across_score_blocks(term, ref):
     table = forward_table(model)
     n_samples = 2 * SCORE_BLOCK + 7
     slow = substream(12, "blocks")
-    dists = [hausdorff(np.asarray(_exact_sample_oracle(model, slow, table)) / N, ref)
-             for _ in range(n_samples)]
+    dists = [hausdorff(np.asarray(idx) / N, ref) for size in (SCORE_BLOCK, SCORE_BLOCK, 7)
+             for idx in _sweep_oracle(model, slow, table, size)]
     for delta in (0.0, sorted(dists)[n_samples // 2], max(dists)):
         fast = substream(12, "blocks")
         est = concentration_probability(model, ref, delta, n_samples, fast)
@@ -387,11 +414,11 @@ def test_concentration_counts_across_score_blocks(term, ref):
         assert fast.bit_generator.state == slow.bit_generator.state
 
 
-def test_concentration_memory_stays_within_row_budget():
-    # from 1x to 4x the draws, the traced peak may grow only by the rows kept
-    # (at most ROW_BUDGET floats) and by one block: a block's draws and its
-    # scoring temporaries, measured on a fresh copy of the first block.  An
-    # unbounded row store or one scoring pass over every draw breaks this.
+def test_concentration_memory_stays_within_one_block():
+    # from 1x to 4x the draws, the traced peak may grow only by one block: a
+    # block's draws and its scoring temporaries, measured on a fresh copy of
+    # the first block.  A store of CDF rows kept across blocks or one scoring
+    # pass over every draw breaks this.
     law = build_law(0.5, 1.0, 0.0, 0.0, n_max=4000)
     N = 2048
     model, _ = _disordered_model(tilt(law, 1.0), N=N, beta_hat=1.0, seed=3)
@@ -409,6 +436,7 @@ def test_concentration_memory_stays_within_row_budget():
         return lambda: concentration_probability(
             model, ref, 0.1, n_samples, substream(5, "mem"))
 
-    sets = pickle.dumps(ExactSampler(model).draws(substream(5, "mem"), SCORE_BLOCK))
+    sets = pickle.dumps(backward_sweep(model, forward_table(model), substream(5, "mem"),
+                                       SCORE_BLOCK))
     block = peak(lambda: grid_hausdorff(pickle.loads(sets), N, ref))
-    assert peak(estimate(4 * SCORE_BLOCK)) - peak(estimate(SCORE_BLOCK)) <= 8 * ROW_BUDGET + block
+    assert peak(estimate(4 * SCORE_BLOCK)) - peak(estimate(SCORE_BLOCK)) <= block
