@@ -8,12 +8,10 @@ from .disorder import (
     CoupledDisorder,
     DisorderLaw,
     compute_b_N,
-    continuum_residual,
     couple,
     draw_base,
     pareto_quantile,
     sample_coupled,
-    truncation_residual,
 )
 from .geometry import PinnedSet, hausdorff, set_entropy
 from .gibbs import (
@@ -24,20 +22,17 @@ from .gibbs import (
     enumerate_distribution,
     exact_sample,
     forward_table,
-    log_partition,
     set_log_weight,
 )
 from .polymer import (
     PolymerEnvironment,
     PolymerPath,
     binary_entropy_rate,
-    env_energy,
     path_entropy,
     polymer_beta_critical,
     solve_polymer,
     solve_polymer_bruteforce,
     tent_entropy,
-    tent_path,
 )
 from .renewal import RenewalLaw, build_law, renewal_function, subexp_diagnostics, tilt
 from .subordinator import (

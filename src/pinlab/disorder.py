@@ -30,10 +30,6 @@ class DisorderLaw:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0,1), got {self.alpha}")
 
-    def survival(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return np.where(t < 1.0, 1.0, t ** (-self.alpha))
-
 
 def pareto_quantile(law: DisorderLaw, p) -> float | np.ndarray:
     """Inverse CDF: F^(-1)(p) = (1-p)^(-1/alpha), strictly increasing."""
@@ -155,26 +151,3 @@ def sample_coupled(law: DisorderLaw, N: int, rng: np.random.Generator) -> Couple
         raise ValueError(f"N must be >= 2, got {N}")
     T, Y = draw_base(max(N, BUFFER_MIN), rng)
     return couple(law, T, Y, N)
-
-
-def truncation_residual(d: CoupledDisorder, k: int) -> float:
-    """Sum of discrete rescaled maxima of rank > k; identically 0 for k >= N-1."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    return float(np.sum(d.M_disc[k:]))
-
-
-def continuum_residual(d: CoupledDisorder, k: int) -> tuple[float, float]:
-    """Continuum mark mass beyond rank k within the buffer, plus a tail bound.
-
-    The bound (alpha/(1-alpha)) * T_last^(1 - 1/alpha) dominates the mass the
-    finite buffer cannot see, by comparing the summable T_i^(-1/alpha) tail
-    with its integral.
-    """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    partial = float(np.sum(d.M_inf[k:]))
-    a = d.law.alpha
-    t_last = float(d.T[-1])
-    bound = (a / (1.0 - a)) * t_last ** (1.0 - 1.0 / a)
-    return partial, bound

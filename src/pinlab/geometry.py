@@ -35,18 +35,12 @@ class PinnedSet:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
-    def __len__(self) -> int:
-        return int(self.points.size)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PinnedSet):
             return NotImplemented
         return self.points.size == other.points.size and bool(
             np.all(self.points == other.points)
         )
-
-    def __hash__(self):
-        return hash(self.points.tobytes())
 
     @property
     def interior(self) -> np.ndarray:

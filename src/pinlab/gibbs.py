@@ -136,11 +136,6 @@ def forward_table(model: PinningModel) -> np.ndarray:
     return logZ
 
 
-def log_partition(model: PinningModel) -> float:
-    """log of the partition function (the normalizer over bridges)."""
-    return float(forward_table(model)[model.N])
-
-
 def set_log_weight(model: PinningModel, sample) -> float:
     """Unnormalized log weight of a configuration: renewal prior + site terms.
 

@@ -121,7 +121,7 @@ class ExperimentConfig:
             raise ConfigError(f"replicas must lie in [1, {REPLICAS_MAX}], and be >= 2 for "
                               "subordinator-growth's z-scores")
         if any(n < 2 for n in self.N_list):
-            raise ConfigError("disorder.sample_coupled requires N >= 2")
+            raise ConfigError("disorder.couple requires N >= 2")
         if any(k < 1 for k in self.k_list):
             raise ConfigError("k_list sizes must be >= 1")
         size_max = POLYMER_K_MAX if self.experiment == "threshold-polymer" else SIZE_MAX
@@ -145,13 +145,13 @@ class ExperimentConfig:
                 raise ConfigError(f"alpha = {self.alpha!r} is too small: the scale "
                                   f"N^(1/alpha) overflows at N = {max(self.N_list)}") from None
         if self.experiment == "concentration" and self.N_list and self.n_max < max(self.N_list):
-            raise ConfigError("gibbs.log_partition requires the horizon within n_max")
+            raise ConfigError("gibbs.forward_table requires the horizon within n_max")
         if self.n_samples < 1:
             raise ConfigError("gibbs.concentration_probability requires n_samples >= 1")
         if self.n_eval < 3:
-            raise ConfigError("renewal.subexp_diagnostics requires n_eval >= 3")
+            raise ConfigError("renewal.ratio_table requires n_eval >= 3")
         if self.experiment == "renewal-asymptotics" and self.n_eval + 1 > self.n_max:
-            raise ConfigError("renewal.subexp_diagnostics requires n_eval + 1 <= n_max")
+            raise ConfigError("the renewal summary reads q(n_eval + 1), so n_eval + 1 <= n_max")
         if self.experiment == "subordinator-growth":
             try:  # no marks: this checks only q, t_lo, t_hi and the envelope
                 growth_check(MarkedPointSet(np.empty(0), np.empty(0)),

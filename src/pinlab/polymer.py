@@ -133,19 +133,6 @@ def path_entropy(p: PolymerPath) -> float:
     return float(np.sum(dx * binary_entropy_rate(dy / dx)))
 
 
-def env_energy(env: PolymerEnvironment, p: PolymerPath) -> float:
-    """Total weight of charges on the path's graph (within 1e-12 vertically)."""
-    if env.size == 0:
-        return 0.0
-    on_path = np.interp(env.x, p.vertices[:, 0], p.vertices[:, 1])
-    return float(np.sum(env.w[np.abs(on_path - env.y) <= ON_PATH_TOL]))
-
-
-def tent_path(x: float, y: float) -> PolymerPath:
-    """Linear interpolation through the single interior vertex (x, y)."""
-    return PolymerPath.through([[x, y]])
-
-
 def tent_entropy(x: float, y: float) -> float:
     """Entropy of the tent through (x,y): x e(y/x) + (1-x) e(y/(1-x))."""
     if y == 0.0:

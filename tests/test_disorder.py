@@ -1,4 +1,4 @@
-"""Coupled heavy-tailed disorder: quantiles, order statistics, residuals."""
+"""Coupled heavy-tailed disorder: quantiles, order statistics, grid slots."""
 
 import numpy as np
 import pytest
@@ -7,16 +7,13 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from pinlab.disorder import (
-    CoupledDisorder,
     DisorderLaw,
     _assign_grid,
     compute_b_N,
-    continuum_residual,
     couple,
     draw_base,
     pareto_quantile,
     sample_coupled,
-    truncation_residual,
 )
 
 
@@ -49,7 +46,7 @@ def test_compute_b_N_examples():
     assert compute_b_N(DisorderLaw(0.3), 1) == 1.0
     # b_N solves the survival equation exactly
     law = DisorderLaw(0.6)
-    assert law.survival(compute_b_N(law, 50)) == pytest.approx(1 / 50, rel=1e-12)
+    assert compute_b_N(law, 50) ** -law.alpha == pytest.approx(1 / 50, rel=1e-12)
 
 
 def test_couple_closed_forms():
@@ -166,23 +163,6 @@ def test_continuum_sum_increments_small_past_1000():
         rng = np.random.default_rng(3)
         d = sample_coupled(law, N=2, rng=rng)
         assert np.all(d.M_inf[1000:] < 1e-2)
-        partial, bound = continuum_residual(d, 1000)
-        assert partial >= 0.0 and bound > 0.0
-
-
-def test_truncation_residual_examples():
-    law = DisorderLaw(0.5)
-    fake = CoupledDisorder(
-        law=law, N=5, T=np.arange(1.0, 6.0), M_inf=np.arange(1.0, 6.0) ** -2,
-        Y_inf=np.linspace(0.1, 0.9, 5), M_disc=np.array([3.0, 2.0, 1.0, 0.5]),
-        Y_disc=np.array([0.2, 0.4, 0.6, 0.8]), slots=np.array([1, 2, 3, 4]), b_N=25.0,
-    )
-    assert truncation_residual(fake, 2) == pytest.approx(1.5)
-    assert truncation_residual(fake, 4) == 0.0
-    assert truncation_residual(fake, 9) == 0.0  # k >= N-1
-    assert truncation_residual(fake, 0) == pytest.approx(6.5)
-    with pytest.raises(ValueError):
-        truncation_residual(fake, -1)
 
 
 def test_replica_streams_reproducible():

@@ -46,7 +46,7 @@ def test_pinned_set_validation():
     with pytest.raises(ValueError):
         PinnedSet([0.0, 0.5, 0.5 + 5e-13, 1.0])  # closer than the tolerance
     ok = PinnedSet([0.0, 0.5, 0.5 + 2e-12, 1.0])
-    assert len(ok) == 4
+    assert ok.points.size == 4
 
 
 def test_pinned_set_sorts_input():

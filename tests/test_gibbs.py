@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from pinlab import gibbs
-from pinlab.disorder import DisorderLaw, sample_coupled, truncation_residual
+from pinlab.disorder import DisorderLaw, sample_coupled
 from pinlab.geometry import PinnedSet, grid_hausdorff, hausdorff
 from pinlab.gibbs import (
     SCORE_BLOCK,
@@ -24,7 +24,6 @@ from pinlab.gibbs import (
     enumerate_distribution,
     exact_sample,
     forward_table,
-    log_partition,
     set_log_weight,
     wilson_interval,
 )
@@ -55,25 +54,25 @@ def test_partition_two_paths(term):
     model = PinningModel(law=tilt(term, 0.3), omega=omega, beta=0.7, N=2)
     # the tilt scales each of the path's gaps by exp(-0.3)
     expect = term.K[2] + term.K[1] ** 2 * math.exp(0.7 * 2.0 - 0.3)
-    assert log_partition(model) == pytest.approx(math.log(expect) - 0.3, rel=1e-12)
+    assert float(forward_table(model)[model.N]) == pytest.approx(math.log(expect) - 0.3, rel=1e-12)
 
 
 def test_partition_free_case_is_renewal_function(term):
     for N in (2, 3, 10, 50):
         model = PinningModel(law=term, omega=np.zeros(N - 1), beta=0.0, N=N)
         u = renewal_function(term, N)
-        assert log_partition(model) == pytest.approx(math.log(u[N]), rel=1e-10)
+        assert float(forward_table(model)[model.N]) == pytest.approx(math.log(u[N]), rel=1e-10)
     # four-path enumeration at N=3
     K = term.K
     z3 = K[3] + 2 * K[1] * K[2] + K[1] ** 3
     model3 = PinningModel(law=term, omega=np.zeros(2), beta=0.0, N=3)
-    assert log_partition(model3) == pytest.approx(math.log(z3), rel=1e-12)
+    assert float(forward_table(model3)[model3.N]) == pytest.approx(math.log(z3), rel=1e-12)
 
 
 def test_partition_horizon_error(term):
     with pytest.raises(ValueError):
         model = PinningModel(law=term, omega=np.zeros(2000), beta=0.0, N=2001)
-        log_partition(model)
+        forward_table(model)
 
 
 def test_set_log_weight_examples(term):
@@ -99,7 +98,7 @@ def test_set_log_weight_rejects_configurations_that_do_not_increase(term):
 
 def test_normalization_over_enumeration(term):
     model, _ = _disordered_model(term, N=10, beta_hat=2.0)
-    logZ = log_partition(model)
+    logZ = float(forward_table(model)[model.N])
     total = 0.0
     for mask in range(1 << 9):
         idx = (0,) + tuple(i + 1 for i in range(9) if mask >> i & 1) + (10,)
@@ -109,7 +108,7 @@ def test_normalization_over_enumeration(term):
 
 def test_sampler_two_site_frequencies(term):
     model = PinningModel(law=term, omega=np.array([1.5]), beta=0.9, N=2)
-    z = math.exp(log_partition(model))
+    z = math.exp(float(forward_table(model)[model.N]))
     p_mid = term.K[1] ** 2 * math.exp(0.9 * 1.5) / z
     rng = substream(8, "freq")
     n = 100_000
@@ -153,7 +152,7 @@ def test_truncation_bound(term):
     trunc = PinningModel(law=term, omega=top_k, beta=model.beta, N=N)
     dist_full = enumerate_distribution(model)
     dist_trunc = enumerate_distribution(trunc)
-    rho = truncation_residual(d, k)
+    rho = float(d.M_disc[k:].sum())
     bound = model.beta * d.b_N * rho  # == beta_hat * N^gamma * rho
     worst = max(
         abs(math.log(dist_full[idx]) - math.log(dist_trunc[idx])) for idx in dist_full

@@ -90,7 +90,7 @@ def test_validation_names_module_preconditions():
         config_from_mapping({"experiment": "concentration", "h": 0.0})
     with pytest.raises(ConfigError, match="subordinator.growth_check"):
         config_from_mapping({"experiment": "subordinator-growth", "q": 0.5})
-    with pytest.raises(ConfigError, match="renewal.subexp_diagnostics"):
+    with pytest.raises(ConfigError, match="renewal.ratio_table"):
         config_from_mapping({"experiment": "renewal-asymptotics", "n_eval": 2, "n_max": 2000})
     # polymer admits alpha up to 2
     cfg = config_from_mapping({"experiment": "threshold-polymer", "alpha": 1.5})

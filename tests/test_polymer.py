@@ -13,13 +13,11 @@ from pinlab.polymer import (
     PolymerPath,
     _segment_entropy_matrix,
     binary_entropy_rate,
-    env_energy,
     path_entropy,
     polymer_beta_critical,
     solve_polymer,
     solve_polymer_bruteforce,
     tent_entropy,
-    tent_path,
 )
 from pinlab.streams import substream
 
@@ -48,8 +46,9 @@ def test_entropy_rate_even_convex_accurate():
 
 def test_path_entropy_examples():
     assert path_entropy(PolymerPath.flat()) == 0.0
-    assert path_entropy(tent_path(0.5, 0.5)) == pytest.approx(math.log(2.0), rel=1e-12)
-    assert path_entropy(tent_path(0.5, 0.25)) == pytest.approx(E_HALF, rel=1e-12)
+    assert path_entropy(PolymerPath.through([[0.5, 0.5]])) == pytest.approx(
+        math.log(2.0), rel=1e-12)
+    assert path_entropy(PolymerPath.through([[0.5, 0.25]])) == pytest.approx(E_HALF, rel=1e-12)
     assert tent_entropy(0.5, 0.25) == pytest.approx(E_HALF, rel=1e-12)
 
 
@@ -60,22 +59,6 @@ def test_path_validation():
         PolymerPath(np.array([[0.0, 0.0], [0.5, 0.1], [0.5, 0.2], [1.0, 0.0]]))
     with pytest.raises(ValueError):
         PolymerPath(np.array([[0.0, 0.1], [1.0, 0.0]]))
-
-
-def test_env_energy_examples():
-    env = PolymerEnvironment(np.array([0.5, 0.7]), np.array([0.25, 0.1]),
-                             np.array([2.0, 1.0]), 0.5)
-    p = tent_path(0.5, 0.25)
-    assert env_energy(env, p) == 2.0
-    flat_env = PolymerEnvironment(np.array([0.5]), np.array([0.0]), np.array([3.0]), 0.5)
-    assert env_energy(flat_env, PolymerPath.flat()) == 3.0
-    empty = PolymerEnvironment(np.array([]), np.array([]), np.array([]), 0.5)
-    assert env_energy(empty, p) == 0.0
-    # charge collinear with a segment interior is collected
-    seg_env = PolymerEnvironment(np.array([0.4, 0.6, 0.75]), np.array([0.2, 0.2, 0.2]),
-                                 np.array([5.0, 3.0, 1.0]), 0.5)
-    path = PolymerPath.through([[0.4, 0.2], [0.75, 0.2]])
-    assert env_energy(seg_env, path) == pytest.approx(9.0)
 
 
 def test_tent_optimality():
