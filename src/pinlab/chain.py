@@ -42,16 +42,19 @@ def lower_columns(n: int, rows):
     """Column accessor, column(j) = C[:j, j] for j < n, of a cost table built
     BLOCK rows at a time: rows(j0, j1) returns the (j1 - j0) x j1 block whose
     row r holds column j0 + r (its entries at and past the diagonal are never
-    read).  Only the views below the diagonal are kept; with the blocks they
-    hold, that is about n^2 / 2 + BLOCK * n / 2 floats, and no temporary of
-    rows() needs more than BLOCK * n.  Its callers are the polymer's
-    thresholds and oracles, which read every column at every step.
+    read).  The part below the diagonal is copied, block by block, into one
+    packed buffer of n (n - 1) / 2 floats, column j at tri[j (j - 1) / 2 :
+    j (j + 1) / 2], and no temporary of rows() needs more than BLOCK * n.  No
+    block outlives its copy, so repeated tables reuse the same memory.  Its
+    callers are the polymer's thresholds and oracles, which read every column
+    at every step, so the column views are made once.
     """
-    cols = []
+    tri = np.empty(n * (n - 1) // 2)
     for j0 in range(0, n, BLOCK):
         block = rows(j0, min(j0 + BLOCK, n))
-        cols.extend(row[: j0 + r] for r, row in enumerate(block))
-    return cols.__getitem__
+        for j, row in enumerate(block, j0):
+            tri[j * (j - 1) // 2 : j * (j + 1) // 2] = row[:j]
+    return [tri[j * (j - 1) // 2 : j * (j + 1) // 2] for j in range(n)].__getitem__
 
 
 def chain_dp(w, beta: float, column, c: float = 1.0) -> tuple[int, ...]:

@@ -74,31 +74,35 @@ class GibbsSample:
 
 
 def _logsumexp(a: np.ndarray) -> np.float64:
-    """scipy.special.logsumexp of a 1-d float array, step for step.
+    """scipy.special.logsumexp of a 1-d float array, in place: a is overwritten.
 
-    The maxima are split off and counted, the rest is summed shifted, and
-    a non-finite result falls back to log(sum(exp(a))), as scipy does; the
-    floats are scipy's, without its array-API dispatch.  Call it under
-    np.errstate(all="ignore") for scipy's silence on -inf and nan rows.
+    The maxima are split off and counted, the rest is shifted by the maximum
+    a_max and exponentiated in place, and the sum is log1p(s) + a_max.  With
+    one maximum this is scipy's log1p(s / 1) + log(1) + a_max exactly; with
+    tied maxima it takes scipy's steps, s / count and log(count).  A
+    non-finite result returns a_max, which is scipy's fallback
+    log(sum(exp(a))): with a_max finite there is no nan (argmax would pick
+    it), every shifted entry is at most 0, and log1p(s) + log(count), about
+    log(len(a)) at most, cannot carry a_max past the largest double.  So a
+    non-finite result has a_max nan, where the fallback is nan, +inf, where
+    it is +inf, or -inf with every entry -inf, where it is log(0) = -inf.
+    Call it under np.errstate(all="ignore") for scipy's silence on -inf and
+    nan rows.
     """
-    a_max = a.max()
+    i = a.argmax()
+    a_max = a[i]
     top = a == a_max
-    cnt = np.float64(np.count_nonzero(top))
-    s = np.exp(np.where(top, -np.inf, a) - a_max).sum()
-    if s != 0:
-        s = s / cnt
-    out = np.log1p(s) + np.log(cnt) + a_max
-    if not np.isfinite(out):
-        out = np.log(np.exp(a).sum())
-    return out
-
-
-def _log_kernel(model: PinningModel) -> np.ndarray:
-    """log K(0..N), with log K(0) = -inf."""
-    N = model.N
-    logK = np.full(N + 1, -np.inf)
-    logK[1:] = np.log(model.law.K[1 : N + 1])
-    return logK
+    cnt = np.count_nonzero(top)
+    a[i if cnt == 1 else top] = -np.inf
+    a -= a_max
+    s = np.exp(a, out=a).sum()
+    if cnt == 1:
+        out = np.log1p(s) + a_max
+    else:
+        if s != 0:
+            s = s / np.float64(cnt)
+        out = np.log1p(s) + np.log(np.float64(cnt)) + a_max
+    return out if math.isfinite(out) else a_max
 
 
 def forward_table(model: PinningModel) -> np.ndarray:
@@ -106,14 +110,13 @@ def forward_table(model: PinningModel) -> np.ndarray:
 
     Z_0 = 1; interior Z_n carry the site weight at n, the endpoint N does
     not (the energy runs over n = 1..N-1 only).  Row n is _logsumexp of
-    logZ[:n] + logK[n:0:-1], read from a reversed copy of log K into one
-    buffer; with a single maximum, _logsumexp's division by the count and
-    its log(1) drop out exactly, so that case masks the top in place.
+    logZ[:n] + rev[N - n:], with rev = log K(N..1) reversed once per model,
+    formed in one scratch buffer that the kernel overwrites.
     """
     N = model.N
     if N > model.law.n_max:
         raise ValueError(f"horizon N={N} exceeds law support n_max={model.law.n_max}")
-    rev = np.ascontiguousarray(_log_kernel(model)[:0:-1])  # rev[N-n:] is logK[n:0:-1]
+    rev = np.log(model.law.K[1 : N + 1])[::-1].copy()  # rev[N-n:] is log K(n..1)
     site = model.site_log_weights.tolist() + [0.0]
     logZ = np.empty(N + 1)
     logZ[0] = 0.0
@@ -121,27 +124,17 @@ def forward_table(model: PinningModel) -> np.ndarray:
     # each row needs every row before it, so the loop over n stays
     with np.errstate(all="ignore"):
         for n in range(1, N + 1):
-            a = np.add(logZ[:n], rev[N - n:], out=buf[:n])
-            top = a.argmax()
-            a_max = a[top]
-            if np.count_nonzero(a == a_max) != 1:
-                inner = _logsumexp(a)
-            else:
-                a[top] = -np.inf
-                a -= a_max
-                inner = np.log1p(np.exp(a, out=a).sum()) + a_max
-                if not math.isfinite(inner):
-                    inner = np.log(np.exp(logZ[:n] + rev[N - n:]).sum())
-            logZ[n] = inner + site[n - 1]
+            logZ[n] = _logsumexp(np.add(logZ[:n], rev[N - n:], out=buf[:n])) + site[n - 1]
     return logZ
 
 
-def set_log_weight(model: PinningModel, sample) -> float:
-    """Unnormalized log weight of a configuration: renewal prior + site terms.
+def set_log_weight(model: PinningModel, indices) -> float:
+    """Unnormalized log weight of a configuration, given as its index
+    sequence 0 < ... < N: renewal prior + site terms.
 
     A gap outside the law support carries K = 0 and yields -inf.
     """
-    idx = sample.indices if isinstance(sample, GibbsSample) else tuple(sample)
+    idx = tuple(indices)
     if not idx or idx[0] != 0 or idx[-1] != model.N:
         raise ValueError("configuration must contain 0 and N")
     gaps = np.diff(np.asarray(idx))
@@ -157,13 +150,14 @@ def set_log_weight(model: PinningModel, sample) -> float:
     return out
 
 
-def _backward_cdf(table: np.ndarray, logK: np.ndarray, n: int) -> np.ndarray:
-    """CDF over the point m < n before n, P(m) proportional to Z_m * K(n-m).
+def _backward_cdf(table: np.ndarray, rev: np.ndarray, n: int) -> np.ndarray:
+    """CDF over the point m < n before n, P(m) proportional to Z_m * K(n-m),
+    read from rev = log K(N..1) as forward_table reads it, rev[N - n:].
 
     Built with the arithmetic of Generator.choice(n, p=p): normalize p,
     cumsum, then divide by the last entry.
     """
-    logits = table[:n] + logK[n:0:-1]
+    logits = table[:n] + rev[rev.size - n:]
     p = np.exp(logits - logits.max())
     total = p.sum()
     if not total >= 1.0:  # the largest term is exp(0) = 1, so only nan fails
@@ -194,13 +188,13 @@ def backward_sweep(model: PinningModel, table: np.ndarray, rng: np.random.Genera
     draws are exact and i.i.d.; with one draw the order is rng.choice's step
     by step.  No row outlives its visit.
     """
-    logK = _log_kernel(model)
+    rev = np.log(model.law.K[1 : model.N + 1])[::-1].copy()
     pos = np.full(count, model.N)
     paths = [[model.N] for _ in range(count)]
     n = model.N
     while n > 0:
         at = np.flatnonzero(pos == n)
-        to = _backward_cdf(table, logK, n).searchsorted(rng.random(at.size), side="right")
+        to = _backward_cdf(table, rev, n).searchsorted(rng.random(at.size), side="right")
         pos[at] = to
         for i, m in zip(at.tolist(), to.tolist()):
             paths[i].append(m)

@@ -335,9 +335,30 @@ def _too_small(alpha: float):
 
 
 def _binom_half_ppf(q: float, n: int) -> int:
-    """The q-quantile of Bin(n, 1/2): the smallest k with P(X <= k) >= q,
-    decided exactly in integers as sum_{j<=k} C(n, j) * den >= num * 2^n for
-    q = num/den."""
+    """The q-quantile of Bin(n, 1/2): the smallest k with P(X <= k) >= q.
+
+    The CDF is formed in floats from C(n, j) / C(n, n // 2), products of the
+    ratios (j + 1) / (n - j) outward from the centre, so nothing overflows.
+    Each term takes at most n + 1 roundings, each prefix sum n more, and the
+    normalization by the full sum one; the far tails that underflow add less
+    than 2^-1000.  So every float value is within a relative 5 (n + 1) 2^-53
+    of the CDF, and within tol = 8 (n + 1) 2^-53 with room for the
+    comparisons' own roundings.  A k whose value clears q by tol, while its
+    predecessor's falls short by tol, is the answer.  Otherwise q lies within
+    tol of a CDF value, and the exact integer decision, sum_{j<=k} C(n, j) *
+    den >= num * 2^n for q = num/den, decides: a loop on n-bit integers,
+    quadratic in n.
+    """
+    m = n // 2
+    left = np.arange(m - 1, -1, -1, dtype=float)  # C(n, j) = C(n, j + 1) (j + 1) / (n - j)
+    right = np.arange(m + 1, n + 1, dtype=float)  # C(n, j) = C(n, j - 1) (n - j + 1) / j
+    cdf = np.concatenate((np.cumprod((left + 1) / (n - left))[::-1], [1.0],
+                          np.cumprod((n - right + 1) / right))).cumsum()
+    cdf /= cdf[-1]
+    k = int(cdf.searchsorted(q))
+    tol = 8 * (n + 1) * 2.0**-53
+    if cdf[k] - tol >= q and (k == 0 or cdf[k - 1] + tol < q):
+        return k
     num, den = q.as_integer_ratio()
     target = num << n
     cdf, coef = 0, 1  # coef = C(n, k)

@@ -2,7 +2,7 @@
 
 Every piece of randomness in the library is drawn from a Generator built
 here, so a (seed, tag, replica) triple always maps to the same stream no
-matter which experiments ran before it or on how many workers.
+matter which experiments ran before it.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import typing
 import warnings
 
@@ -777,6 +778,45 @@ def test_binomial_quantile_matches_scipy_up_to_400(level):
 def test_binomial_quantile_matches_scipy(n, level):
     for q in ((1 - level) / 2, 1 - (1 - level) / 2):
         assert harness._binom_half_ppf(q, n) == stats.binom.ppf(q, n, 0.5)
+
+
+def _binom_half_ppf_exact(q, n):
+    # the exact integer decision: sum_{j<=k} C(n, j) * den >= num * 2^n
+    num, den = q.as_integer_ratio()
+    target = num << n
+    cdf, coef = 0, 1
+    for k in range(n):
+        cdf += coef * den
+        if cdf >= target:
+            return k
+        coef = coef * (n - k) // (k + 1)
+    return n
+
+
+@pytest.mark.parametrize("n", [10_000, 17_321, 33_333, 50_000])
+def test_binomial_quantile_matches_exact_loop_at_large_n(n):
+    for q in (0.025, 0.975):
+        assert harness._binom_half_ppf(q, n) == _binom_half_ppf_exact(q, n)
+
+
+def test_binomial_quantile_at_a_cdf_value_takes_the_exact_decision():
+    # q equal to a CDF value, or one ulp above it, is within the float
+    # tolerance: the integer loop decides, as at every other q
+    for n in range(1, 50):
+        S = np.cumsum([math.comb(n, j) for j in range(n + 1)])
+        for k in range(n + 1):
+            q = float(S[k]) / 2**n
+            for x in (q, float(np.nextafter(q, 2.0))):
+                if x <= 1.0:
+                    assert harness._binom_half_ppf(x, n) == _binom_half_ppf_exact(x, n)
+
+
+def test_binomial_quantile_at_a_million_is_fast():
+    # the exact loop alone takes minutes at n = 10^6; these are its values
+    start = time.process_time()
+    got = [harness._binom_half_ppf(q, 10**6) for q in (0.025, 0.975)]
+    assert time.process_time() - start < 1.0
+    assert got == [499_020, 500_980]
 
 
 _finite = st.floats(-50.0, 50.0, allow_nan=False, allow_subnormal=False)

@@ -1,6 +1,9 @@
 """Directed polymer ground state: entropy rate, DP solver, threshold."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pinlab
 from pinlab.polymer import (
     PolymerEnvironment,
     PolymerPath,
@@ -177,6 +181,29 @@ def test_threshold_table_stays_below_one_square_table():
     finally:
         tracemalloc.stop()
     assert peak < (k + 2) ** 2 * 8
+
+
+_REPEATED_THRESHOLDS = """
+import resource
+from pinlab.polymer import PolymerEnvironment, polymer_beta_critical
+from pinlab.streams import substream
+env = PolymerEnvironment.sample(0.8, 4096, substream(17, "memory", 4096))
+for _ in range(3):
+    polymer_beta_critical(env)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_repeated_thresholds_do_not_raise_peak_rss():
+    # a second and third threshold at k = 4096 in one process reuse the
+    # first one's memory: the peak may not grow by more than 4 MB.  One
+    # table holds 67 MB; column views that keep their blocks alive, once
+    # glibc has raised its mmap threshold, grow the peak by about 36 MB
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pinlab.__file__)))
+    out = subprocess.run([sys.executable, "-c", _REPEATED_THRESHOLDS], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    first, _, last = (int(kb) for kb in out.split())
+    assert last - first <= 4096, (first, last)
 
 
 def test_tent_entropy_quadratic_sandwich():

@@ -41,7 +41,6 @@ UNREACHED = {
     "geometry.PinnedSet.reflect": "criterion 8's entropy symmetry",
     "gibbs.GibbsSample.__post_init__": "exact_sample, in the README example",
     "gibbs.GibbsSample.set": "exact_sample against the hausdorff oracle (test_gibbs)",
-    "gibbs._logsumexp": "forward_table's rows with tied maxima, enumerate_distribution",
     "gibbs.enumerate_distribution": "the Gibbs oracle (test_gibbs, criterion 3)",
     "gibbs.exact_sample": "the README example, TRACED",
     "gibbs.set_log_weight": "the Gibbs oracle (test_gibbs, criterion 3)",
