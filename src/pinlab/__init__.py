@@ -16,7 +16,6 @@ from .disorder import (
 from .geometry import PinnedSet, hausdorff, set_entropy
 from .gibbs import (
     ConcentrationEstimate,
-    GibbsSample,
     PinningModel,
     concentration_probability,
     enumerate_distribution,

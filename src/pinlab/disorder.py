@@ -34,7 +34,7 @@ class DisorderLaw:
 def pareto_quantile(law: DisorderLaw, p) -> float | np.ndarray:
     """Inverse CDF: F^(-1)(p) = (1-p)^(-1/alpha), strictly increasing."""
     p = np.asarray(p, dtype=float)
-    if np.any(p < 0.0) or np.any(p >= 1.0):
+    if not np.all((p >= 0.0) & (p < 1.0)):
         raise ValueError("quantile level must lie in [0,1)")
     out = (1.0 - p) ** (-1.0 / law.alpha)
     return float(out) if out.ndim == 0 else out
@@ -42,7 +42,7 @@ def pareto_quantile(law: DisorderLaw, p) -> float | np.ndarray:
 
 def compute_b_N(law: DisorderLaw, N: int) -> float:
     """Rescaling constant solving P(omega > b_N) = 1/N: b_N = N^(1/alpha)."""
-    if N < 1:
+    if not N >= 1:
         raise ValueError(f"N must be >= 1, got {N}")
     return float(N) ** (1.0 / law.alpha)
 
@@ -136,7 +136,6 @@ def couple(law: DisorderLaw, T: np.ndarray, Y_inf: np.ndarray, N: int) -> Couple
     b_N = compute_b_N(law, N)
     M_inf = T ** (-1.0 / law.alpha)
     M_disc = pareto_quantile(law, 1.0 - T[: N - 1] / T[N - 1]) / b_N
-    M_disc = np.atleast_1d(M_disc)
     slots = _assign_grid(Y_inf, N)
     Y_disc = slots / float(N)
     return CoupledDisorder(

@@ -29,18 +29,18 @@ class PinningModel:
     N: int
 
     def __post_init__(self):
-        om = np.asarray(self.omega, dtype=float)
+        om = np.array(self.omega, dtype=float)
         if self.N < 2:
             raise ValueError(f"N must be >= 2, got {self.N}")
         if om.shape != (self.N - 1,):
             raise ValueError(f"omega must have length N-1 = {self.N - 1}")
         if not np.all(np.isfinite(om)):
             raise ValueError("omega must be finite")
-        if np.any(om < 0.0):
+        if not np.all(om >= 0.0):
             raise ValueError("omega must be nonnegative")
         if not math.isfinite(self.beta):
             raise ValueError(f"beta must be finite, got {self.beta}")
-        if self.beta < 0.0:
+        if not self.beta >= 0.0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
         om.setflags(write=False)
         object.__setattr__(self, "omega", om)
@@ -53,24 +53,6 @@ class PinningModel:
     def site_log_weights(self) -> np.ndarray:
         """Per-site log factor beta*omega_n at interior sites n=1..N-1."""
         return self.beta * self.omega
-
-
-@dataclass(frozen=True)
-class GibbsSample:
-    """Grid-aligned pinned configuration, stored as indices n with point n/N."""
-
-    indices: tuple[int, ...]
-    N: int
-
-    def __post_init__(self):
-        if not self.indices or self.indices[0] != 0 or self.indices[-1] != self.N:
-            raise ValueError("a sample must contain both endpoints 0 and N")
-        if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
-            raise ValueError("indices must be strictly increasing")
-
-    @property
-    def set(self) -> PinnedSet:
-        return PinnedSet(np.asarray(self.indices, dtype=float) / self.N)
 
 
 def _logsumexp(a: np.ndarray) -> np.float64:
@@ -186,12 +168,14 @@ def backward_sweep(model: PinningModel, table: np.ndarray, rng: np.random.Genera
     So uniforms go to (draw, step) pairs by rows descending and, within a
     row, by ascending draw index.  Each step takes a fresh uniform, so the
     draws are exact and i.i.d.; with one draw the order is rng.choice's step
-    by step.  No row outlives its visit.
+    by step.  No row outlives its visit.  count = 0 gives [] and draws no uniform.
     """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     rev = np.log(model.law.K[1 : model.N + 1])[::-1].copy()
     pos = np.full(count, model.N)
     paths = [[model.N] for _ in range(count)]
-    n = model.N
+    n = model.N if count else 0
     while n > 0:
         at = np.flatnonzero(pos == n)
         to = _backward_cdf(table, rev, n).searchsorted(rng.random(at.size), side="right")
@@ -202,10 +186,10 @@ def backward_sweep(model: PinningModel, table: np.ndarray, rng: np.random.Genera
     return [tuple(reversed(path)) for path in paths]
 
 
-def exact_sample(model: PinningModel, rng: np.random.Generator) -> GibbsSample:
-    """One exact draw from the pinned Gibbs measure (see backward_sweep)."""
+def exact_sample(model: PinningModel, rng: np.random.Generator) -> tuple[int, ...]:
+    """Indices 0..N of one exact draw from the pinned Gibbs measure (see backward_sweep)."""
     (indices,) = backward_sweep(model, forward_table(model), rng, 1)
-    return GibbsSample(indices=indices, N=model.N)
+    return indices
 
 
 def enumerate_distribution(model: PinningModel) -> dict[tuple[int, ...], float]:

@@ -30,7 +30,7 @@ def binary_entropy_rate(x):
     """
     arr = np.asarray(x, dtype=float)
     ax = np.abs(arr)
-    if np.any(ax > 1.0):
+    if not np.all(ax <= 1.0):
         raise ValueError("slope outside [-1,1]")
     safe = np.where(ax == 1.0, 0.0, arr)
     val = 0.5 * ((1.0 + safe) * np.log1p(safe) + (1.0 - safe) * np.log1p(-safe))
@@ -48,17 +48,16 @@ class PolymerEnvironment:
     alpha: float
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        w = np.asarray(self.w, dtype=float)
+        x = np.array(self.x, dtype=float)
+        y = np.array(self.y, dtype=float)
+        w = np.array(self.w, dtype=float)
         if not (x.shape == y.shape == w.shape) or x.ndim != 1:
             raise ValueError("x, y, w must be 1-d arrays of equal length")
         if not 0.0 < self.alpha < 2.0:
             raise ValueError(f"alpha must lie in (0,2), got {self.alpha}")
-        if x.size and np.any(np.abs(y) > np.minimum(x, 1.0 - x)):
+        if not np.all(np.abs(y) <= np.minimum(x, 1.0 - x)):
             raise ValueError("charges must lie in the diamond |y| <= min(x,1-x)")
-        if (np.any(w <= 0.0) or not np.all(np.isfinite(w))
-                or (w.size > 1 and np.any(np.diff(w) >= 0.0))):
+        if not (np.all((w > 0.0) & np.isfinite(w)) and np.all(np.diff(w) < 0.0)):
             raise ValueError("weights must be positive, finite and strictly decreasing")
         for a in (x, y, w):
             a.setflags(write=False)
@@ -101,16 +100,16 @@ class PolymerPath:
     vertices: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
+        v = np.array(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 2:
             raise ValueError("vertices must be an (m,2) array with m >= 2")
         if tuple(v[0]) != (0.0, 0.0) or tuple(v[-1]) != (1.0, 0.0):
             raise ValueError("path must run from (0,0) to (1,0)")
         dx = np.diff(v[:, 0])
         dy = np.diff(v[:, 1])
-        if np.any(dx <= 0.0):
+        if not np.all(dx > 0.0):
             raise ValueError("x must be strictly increasing (no zero-length segments)")
-        if np.any(np.abs(dy) > dx):
+        if not np.all(np.abs(dy) <= dx):
             raise ValueError("segments must satisfy |dy| <= dx (1-Lipschitz)")
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
@@ -182,7 +181,7 @@ def solve_polymer(env: PolymerEnvironment, beta: float) -> tuple[PolymerPath, fl
     entropy, by convexity of the slope rate.  Segment costs are computed one
     column at a time, so memory stays linear.
     """
-    if beta < 0.0:
+    if not beta >= 0.0:
         raise ValueError(f"beta must be >= 0, got {beta}")
     ex, ey, ws = _sorted_nodes(env)
     sel = chain_dp(ws, beta, lambda j: _segment_entropy(ex[j] - ex[:j], ey[j] - ey[:j]))

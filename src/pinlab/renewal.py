@@ -53,7 +53,7 @@ class RenewalLaw:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0,1), got {self.gamma}")
-        if self.c <= 0.0:
+        if not self.c > 0.0:
             raise ValueError(f"c must be positive, got {self.c}")
         # K_inf can round to exactly 1.0 under extreme tilts while the finite
         # part stays positive, so the closed upper endpoint is tolerated
@@ -61,16 +61,16 @@ class RenewalLaw:
             raise ValueError(f"K_inf must lie in [0,1], got {self.K_inf}")
         if self.K.shape[0] != self.n_max + 1 or self.K[0] != 0.0:
             raise ValueError("K must be indexed 0..n_max with K[0] == 0")
-        if np.any(self.K[1:] <= 0.0):
+        if not np.all(self.K[1:] > 0.0):
             raise ValueError("K(n) must be positive up to n_max (underflow? reduce n_max)")
         total = float(np.sum(self.K)) + self.K_inf
-        if abs(total - 1.0) > _NORM_TOL:
+        if not abs(total - 1.0) <= _NORM_TOL:
             raise ValueError(f"K must sum to 1 with the atom, off by {total - 1.0:.3e}")
         # closed form gives |log K(n)/n^g + c| == |rho log n + log C| / n^g exactly
         n = self.n_max
         lhs = abs(math.log(self.K[n]) / n**self.gamma + self.c)
         rhs = (abs(self.rho) * math.log(n) + abs(math.log(self.norm_const))) / n**self.gamma
-        if lhs > rhs * (1.0 + 1e-9) + 1e-12:
+        if not lhs <= rhs * (1.0 + 1e-9) + 1e-12:
             raise ValueError("K table is inconsistent with its stretched-exponential shape")
         self.K.setflags(write=False)
 
@@ -162,7 +162,7 @@ def build_law(gamma: float, c: float, rho: float = 0.0, K_inf_target: float = 0.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0,1), got {gamma}")
-    if c <= 0.0:
+    if not c > 0.0:
         raise ValueError(f"c must be positive, got {c}")
     if not 0.0 <= K_inf_target < 1.0:
         raise ValueError(f"K_inf_target must lie in [0,1), got {K_inf_target}")

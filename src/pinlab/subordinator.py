@@ -24,13 +24,13 @@ class MarkedPointSet:
     locations: np.ndarray
 
     def __post_init__(self):
-        marks = np.asarray(self.marks, dtype=float)
-        loc = np.asarray(self.locations, dtype=float)
-        if np.any(~np.isfinite(marks)) or np.any(marks <= 0.0):
+        marks = np.array(self.marks, dtype=float)
+        loc = np.array(self.locations, dtype=float)
+        if not np.all((marks > 0.0) & np.isfinite(marks)):
             raise ValueError("marks must be positive and finite")
         if marks.ndim != 1 or marks.shape != loc.shape:
             raise ValueError("marks and locations must be 1-d arrays of equal length")
-        if loc.size and (loc.min() < 0.0 or loc.max() > 1.0):
+        if not np.all((loc >= 0.0) & (loc <= 1.0)):
             raise ValueError("locations must lie in [0,1]")
         marks.setflags(write=False)
         loc.setflags(write=False)
@@ -78,7 +78,7 @@ def growth_check(points: MarkedPointSet, alpha: float, q: float,
     min(max(e^(-q), t_lo), t_hi); raises ValueError where one of those is 0
     or not finite.
     """
-    if q <= 1.0:
+    if not q > 1.0:
         raise ValueError(f"q must exceed 1, got {q}")
     if not 0.0 < t_lo <= t_hi <= 0.1:
         raise ValueError(f"need 0 < t_lo <= t_hi <= 0.1, got t_lo={t_lo}, t_hi={t_hi}")

@@ -34,21 +34,21 @@ class EnergyLandscape:
     c_entropy: float = 1.0
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
+        pos = np.array(self.positions, dtype=float)
+        w = np.array(self.weights, dtype=float)
         if pos.shape != w.shape or pos.ndim != 1:
             raise ValueError("positions and weights must be 1-d arrays of equal length")
-        if pos.size and (pos[0] <= 0.0 or pos[-1] >= 1.0):
+        if pos.size and not (pos[0] > 0.0 and pos[-1] < 1.0):
             raise ValueError("positions must lie strictly inside (0,1)")
-        if pos.size > 1 and np.any(np.diff(pos) <= 0.0):
+        if not np.all(np.diff(pos) > 0.0):
             raise ValueError("positions must be strictly increasing")
-        if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
+        if not np.all((w > 0.0) & np.isfinite(w)):
             raise ValueError("weights must be positive and finite")
-        if self.beta < 0.0:
+        if not self.beta >= 0.0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0,1), got {self.gamma}")
-        if self.c_entropy <= 0.0:
+        if not self.c_entropy > 0.0:
             raise ValueError(f"c_entropy must be positive, got {self.c_entropy}")
         pos.setflags(write=False)
         w.setflags(write=False)

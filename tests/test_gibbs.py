@@ -16,7 +16,6 @@ from pinlab.disorder import DisorderLaw, sample_coupled
 from pinlab.geometry import PinnedSet, grid_hausdorff, hausdorff
 from pinlab.gibbs import (
     SCORE_BLOCK,
-    GibbsSample,
     _logsumexp,
     PinningModel,
     backward_sweep,
@@ -179,8 +178,7 @@ def test_concentration_probability_edges(term):
     assert est.estimate == 0.0 and est.exceed == 0
     rng = substream(9, "conc0")
     oracle = _sweep_oracle(model, rng, forward_table(model), 500)
-    draws = [GibbsSample(idx, model.N) for idx in oracle]
-    frac_neq = np.mean([s.set != ref for s in draws])
+    frac_neq = np.mean([PinnedSet(np.asarray(idx) / model.N) != ref for idx in oracle])
     rng = substream(9, "conc0")
     est0 = concentration_probability(model, ref, 0.0, 500, rng)
     assert est0.estimate == pytest.approx(frac_neq)
@@ -213,13 +211,6 @@ def test_model_validation(term):
         PinningModel(law=term, omega=-np.ones(2), beta=1.0, N=3)
     with pytest.raises(ValueError):
         PinningModel(law=term, omega=np.ones(2), beta=-1.0, N=3)
-    with pytest.raises(ValueError):
-        GibbsSample(indices=(0, 1), N=2)  # missing the right endpoint
-    with pytest.raises(ValueError):
-        GibbsSample(indices=(), N=2)
-    s = GibbsSample(indices=(0, 3, 8), N=8)
-    assert list(s.indices) == [0, 3, 8]
-    assert s.set == PinnedSet([0, 3 / 8, 1])
 
 
 # Oracles: the per-call forms the fast paths replaced.  The fast paths must
@@ -348,10 +339,26 @@ def test_exact_sample_matches_choice_sampler(law, N, beta, h, alpha, zeros, seed
     # one draw by exact_sample, then `draws` by one sweep
     table = forward_table(model)
     fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert exact_sample(model, fast).indices == _exact_sample_oracle(model, slow, table)
+    assert exact_sample(model, fast) == _exact_sample_oracle(model, slow, table)
     assert fast.bit_generator.state == slow.bit_generator.state
     assert backward_sweep(model, table, fast, draws) == _sweep_oracle(model, slow, table, draws)
     assert fast.bit_generator.state == slow.bit_generator.state
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_backward_sweep_count_below_one(term, count):
+    # no draws is an empty list, as grid_hausdorff([]) is an empty result;
+    # a negative count is an error that names it; neither takes a uniform
+    model, _ = _disordered_model(term, N=16)
+    table = forward_table(model)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    if count < 0:
+        with pytest.raises(ValueError, match="count must be >= 0"):
+            backward_sweep(model, table, rng, count)
+    else:
+        assert backward_sweep(model, table, rng, count) == []
+    assert rng.bit_generator.state == state
 
 
 @given(**model_params, n_samples=st.integers(1, 40), delta=st.floats(0.0, 0.6))
@@ -365,9 +372,9 @@ def test_concentration_probability_matches_per_draw_pinned_sets(
     est = concentration_probability(model, ref, delta, n_samples, fast)
     exceed = 0
     for idx in _sweep_oracle(model, slow, table, n_samples):
-        s = GibbsSample(idx, N)
-        d = _hausdorff_oracle(s.set, ref)
-        assert hausdorff(s.set, ref) == d
+        s = PinnedSet(np.asarray(idx) / N)
+        d = _hausdorff_oracle(s, ref)
+        assert hausdorff(s, ref) == d
         exceed += d > delta
     assert est.exceed == exceed
     assert fast.bit_generator.state == slow.bit_generator.state

@@ -712,10 +712,12 @@ def test_concentration_reference_uses_the_entropy_constant(tmp_path, monkeypatch
 
 def test_gibbs_sample_serialization_contract(tmp_path):
     # harness-facing samples serialize as JSON arrays of integer indices
-    from pinlab.gibbs import GibbsSample
+    from pinlab.gibbs import PinningModel, exact_sample
 
-    s = GibbsSample(indices=(0, 2, 5, 8), N=8)
-    assert json.loads(json.dumps(list(s.indices))) == [0, 2, 5, 8]
+    model = PinningModel(build_law(0.5, 1.0, 0.0, 0.0, n_max=2000), np.ones(7), 1.0, 8)
+    idx = exact_sample(model, np.random.default_rng(0))
+    assert json.loads(json.dumps(idx)) == list(idx)
+    assert idx[0] == 0 and idx[-1] == 8
 
 
 @pytest.mark.parametrize("data", [

@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 import pinlab
+from pinlab import harness
 from pinlab.cli import main
 from pinlab.harness import config_from_mapping
 from test_perfbench_contract import PERFBENCH, _load
@@ -39,8 +40,6 @@ UNREACHED = {
     "geometry.PinnedSet.insert": "criterion 8's entropy monotonicity",
     "geometry.PinnedSet.interior": "varmax.objective",
     "geometry.PinnedSet.reflect": "criterion 8's entropy symmetry",
-    "gibbs.GibbsSample.__post_init__": "exact_sample, in the README example",
-    "gibbs.GibbsSample.set": "exact_sample against the hausdorff oracle (test_gibbs)",
     "gibbs.enumerate_distribution": "the Gibbs oracle (test_gibbs, criterion 3)",
     "gibbs.exact_sample": "the README example, TRACED",
     "gibbs.set_log_weight": "the Gibbs oracle (test_gibbs, criterion 3)",
@@ -88,6 +87,7 @@ def _reached(tmp_path) -> set:
         if event == "call":
             seen.add(frame.f_code)
 
+    harness._law.cache_clear()  # an earlier test's law would hide build_law from the trace
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
@@ -113,3 +113,9 @@ def test_every_unreached_function_is_allowlisted(tmp_path):
     assert unreached == sorted(UNREACHED), (
         f"reached by no run: {sorted(set(unreached) - UNREACHED.keys())}; "
         f"reached now: {sorted(UNREACHED.keys() - set(unreached))}")
+
+
+def test_trace_does_not_depend_on_laws_cached_by_earlier_tests(tmp_path):
+    for data in RUNS:
+        harness._renewal_law(config_from_mapping(data))
+    test_every_unreached_function_is_allowlisted(tmp_path)
