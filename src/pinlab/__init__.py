@@ -45,10 +45,9 @@ from .subordinator import (
 )
 from .varmax import (
     EnergyLandscape,
-    VarSolution,
     beta_critical,
-    energy,
     objective,
+    pinned_set,
     solve_bruteforce,
     solve_dp,
 )

@@ -43,10 +43,6 @@ class PinnedSet:
         )
 
     @property
-    def interior(self) -> np.ndarray:
-        return self.points[1:-1]
-
-    @property
     def gaps(self) -> np.ndarray:
         return np.diff(self.points)
 

@@ -42,7 +42,7 @@ from .polymer import PolymerEnvironment, polymer_beta_critical
 from .renewal import build_law, ratio_table, tilt
 from .streams import substream
 from .subordinator import MarkedPointSet, band_process, growth_check
-from .varmax import EnergyLandscape, beta_critical, solve_dp
+from .varmax import EnergyLandscape, beta_critical, pinned_set, solve_dp
 
 log = logging.getLogger(__name__)
 
@@ -436,11 +436,11 @@ def _convergence_cells(cfg: ExperimentConfig) -> list[Cell]:
                 ref_land = EnergyLandscape.from_marks(
                     Y[:k], T[:k] ** (-1.0 / cfg.alpha), cfg.beta_hat, cfg.gamma, cfg.c
                 )
-            refs[r] = solve_dp(ref_land).maximizer
+            refs[r] = pinned_set(ref_land, solve_dp(ref_land))
         with _too_small(cfg.alpha):
             d = couple(DisorderLaw(cfg.alpha), T, Y, N)
             land = EnergyLandscape.from_marks(d.Y_disc, d.M_disc, cfg.beta_hat, cfg.gamma, cfg.c)
-        return hausdorff(solve_dp(land).maximizer, refs[r])
+        return hausdorff(pinned_set(land, solve_dp(land)), refs[r])
 
     return _replica_cells(cfg, "convergence_N", ["N", "replica", "d_H"], cfg.N_list, one)
 
@@ -478,7 +478,7 @@ def _concentration_cells(cfg: ExperimentConfig) -> list[Cell]:
         with _too_small(cfg.alpha):
             d = couple(DisorderLaw(cfg.alpha), T, Y, N)
             land = EnergyLandscape.from_marks(d.Y_disc, d.M_disc, cfg.beta_hat, cfg.gamma, cfg.c)
-        ref = solve_dp(land).maximizer
+        ref = pinned_set(land, solve_dp(land))
         beta_bare = cfg.beta_hat * N**cfg.gamma / d.b_N
         model = PinningModel(law=terminating, omega=d.omega, beta=beta_bare, N=N)
         est = concentration_probability(

@@ -181,8 +181,8 @@ def solve_polymer(env: PolymerEnvironment, beta: float) -> tuple[PolymerPath, fl
     entropy, by convexity of the slope rate.  Segment costs are computed one
     column at a time, so memory stays linear.
     """
-    if not beta >= 0.0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    if not 0.0 <= beta < math.inf:
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
     ex, ey, ws = _sorted_nodes(env)
     sel = chain_dp(ws, beta, lambda j: _segment_entropy(ex[j] - ex[:j], ey[j] - ey[:j]))
     return _solution(ex, ey, ws, beta, sel)

@@ -51,6 +51,7 @@ class RenewalLaw:
     norm_const: float
 
     def __post_init__(self):
+        object.__setattr__(self, "K", np.array(self.K, dtype=float))
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0,1), got {self.gamma}")
         if not self.c > 0.0:
@@ -164,6 +165,8 @@ def build_law(gamma: float, c: float, rho: float = 0.0, K_inf_target: float = 0.
         raise ValueError(f"gamma must lie in (0,1), got {gamma}")
     if not c > 0.0:
         raise ValueError(f"c must be positive, got {c}")
+    if not math.isfinite(rho):
+        raise ValueError(f"rho must be finite, got {rho}")
     if not 0.0 <= K_inf_target < 1.0:
         raise ValueError(f"K_inf_target must lie in [0,1), got {K_inf_target}")
     if not 10 <= n_max <= MAX_SUPPORT:

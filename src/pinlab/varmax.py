@@ -15,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import chain_dp, check_method, enumerate_best, min_ratio
-from .geometry import PinnedSet, nearest_distances, set_entropy
-
-MEMBER_TOL = 1e-12
+from .geometry import PinnedSet, set_entropy
 
 #: enumeration is capped at 2^25 subsets
 BRUTEFORCE_MAX = 25
@@ -44,12 +42,12 @@ class EnergyLandscape:
             raise ValueError("positions must be strictly increasing")
         if not np.all((w > 0.0) & np.isfinite(w)):
             raise ValueError("weights must be positive and finite")
-        if not self.beta >= 0.0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        if not 0.0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0,1), got {self.gamma}")
-        if not self.c_entropy > 0.0:
-            raise ValueError(f"c_entropy must be positive, got {self.c_entropy}")
+        if not 0.0 < self.c_entropy < math.inf:
+            raise ValueError(f"c_entropy must be positive and finite, got {self.c_entropy}")
         pos.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "positions", pos)
@@ -68,41 +66,14 @@ class EnergyLandscape:
         return int(self.positions.size)
 
 
-@dataclass(frozen=True)
-class VarSolution:
-    """Maximizer, its objective value, and the selected position indices."""
-
-    maximizer: PinnedSet
-    value: float
-    selected: tuple[int, ...] = ()
-
-
-def energy(L: EnergyLandscape, I: PinnedSet) -> float:
-    """Total weight of landscape positions captured by I (tolerance 1e-12)."""
-    if L.size == 0:
-        return 0.0
-    dist = nearest_distances(L.positions, I.points)
-    return float(np.sum(L.weights[dist <= MEMBER_TOL]))
-
-
-def objective(L: EnergyLandscape, I: PinnedSet) -> float:
-    """beta * energy(I) - c * entropy(I); I may only use landscape positions.
-
-    Interior points that are not landscape positions strictly lower the
-    objective and are rejected rather than silently scored.
-    """
-    for x in I.interior:
-        if L.size == 0 or np.min(np.abs(L.positions - x)) > MEMBER_TOL:
-            raise ValueError(f"interior point {x} is not a landscape position")
-    return L.beta * energy(L, I) - L.c_entropy * set_entropy(I, L.gamma)
-
-
-def _pinned_from_indices(L: EnergyLandscape, idx) -> PinnedSet:
+def pinned_set(L: EnergyLandscape, idx) -> PinnedSet:
+    """The pinned set {0, positions[idx], 1} of a tuple of position indices."""
     return PinnedSet(np.concatenate(([0.0], L.positions[list(idx)], [1.0])))
 
 
-def _canonical_value(L: EnergyLandscape, idx) -> float:
-    I = _pinned_from_indices(L, idx)
+def objective(L: EnergyLandscape, idx) -> float:
+    """beta * (weight at the positions idx) - c * entropy of pinned_set(L, idx)."""
+    I = pinned_set(L, idx)
     return L.beta * float(np.sum(L.weights[list(idx)])) - L.c_entropy * set_entropy(I, L.gamma)
 
 
@@ -115,8 +86,9 @@ def _gap_column(positions, gamma: float):
     return lambda j: (ext[j] - ext[:j]) ** gamma
 
 
-def solve_bruteforce(L: EnergyLandscape) -> VarSolution:
-    """Exact maximizer by exhaustive subset enumeration (<= 25 positions).
+def solve_bruteforce(L: EnergyLandscape) -> tuple[int, ...]:
+    """Indices of the exact maximizer by exhaustive subset enumeration
+    (<= 25 positions).
 
     Ties are broken as in solve_dp: fewer points, then the smallest last
     index, then the smallest index before it, and so on; exact ties have
@@ -126,8 +98,7 @@ def solve_bruteforce(L: EnergyLandscape) -> VarSolution:
     m = L.size
     if m > BRUTEFORCE_MAX:
         raise ValueError(f"instance has {m} positions, enumeration capped at {BRUTEFORCE_MAX}")
-    idx = enumerate_best(L.weights, L.beta, _gap_column(L.positions, L.gamma), L.c_entropy)
-    return VarSolution(_pinned_from_indices(L, idx), _canonical_value(L, idx), idx)
+    return enumerate_best(L.weights, L.beta, _gap_column(L.positions, L.gamma), L.c_entropy)
 
 
 def _prune(positions, weights, beta: float, gamma: float, c: float) -> np.ndarray:
@@ -187,8 +158,9 @@ def _prune(positions, weights, beta: float, gamma: float, c: float) -> np.ndarra
     return keep
 
 
-def solve_dp(L: EnergyLandscape) -> VarSolution:
-    """Exact maximizer by dynamic programming; agrees with solve_bruteforce.
+def solve_dp(L: EnergyLandscape) -> tuple[int, ...]:
+    """Indices of the exact maximizer by dynamic programming; agrees with
+    solve_bruteforce.
 
     The chain DP runs on the positions that _prune keeps at L.beta, and
     returns the same indices as the DP over all positions.  Every chain
@@ -202,8 +174,7 @@ def solve_dp(L: EnergyLandscape) -> VarSolution:
     """
     keep = _prune(L.positions, L.weights, L.beta, L.gamma, L.c_entropy)
     sel = chain_dp(L.weights[keep], L.beta, _gap_column(L.positions[keep], L.gamma), L.c_entropy)
-    idx = tuple(int(keep[i]) for i in sel)
-    return VarSolution(_pinned_from_indices(L, idx), _canonical_value(L, idx), idx)
+    return tuple(int(keep[i]) for i in sel)
 
 
 def beta_critical(positions, weights, gamma: float, c_entropy: float = 1.0,

@@ -51,7 +51,7 @@ def test_criterion_01_oracle_equivalence():
                 bf = solve_bruteforce(L)
                 dp = solve_dp(L)
                 checked += 1
-                if dp.selected != bf.selected or dp.value != bf.value:
+                if dp != bf:
                     disagreements += 1
     elapsed = time.monotonic() - t0
     ok = disagreements == 0 and elapsed < 60.0

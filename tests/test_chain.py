@@ -22,6 +22,7 @@ from pinlab.varmax import (
     EnergyLandscape,
     _gap_column,
     beta_critical,
+    objective,
     solve_bruteforce,
     solve_dp,
 )
@@ -44,7 +45,7 @@ def test_chunked_enumeration_matches_one_chunk(monkeypatch):
         pinning = []
         for L in landscapes:
             sol = solve_bruteforce(L)
-            pinning.append((sol.selected, sol.value,
+            pinning.append((sol, objective(L, sol),
                             beta_critical(L.positions, L.weights, L.gamma, method="enumerate")))
         polymer = []
         for env in envs:
@@ -83,7 +84,7 @@ def test_dp_tie_breaks_match_enumeration_pinning(half, beta, gamma):
     column = _gap_column(L.positions, L.gamma)
     best = chain_dp(w, beta, column)
     assert best == enumerate_best(w, beta, column)
-    assert solve_dp(L).selected == best  # on the pruned candidates
+    assert solve_dp(L) == best  # on the pruned candidates
     assert beta_critical(pos, w, gamma) == chain.min_ratio(w, column, 1.0, "enumerate")
 
 
@@ -153,7 +154,7 @@ def test_dp_and_enumeration_agree_at_the_critical_coupling(half, weights):
     column = _gap_column(L.positions, L.gamma)
     assert L.beta == chain.min_ratio(w, column, 1.0, "enumerate")  # unpruned
     assert chain_dp(w, L.beta, column) == enumerate_best(w, L.beta, column)
-    assert solve_dp(L).selected == solve_bruteforce(L).selected
+    assert solve_dp(L) == solve_bruteforce(L)
 
 
 def _argmax_sums_strided(w, beta, cost, c):

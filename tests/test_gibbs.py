@@ -28,7 +28,7 @@ from pinlab.gibbs import (
 )
 from pinlab.renewal import build_law, renewal_function, tilt
 from pinlab.streams import substream
-from pinlab.varmax import EnergyLandscape, solve_dp
+from pinlab.varmax import EnergyLandscape, pinned_set, solve_dp
 
 
 @pytest.fixture(scope="module")
@@ -192,7 +192,7 @@ def test_concentration_decay_in_N(law):
     for N in (64, 256):
         model, d = _disordered_model(strong, N=N, beta_hat=0.4, seed=31)
         land = EnergyLandscape.from_marks(d.Y_disc, d.M_disc, 0.4, 0.5)
-        ref = solve_dp(land).maximizer
+        ref = pinned_set(land, solve_dp(land))
         est = concentration_probability(model, ref, 0.1, 2000, substream(31, "cd", N))
         ests[N] = est.estimate
     assert ests[256] < ests[64]

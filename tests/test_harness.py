@@ -32,7 +32,7 @@ from pinlab.harness import (
 )
 from pinlab.renewal import _convolve_head, build_law, renewal_function
 from pinlab.streams import substream
-from pinlab.varmax import EnergyLandscape, solve_dp
+from pinlab.varmax import EnergyLandscape, pinned_set, solve_dp
 
 
 #: small configs of every experiment, with at least three cells where the
@@ -627,11 +627,11 @@ def test_convergence_uses_the_entropy_constant(tmp_path):
         got = np.loadtxt(path, delimiter=",", skiprows=1)[:, 2]
         for r in range(cfg.replicas):
             T, Y = draw_base(BUFFER_MIN, substream(cfg.seed, "convergence", r))
-            ref = solve_dp(EnergyLandscape.from_marks(
-                Y[:32], T[:32] ** (-1.0 / cfg.alpha), cfg.beta_hat, cfg.gamma, 3.0)).maximizer
+            ref_land = EnergyLandscape.from_marks(
+                Y[:32], T[:32] ** (-1.0 / cfg.alpha), cfg.beta_hat, cfg.gamma, 3.0)
             d = couple(law, T, Y, N)
-            want = solve_dp(EnergyLandscape.from_marks(
-                d.Y_disc, d.M_disc, cfg.beta_hat, cfg.gamma, 3.0)).maximizer
+            land = EnergyLandscape.from_marks(d.Y_disc, d.M_disc, cfg.beta_hat, cfg.gamma, 3.0)
+            want, ref = (pinned_set(L, solve_dp(L)) for L in (land, ref_land))
             assert got[r] == hausdorff(want, ref)
     unit = run_experiment(dataclasses.replace(cfg, c=1.0))
     assert _cell_bytes(unit) != _cell_bytes(rep)
@@ -704,8 +704,9 @@ def test_concentration_reference_uses_the_entropy_constant(tmp_path, monkeypatch
     T, Y = draw_base(max(32, BUFFER_MIN), substream(1, "concentration", "disorder"))
     for N, ref in zip(cfg.N_list, refs, strict=True):
         d = couple(DisorderLaw(cfg.alpha), T, Y, N)
-        want, unit = (solve_dp(EnergyLandscape.from_marks(
-            d.Y_disc, d.M_disc, cfg.beta_hat, cfg.gamma, c)).maximizer for c in (3.0, 1.0))
+        lands = (EnergyLandscape.from_marks(d.Y_disc, d.M_disc, cfg.beta_hat, cfg.gamma, c)
+                 for c in (3.0, 1.0))
+        want, unit = (pinned_set(L, solve_dp(L)) for L in lands)
         assert not np.array_equal(want.points, unit.points)  # the constant matters here
         assert np.array_equal(ref.points, want.points)
 

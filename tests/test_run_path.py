@@ -36,10 +36,11 @@ UNREACHED = {
     "chain._subsets": "enumerate_best's subset chunks",
     "chain.enumerate_best": "the enumeration oracle (test_chain, test_varmax, test_polymer)",
     "disorder.sample_coupled": "the README example",
-    "geometry.PinnedSet.__eq__": "solve_dp's maximizer against solve_bruteforce's (test_varmax)",
+    "geometry.PinnedSet.__eq__": "test_varmax's pinned_set examples and reflection check",
+    "geometry.PinnedSet.gaps": "set_entropy",
     "geometry.PinnedSet.insert": "criterion 8's entropy monotonicity",
-    "geometry.PinnedSet.interior": "varmax.objective",
     "geometry.PinnedSet.reflect": "criterion 8's entropy symmetry",
+    "geometry.set_entropy": "varmax.objective, criterion 8, TRACED",
     "gibbs.enumerate_distribution": "the Gibbs oracle (test_gibbs, criterion 3)",
     "gibbs.exact_sample": "the README example, TRACED",
     "gibbs.set_log_weight": "the Gibbs oracle (test_gibbs, criterion 3)",
@@ -55,8 +56,7 @@ UNREACHED = {
     "subordinator.MarkedPointSet.size": "the growth oracle in conftest",
     "subordinator.edge_jump_times": "TRACED, the growth oracle in conftest",
     "subordinator.edge_process": "TRACED, the growth oracle in conftest (criterion 9)",
-    "varmax.energy": "varmax.objective",
-    "varmax.objective": "test_varmax's check that a maximizer uses landscape positions",
+    "varmax.objective": "the value checks in test_varmax and test_chain",
     "varmax.solve_bruteforce": "the pinning enumeration oracle (test_varmax, criterion 1)",
 }
 

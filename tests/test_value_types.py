@@ -13,7 +13,7 @@ from pinlab.renewal import build_law
 from pinlab.subordinator import MarkedPointSet
 from pinlab.varmax import EnergyLandscape, beta_critical
 
-nan = math.nan
+nan, inf = math.nan, math.inf
 LAW = build_law(0.5, 1.0, 0.0, 0.0, n_max=2000)
 
 
@@ -22,24 +22,36 @@ LAW = build_law(0.5, 1.0, 0.0, 0.0, n_max=2000)
     lambda: EnergyLandscape([0.25, nan, 0.5], [1.0, 1.0, 1.0], 1.0, 0.5),
     lambda: EnergyLandscape([0.5], [1.0], nan, 0.5),
     lambda: EnergyLandscape([0.5], [1.0], 1.0, 0.5, nan),
+    lambda: EnergyLandscape([0.25, 0.5], [1.0, 2.0], inf, 0.5),
+    lambda: EnergyLandscape([0.5], [1.0], 1.0, 0.5, inf),
+    lambda: beta_critical([0.25, 0.5], [1.0, 2.0], 0.5, inf),
     lambda: beta_critical([nan, 0.5], [1.0, 1.0], 0.5),
     lambda: PolymerEnvironment([nan], [0.1], [1.0], 1.0),
     lambda: PolymerEnvironment([0.5], [nan], [1.0], 1.0),
     lambda: PolymerPath([[0.0, 0.0], [nan, 0.0], [1.0, 0.0]]),
     lambda: PolymerPath([[0.0, 0.0], [0.5, nan], [1.0, 0.0]]),
     lambda: solve_polymer(PolymerEnvironment([0.5], [0.1], [1.0], 1.0), nan),
+    lambda: solve_polymer(PolymerEnvironment([0.5], [0.1], [1.0], 1.0), inf),
     lambda: binary_entropy_rate(nan),
     lambda: MarkedPointSet([1.0], [nan]),
     lambda: pareto_quantile(DisorderLaw(0.5), nan),
     lambda: compute_b_N(DisorderLaw(0.5), nan),
     lambda: dataclasses.replace(LAW, c=nan),
     lambda: dataclasses.replace(LAW, K=np.where(np.arange(2001) == 7, nan, LAW.K)),
-], ids=["landscape-first", "landscape-inner", "landscape-beta", "landscape-c", "beta_critical",
+], ids=["landscape-first", "landscape-inner", "landscape-beta", "landscape-c",
+        "landscape-beta-inf", "landscape-c-inf", "beta_critical-c-inf", "beta_critical",
         "environment-x", "environment-y", "path-x", "path-y", "solve_polymer-beta",
-        "entropy-rate", "marked-location", "pareto-level", "b_N", "law-c", "law-K"])
+        "solve_polymer-beta-inf", "entropy-rate", "marked-location", "pareto-level", "b_N",
+        "law-c", "law-K"])
 def test_range_checks_reject_nan(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("rho", [nan, -inf, inf])
+def test_build_law_names_a_non_finite_rho(rho):
+    with pytest.raises(ValueError, match="rho must be finite"):
+        build_law(0.5, 1.0, rho, 0.0, 2000)
 
 
 def test_caller_arrays_stay_writeable_and_apart():
@@ -51,6 +63,7 @@ def test_caller_arrays_stay_writeable_and_apart():
          (1.0,), ("x", "y", "w")),
         (PolymerPath, [np.array([[0.0, 0.0], [0.5, 0.25], [1.0, 0.0]])], (), ("vertices",)),
         (lambda om: PinningModel(LAW, om, 1.0, 4), [np.array([0.5, 1.0, 2.0])], (), ("omega",)),
+        (lambda K: dataclasses.replace(LAW, K=K), [LAW.K.copy()], (), ("K",)),
     ]
     for make, arrays, rest, names in cases:
         obj = make(*arrays, *rest)

@@ -11,18 +11,16 @@ from hypothesis import strategies as st
 import pinlab.varmax as varmax
 from pinlab.chain import chain_dp, min_ratio
 from pinlab.disorder import BUFFER_MIN, draw_base
-from pinlab.geometry import PinnedSet, hausdorff, set_entropy
+from pinlab.geometry import PinnedSet, hausdorff
 from pinlab.streams import substream
 from pinlab.varmax import (
     BRUTEFORCE_MAX,
     EnergyLandscape,
-    _canonical_value,
     _gap_column,
-    _pinned_from_indices,
     _prune,
     beta_critical,
-    energy,
     objective,
+    pinned_set,
     solve_bruteforce,
     solve_dp,
 )
@@ -41,51 +39,41 @@ def _random_landscape(rng, m, alpha=0.5, gamma=0.5, beta=None):
     return EnergyLandscape.from_marks(Y, T ** (-1.0 / alpha), beta, gamma)
 
 
-def test_energy_examples():
-    L = EnergyLandscape(np.array([0.3, 0.7]), np.array([2.0, 1.0]), 1.0, 0.5)
-    assert energy(L, PinnedSet([0, 0.3, 1])) == 2.0
-    assert energy(L, PinnedSet([0, 1])) == 0.0
-    assert energy(L, PinnedSet([0, 0.3, 0.7, 1])) == 3.0
-
-
 def test_objective_examples():
     L0 = EnergyLandscape(np.array([]), np.array([]), 0.0, 0.5)
-    assert objective(L0, PinnedSet([0, 1])) == -1.0
+    assert objective(L0, ()) == -1.0
     L1 = EnergyLandscape(np.array([0.5]), np.array([0.5]), 1.0, 0.5)
-    assert objective(L1, PinnedSet([0, 0.5, 1])) == pytest.approx(0.5 - 2 * SQ5, rel=1e-12)
+    assert objective(L1, (0,)) == pytest.approx(0.5 - 2 * SQ5, rel=1e-12)
     # full pair instance; gaps are (0.3, 0.4, 0.3)
     L = _pair_landscape()
-    full = objective(L, PinnedSet([0, 0.3, 0.7, 1]))
+    full = objective(L, (0, 1))
     assert full == pytest.approx(2 - (2 * SQ3 + SQ4), rel=1e-12)
     assert full == pytest.approx(0.27209935295599186, rel=1e-12)
-
-
-def test_objective_rejects_foreign_points():
-    L = _pair_landscape()
-    with pytest.raises(ValueError):
-        objective(L, PinnedSet([0, 0.5, 1]))
+    W = EnergyLandscape(np.array([0.3, 0.7]), np.array([2.0, 1.0]), 1.0, 0.5)
+    assert objective(W, (0,)) == pytest.approx(2.0 - (SQ3 + SQ7), rel=1e-12)
+    assert pinned_set(W, (0,)) == PinnedSet([0, 0.3, 1])
+    assert pinned_set(W, (0, 1)) == PinnedSet([0, 0.3, 0.7, 1])
 
 
 def test_solve_examples():
     L1 = EnergyLandscape(np.array([0.5]), np.array([0.5]), 1.0, 0.5)
     sol = solve_bruteforce(L1)
-    assert sol.maximizer == PinnedSet([0, 0.5, 1])
-    assert sol.value == pytest.approx(0.5 - 2 * SQ5, rel=1e-12)
-    zero_beta = solve_bruteforce(_pair_landscape(beta=0.0))
-    assert zero_beta.maximizer == PinnedSet([0, 1]) and zero_beta.value == -1.0
+    assert sol == (0,) and pinned_set(L1, sol) == PinnedSet([0, 0.5, 1])
+    assert objective(L1, sol) == pytest.approx(0.5 - 2 * SQ5, rel=1e-12)
+    L0 = _pair_landscape(beta=0.0)
+    zero_beta = solve_bruteforce(L0)
+    assert zero_beta == () and objective(L0, zero_beta) == -1.0
     pair = solve_bruteforce(_pair_landscape())
-    assert pair.selected == (0, 1)
-    assert pair.value == pytest.approx(0.27209935295599186, rel=1e-12)
+    assert pair == (0, 1)
+    assert objective(_pair_landscape(), pair) == pytest.approx(0.27209935295599186, rel=1e-12)
     for L in (L1, _pair_landscape(beta=0.0), _pair_landscape()):
-        dp = solve_dp(L)
-        bf = solve_bruteforce(L)
-        assert dp.maximizer == bf.maximizer and dp.value == bf.value
+        assert solve_dp(L) == solve_bruteforce(L)
 
 
 def test_solve_dp_empty_landscape():
     L0 = EnergyLandscape(np.array([]), np.array([]), 1.0, 0.5, c_entropy=2.5)
     sol = solve_dp(L0)
-    assert sol.maximizer == PinnedSet([0, 1]) and sol.value == -2.5
+    assert sol == () and pinned_set(L0, sol) == PinnedSet([0, 1]) and objective(L0, sol) == -2.5
 
 
 def test_dp_equals_bruteforce_random():
@@ -93,29 +81,35 @@ def test_dp_equals_bruteforce_random():
     for _ in range(300):
         m = int(rng.integers(1, 13))
         L = _random_landscape(rng, m, gamma=float(rng.uniform(0.2, 0.9)))
-        bf = solve_bruteforce(L)
-        dp = solve_dp(L)
-        assert dp.selected == bf.selected
-        assert dp.value == bf.value  # both recompute canonically from the set
+        assert solve_dp(L) == solve_bruteforce(L)
 
 
-def test_value_recomputable():
+def test_solve_dp_maximizes_the_objective_over_all_subsets():
+    # the chain DP scores a chain node by node, objective sums its weights
+    # and gap powers apart; each is within (2m + 19) u P of the exact score
+    # (the bound _prune states), so no subset may beat the DP's choice by
+    # more than twice both
     rng = np.random.default_rng(3)
-    L = _random_landscape(rng, 9)
-    sol = solve_dp(L)
-    again = L.beta * energy(L, sol.maximizer) - L.c_entropy * set_entropy(sol.maximizer, L.gamma)
-    assert sol.value == again
-    assert sol.value >= -L.c_entropy
+    for _ in range(60):
+        m = int(rng.integers(0, 11))
+        L = _random_landscape(rng, m, gamma=float(rng.uniform(0.2, 0.9)))
+        P = L.beta * float(np.sum(L.weights)) + L.c_entropy * (m + 1) ** (1.0 - L.gamma)
+        tol = 4 * (2 * m + 19) * 2.0**-53 * P
+        best = objective(L, solve_dp(L))
+        assert best >= -L.c_entropy
+        for r in range(m + 1):
+            for idx in combinations(range(m), r):
+                assert best >= objective(L, idx) - tol, (m, idx)
 
 
 def constrained_max(L: EnergyLandscape, ref, delta: float) -> float:
-    """Best objective among subsets at Hausdorff distance >= delta from ref,
-    by enumeration; -inf when none qualifies."""
+    """Best objective among subsets at Hausdorff distance >= delta from the
+    subset ref, by enumeration; -inf when none qualifies."""
     best = -math.inf
     for r in range(L.size + 1):
         for idx in combinations(range(L.size), r):
-            if hausdorff(_pinned_from_indices(L, idx).points, ref.maximizer.points) >= delta:
-                best = max(best, _canonical_value(L, idx))
+            if hausdorff(pinned_set(L, idx), pinned_set(L, ref)) >= delta:
+                best = max(best, objective(L, idx))
     return best
 
 
@@ -123,7 +117,7 @@ def test_constrained_max_examples():
     L1 = EnergyLandscape(np.array([0.5]), np.array([0.5]), 1.0, 0.5)
     ref = solve_bruteforce(L1)
     assert constrained_max(L1, ref, 0.3) == -1.0  # only {0,1} is far enough
-    assert constrained_max(L1, ref, 0.0) == ref.value
+    assert constrained_max(L1, ref, 0.0) == objective(L1, ref)
     assert constrained_max(L1, ref, 1.1) == -math.inf
 
 
@@ -165,8 +159,8 @@ def test_threshold_dichotomy():
         bc = beta_critical(L.positions, L.weights, L.gamma)
         below = EnergyLandscape(L.positions, L.weights, bc - 1e-9, L.gamma)
         above = EnergyLandscape(L.positions, L.weights, bc + 1e-9, L.gamma)
-        assert solve_dp(below).selected == ()
-        assert len(solve_dp(above).selected) > 0
+        assert solve_dp(below) == ()
+        assert len(solve_dp(above)) > 0
 
 
 def test_threshold_dichotomy_at_large_k():
@@ -179,17 +173,16 @@ def test_threshold_dichotomy_at_large_k():
             bc = beta_critical(Y, w, 0.5)
             below = EnergyLandscape.from_marks(Y, w, bc * (1.0 - 1e-9), 0.5)
             above = EnergyLandscape.from_marks(Y, w, bc * (1.0 + 1e-9), 0.5)
-            assert solve_dp(below).selected == (), (k, r)
-            assert solve_dp(above).selected != (), (k, r)
+            assert solve_dp(below) == (), (k, r)
+            assert solve_dp(above) != (), (k, r)
 
 
 def test_value_monotone_convex_in_beta():
     rng = np.random.default_rng(5)
     L0 = _random_landscape(rng, 10, beta=0.0)
     betas = np.linspace(0.0, 3.0, 31)
-    vals = np.array([
-        solve_dp(EnergyLandscape(L0.positions, L0.weights, b, L0.gamma)).value for b in betas
-    ])
+    lands = [EnergyLandscape(L0.positions, L0.weights, b, L0.gamma) for b in betas]
+    vals = np.array([objective(L, solve_dp(L)) for L in lands])
     assert np.all(np.diff(vals) >= -1e-12)
     second = np.diff(vals, 2)
     assert np.all(second >= -1e-9)  # max of affine functions is convex
@@ -202,8 +195,8 @@ def test_scale_invariance_of_argmax():
         Lc = EnergyLandscape(L.positions, L.weights, L.beta, L.gamma, c_entropy=c)
         Ln = EnergyLandscape(L.positions, L.weights, L.beta / c, L.gamma, c_entropy=1.0)
         sc, sn = solve_dp(Lc), solve_dp(Ln)
-        assert sc.selected == sn.selected
-        assert sc.value == pytest.approx(c * sn.value, rel=1e-12)
+        assert sc == sn
+        assert objective(Lc, sc) == pytest.approx(c * objective(Ln, sn), rel=1e-12)
 
 
 def test_maximizer_supported_on_landscape():
@@ -211,7 +204,9 @@ def test_maximizer_supported_on_landscape():
     for _ in range(20):
         L = _random_landscape(rng, int(rng.integers(1, 15)))
         sol = solve_dp(L)
-        objective(L, sol.maximizer)  # raises if any foreign point slipped in
+        # strictly increasing Python ints, each a landscape position
+        assert all(type(i) is int for i in sol)
+        assert list(sol) == sorted(set(sol)) and all(0 <= i < L.size for i in sol)
 
 
 def test_value_monotone_in_truncation():
@@ -221,7 +216,7 @@ def test_value_monotone_in_truncation():
     vals = []
     for k in (4, 8, 16, 32, 64):
         L = EnergyLandscape.from_marks(Y[:k], w[:k], 1.0, 0.5)
-        vals.append(solve_dp(L).value)
+        vals.append(objective(L, solve_dp(L)))
     assert np.all(np.diff(vals) >= -1e-12)
 
 
@@ -232,8 +227,8 @@ def test_reflection_equivariance():
         sol = solve_dp(L)
         LR = EnergyLandscape.from_marks(1.0 - L.positions, L.weights, L.beta, L.gamma)
         solR = solve_dp(LR)
-        assert solR.value == pytest.approx(sol.value, rel=1e-12)
-        assert solR.maximizer == sol.maximizer.reflect()
+        assert objective(LR, solR) == pytest.approx(objective(L, sol), rel=1e-12)
+        assert pinned_set(LR, solR) == pinned_set(L, sol).reflect()
 
 
 def test_small_beta_keeps_maximizer_near_edges():
@@ -246,8 +241,7 @@ def test_small_beta_keeps_maximizer_near_edges():
         for eps in (0.1, 0.2):
             beta0 = (eps**gamma + (1 - eps) ** gamma - 1.0) / S
             L = EnergyLandscape.from_marks(Y, w, 0.99 * beta0, gamma)
-            sol = solve_dp(L)
-            inner = sol.maximizer.interior
+            inner = L.positions[list(solve_dp(L))]
             assert np.all((inner <= eps) | (inner >= 1 - eps))
 
 
@@ -311,12 +305,11 @@ def test_pruned_solve_dp_matches_full_dp(m, alpha, gamma, beta, c, seed):
     L = EnergyLandscape.from_marks(Y, T ** (-1.0 / alpha), beta, gamma, c)
     ref = _full_dp(L)
     sol = solve_dp(L)
-    assert sol.selected == ref
-    assert sol.value == _canonical_value(L, ref)
+    assert sol == ref
     keep = _prune(L.positions, L.weights, beta, gamma, c)
     assert keep.tolist() == _prune_one_at_a_time(L)
     if beta == 0.0:  # no point pays its entropy
-        assert keep.size == 0 and sol.selected == ()
+        assert keep.size == 0 and sol == ()
 
 
 @given(m=st.integers(1, 40), alpha=st.sampled_from(GRID), gamma=st.sampled_from(GRID),
@@ -384,7 +377,7 @@ def test_pruning_margin_where_the_entropy_gain_cancels(log_a, ulps, t, gamma, be
         assert 1 in keep
     if t <= -1.5:
         assert 1 not in keep
-    assert solve_dp(L).selected == _full_dp(L)
+    assert solve_dp(L) == _full_dp(L)
 
 
 def test_threshold_at_large_k(monkeypatch):
