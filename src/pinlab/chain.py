@@ -10,7 +10,8 @@ c * (C(chain) - C(empty)) / W(chain).  Every routine reads the costs
 through an accessor, column(j) = C[:j, j], and sums them unscaled in
 ascending node order, so every path gets the same floats.  Pinning
 computes each column as it reads it; only the polymer's thresholds and
-oracles read a table (lower_columns).
+oracles read a table (lower_columns), the Dinkelbach threshold's over the
+charges its tent-entropy bound keeps.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ def lower_columns(n: int, rows):
     j (j + 1) / 2], and no temporary of rows() needs more than BLOCK * n.  No
     block outlives its copy, so repeated tables reuse the same memory.  Its
     callers are the polymer's thresholds and oracles, which read every column
-    at every step, so the column views are made once.
+    at every step, so the column views are made once; n counts the charges
+    the tent bound keeps, plus the endpoints, for the Dinkelbach threshold.
     """
     tri = np.empty(n * (n - 1) // 2)
     for j0 in range(0, n, BLOCK):

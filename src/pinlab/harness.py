@@ -53,7 +53,10 @@ class ConfigError(ValueError):
 
 # Bounds that validate puts on sizes a run would otherwise fail to allocate.
 SIZE_MAX = 2**22  # N and k: 4x past the paper-scale N = 2^20 and k = 10^6
-POLYMER_K_MAX = 2**14  # threshold-polymer's cost table holds k^2/2 floats: 1 GiB
+# threshold-polymer's cost table holds kept^2/2 floats over the charges the
+# tent bound keeps, and at alpha = 0.3 it keeps nearly all of them (14180 of
+# k = 2^14 seen, an 875 MB peak): k^2/2 floats, 1 GiB at the cap
+POLYMER_K_MAX = 2**14
 REPLICAS_MAX = 10**6  # a cell row per replica: 1000x the largest default
 
 

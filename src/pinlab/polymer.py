@@ -132,11 +132,21 @@ def path_entropy(p: PolymerPath) -> float:
     return float(np.sum(dx * binary_entropy_rate(dy / dx)))
 
 
-def tent_entropy(x: float, y: float) -> float:
-    """Entropy of the tent through (x,y): x e(y/x) + (1-x) e(y/(1-x))."""
-    if y == 0.0:
-        return 0.0
-    return x * binary_entropy_rate(y / x) + (1.0 - x) * binary_entropy_rate(y / (1.0 - x))
+def tent_entropy(x, y):
+    """Entropy of the tent through (x,y): x e(y/x) + (1-x) e(y/(1-x)).
+
+    Elementwise over arrays, a float for scalars; exactly 0.0 on the axis
+    (y = 0, where x may be 0 or 1).  Off the axis these are the floats of
+    the segment costs C[0, j] + C[j, k+1] that the threshold's single-charge
+    bound adds up: the same differences x - 0 and 1 - x, and e is evaluated
+    symmetrically, so e(-s) and e(s) are the same float.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    off = np.where(y == 0.0, 0.5, x)  # on the axis x may be 0 or 1: divide by 1/2
+    out = np.where(y == 0.0, 0.0, off * binary_entropy_rate(y / off)
+                   + (1.0 - off) * binary_entropy_rate(y / (1.0 - off)))
+    return float(out) if out.ndim == 0 else out
 
 
 def _sorted_nodes(env: PolymerEnvironment):
@@ -197,15 +207,79 @@ def solve_polymer_bruteforce(env: PolymerEnvironment, beta: float) -> tuple[Poly
     return _solution(ex, ey, ws, beta, sel)
 
 
+def _prune(ex, ey, ws) -> np.ndarray:
+    """Indices of the charges (into ws) that may lie on a chain the threshold's
+    Dinkelbach iteration selects; the charges lie off the axis.
+
+    The bound.  A 1-Lipschitz path through charge j = (x, y) has entropy at
+    least tent_j = tent_entropy(x, y), by Jensen's inequality on each side
+    of j, since e is convex.  beta0 = min_j tent_j / w_j is the iteration's
+    first coupling, and it solves the DP at couplings beta <= beta0 only.
+    A chain S with beta W(S) - H(S) >= 0 there has, for each of its charges,
+    tent_j <= H(S) <= beta0 W(S).  Each pass drops every charge with tent_j >
+    beta0 W(kept) and recomputes W over the kept charges, until nothing
+    drops; by induction over the passes (S lies in the kept set, so W(S) <=
+    W(kept)), no such chain loses a charge.
+
+    The float margin.  A charge is dropped only when the computed tent_j -
+    beta0 W(kept) exceeds tol = 8 (m + 64) u P, with u = 2^-53, m charges and
+    P = beta0 sum(w) + 1, which bounds every partial sum of a chain's score
+    (a chain's entropy is at most log 2).
+    - A float segment cost is within 71 u dx of dx e(clip(dy/dx)), with the
+      exact dx and dy of its floats and the slope clipped to [-1, 1]: the
+      slope rounds by 3.01 u relative, which moves e by at most
+      (d/2)(1 + log(2/d)) <= 57 u at d = 3.02 u (e' = atanh is largest at
+      the slope 1); e's evaluation costs 12 u at most with log1p within
+      4 ulp (0.57 ulp measured against mpmath); the product 2 u.
+    - Jensen on the clipped slopes of S (their mean moves by 3.02 u at most)
+      gives H(S) >= T_j - 57 u, with T_j the tent of clipped exact slopes; the
+      computed tent_j is the two segment costs from 0 and to the far end, so
+      it is within 72 u of T_j.
+    - The DP scores S node by node, two roundings per node on sums bounded
+      by P, one per product, plus the costs (71 u over the chain, whose dx
+      sum to 1): within (2m + 3) u P + 71 u.  The test itself, with W summed
+      in any order and beta0 possibly underflowed (2^-1075 W <= 4 u), is off
+      by (m + 1) u P + 72 u + 4 u.
+    So a chain with a float score >= 0 at beta <= beta0 has tent_j - beta0
+    W(kept) <= (3m + 208) u P for each of its charges in the computed test,
+    below tol: none is dropped.  Ties keep a charge, and a NaN bound keeps
+    every one.  The charge attaining beta0 stays: its computed test value is
+    at most (m + 3) u P + 4 u.
+    """
+    m = ws.size
+    tent = tent_entropy(ex[1:-1], ey[1:-1])
+    beta0 = float((tent / ws).min())
+    tol = 8 * (m + 64) * 2.0**-53 * (beta0 * float(np.sum(ws)) + 1.0)
+    keep = np.arange(m)
+    while True:
+        drop = tent[keep] - beta0 * float(np.sum(ws[keep])) > tol
+        if not drop.any():
+            return keep
+        keep = keep[~drop]
+
+
 def polymer_beta_critical(env: PolymerEnvironment, method: str = "auto") -> float:
     """Threshold coupling below which the ground state stays flat.
 
     min over feasible nonempty chains of path entropy / collected weight;
     0 as soon as a charge sits on the axis, +inf for an empty environment.
     A parametric (Dinkelbach) iteration on the chain DP lands on the
-    minimizing ratio exactly ("auto" and "parametric").  The oracles:
-    "enumerate" scans every chain (at most 20 charges), "bisect" halves the
-    coupling via the chain DP to tolerance 1e-9.
+    minimizing ratio exactly ("auto" and "parametric").  The oracles run
+    over all charges: "enumerate" scans every chain (at most 20 charges),
+    "bisect" halves the coupling via the chain DP to tolerance 1e-9.
+
+    The iteration runs on the charges that _prune keeps, in the same node
+    order, so its cost table covers those only, and it returns the same
+    float as over all charges.  Its first coupling is the same: each
+    single-charge bound (C[0, j] + C[j, k+1] - C[0, k+1]) / w_j is the float
+    tent_j / w_j (C[0, k+1] = 0.0), and the charge attaining the minimum is
+    kept.  At each step, the empty chain scores exactly 0.0, so the full
+    DP's first-argmax chain scores >= 0 and lies in the kept set (_prune).
+    The reduced DP scores every kept chain with the same floats, in the
+    same order; its value at a kept node can only be lower, and it equals
+    the full one along that chain, so the first argmax at each of its nodes
+    is the same predecessor.  The reduced DP thus returns the same chain with
+    the same value and sums, and the iterates and the result are equal.
     """
     check_method(method, env.size, ENUM_MAX)
     if env.size == 0:
@@ -213,4 +287,8 @@ def polymer_beta_critical(env: PolymerEnvironment, method: str = "auto") -> floa
     if np.any(np.abs(env.y) <= ON_PATH_TOL):
         return 0.0
     ex, ey, ws = _sorted_nodes(env)
+    if method in ("auto", "parametric"):
+        keep = _prune(ex, ey, ws)
+        nodes = np.concatenate(([0], keep + 1, [ws.size + 1]))
+        ex, ey, ws = ex[nodes], ey[nodes], ws[keep]
     return min_ratio(ws, _segment_entropy_matrix(ex, ey), 1.0, method)

@@ -9,7 +9,7 @@ and the heavy-tail convolution diagnostics q^{*m}(n)/q(n) -> m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -39,7 +39,9 @@ class RenewalLaw:
 
     K[n] is the mass at n (index 0 is a zero sentinel).  The shape parameters
     (gamma, c, rho) and the normalizing constant are kept so diagnostics can
-    check log K(n)/n^gamma -> -c against the closed form.
+    check log K(n)/n^gamma -> -c against the closed form.  K is copied, so a
+    caller's array stays its own; build_law and tilt hand over the arrays
+    they just built (_owned=True), which are frozen in place instead.
     """
 
     gamma: float
@@ -49,9 +51,11 @@ class RenewalLaw:
     K_inf: float
     n_max: int
     norm_const: float
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "K", np.array(self.K, dtype=float))
+    def __post_init__(self, _owned):
+        if not _owned:
+            object.__setattr__(self, "K", np.array(self.K, dtype=float))
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0,1), got {self.gamma}")
         if not self.c > 0.0:
@@ -198,7 +202,7 @@ def build_law(gamma: float, c: float, rho: float = 0.0, K_inf_target: float = 0.
             f"over budget {TAIL_BUDGET * (1.0 - K_inf_target):.3e}; n_max too small"
         )
     return RenewalLaw(gamma=gamma, c=c, rho=rho, K=K, K_inf=K_inf_target,
-                      n_max=n_max, norm_const=norm_const)
+                      n_max=n_max, norm_const=norm_const, _owned=True)
 
 
 def tilt(law: RenewalLaw, h: float) -> RenewalLaw:
@@ -215,7 +219,7 @@ def tilt(law: RenewalLaw, h: float) -> RenewalLaw:
     K[0] = 0.0
     return RenewalLaw(gamma=law.gamma, c=law.c, rho=law.rho, K=K,
                       K_inf=1.0 - min(finite, 1.0), n_max=law.n_max,
-                      norm_const=law.norm_const * scale)
+                      norm_const=law.norm_const * scale, _owned=True)
 
 
 def renewal_function(law: RenewalLaw, n: int) -> np.ndarray:

@@ -72,6 +72,9 @@ def test_partition_horizon_error(term):
     with pytest.raises(ValueError):
         model = PinningModel(law=term, omega=np.zeros(2000), beta=0.0, N=2001)
         forward_table(model)
+    # the horizon n_max itself lies within the support
+    at = PinningModel(law=term, omega=np.zeros(1999), beta=0.0, N=term.n_max)
+    assert math.isfinite(forward_table(at)[at.N])
 
 
 def test_set_log_weight_examples(term):
@@ -85,6 +88,9 @@ def test_set_log_weight_examples(term):
     assert set_log_weight(model2, (0, 1, 2)) == pytest.approx(
         2 * math.log(term.K[1]) + 0.5, rel=1e-12
     )
+    # a gap of n_max is the last one the support carries
+    far = PinningModel(law=term, omega=np.zeros(term.n_max - 1), beta=0.0, N=term.n_max)
+    assert set_log_weight(far, (0, term.n_max)) == math.log(term.K[term.n_max])
 
 
 def test_set_log_weight_rejects_configurations_that_do_not_increase(term):
@@ -202,6 +208,19 @@ def test_wilson_interval_known_value():
     lo, hi = wilson_interval(5, 10)
     assert lo == pytest.approx(0.2365930, abs=1e-6)
     assert hi == pytest.approx(0.7634070, abs=1e-6)
+    # all or no successes: the clip keeps the interval within [0, 1]; the
+    # formula alone passes 1 at n = 16 and drops below 0 at n = 21
+    for n in range(1, 200):
+        assert wilson_interval(n, n)[1] <= 1.0 and wilson_interval(0, n)[0] >= 0.0, n
+    assert wilson_interval(16, 16)[1] == 1.0
+    assert wilson_interval(0, 21)[0] == 0.0
+
+
+def test_enumeration_cap_is_checked_before_any_configuration(term):
+    model = PinningModel(law=term, omega=np.zeros(20), beta=0.0, N=21)
+    with mock.patch.object(gibbs, "set_log_weight", side_effect=AssertionError("enumerated")):
+        with pytest.raises(ValueError, match="capped at N = 20"):
+            enumerate_distribution(model)
 
 
 def test_model_validation(term):

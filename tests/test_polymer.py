@@ -12,10 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pinlab
+from pinlab.chain import min_ratio
 from pinlab.polymer import (
     PolymerEnvironment,
     PolymerPath,
     _segment_entropy_matrix,
+    _sorted_nodes,
     binary_entropy_rate,
     path_entropy,
     polymer_beta_critical,
@@ -54,6 +56,10 @@ def test_path_entropy_examples():
         math.log(2.0), rel=1e-12)
     assert path_entropy(PolymerPath.through([[0.5, 0.25]])) == pytest.approx(E_HALF, rel=1e-12)
     assert tent_entropy(0.5, 0.25) == pytest.approx(E_HALF, rel=1e-12)
+    # elementwise over arrays, with the scalar floats and 0.0 on the axis
+    xs, ys = np.array([0.0, 0.5, 0.25, 0.7, 1.0]), np.array([0.0, 0.25, -0.125, 0.0, 0.0])
+    assert tent_entropy(xs, ys).tolist() == [tent_entropy(x, y) for x, y in zip(xs, ys)]
+    assert tent_entropy(xs, ys)[[0, 3, 4]].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_path_validation():
@@ -169,14 +175,21 @@ def test_threshold_dichotomy_at_large_k():
         assert above.vertices.shape[0] > 2, r
 
 
+def _full_threshold(env):
+    # Dinkelbach over every charge: the cost table of all k + 2 nodes
+    ex, ey, ws = _sorted_nodes(env)
+    return min_ratio(ws, _segment_entropy_matrix(ex, ey), 1.0, "auto")
+
+
 def test_threshold_table_stays_below_one_square_table():
     # the threshold reads the costs below the diagonal only; at k = 2048 the
-    # traced peak must stay below one (k+2)^2 float64 table (33.6 MB)
+    # traced peak of a table over every charge must stay below one (k+2)^2
+    # float64 table (33.6 MB)
     k = 2048
     env = PolymerEnvironment.sample(0.8, k, substream(17, "memory"))
     tracemalloc.start()
     try:
-        polymer_beta_critical(env)
+        _full_threshold(env)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -185,18 +198,20 @@ def test_threshold_table_stays_below_one_square_table():
 
 _REPEATED_THRESHOLDS = """
 import resource
-from pinlab.polymer import PolymerEnvironment, polymer_beta_critical
+from pinlab.chain import min_ratio
+from pinlab.polymer import PolymerEnvironment, _segment_entropy_matrix, _sorted_nodes
 from pinlab.streams import substream
 env = PolymerEnvironment.sample(0.8, 4096, substream(17, "memory", 4096))
+ex, ey, ws = _sorted_nodes(env)
 for _ in range(3):
-    polymer_beta_critical(env)
+    min_ratio(ws, _segment_entropy_matrix(ex, ey), 1.0, "auto")
     print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
 def test_repeated_thresholds_do_not_raise_peak_rss():
-    # a second and third threshold at k = 4096 in one process reuse the
-    # first one's memory: the peak may not grow by more than 4 MB.  One
+    # a second and third threshold over all k = 4096 charges in one process
+    # reuse the first one's memory: the peak may not grow by more than 4 MB.  One
     # table holds 67 MB; column views that keep their blocks alive, once
     # glibc has raised its mmap threshold, grow the peak by about 36 MB
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pinlab.__file__)))
@@ -285,3 +300,78 @@ def test_segment_entropy_matrix_matches_where_form(charges):
     want = _segment_entropy_matrix_where(ex, ey)
     for j in range(1, ex.size):
         assert column(j).tobytes() == want[:j, j].tobytes()
+
+
+#: a charge off the axis: x on the 1/64 grid or anywhere, the kind of its
+#: height, a drawn fraction, its sign, and whether (x, -y) joins it
+_CHARGE = st.tuples(
+    st.one_of(st.integers(1, 63).map(lambda k: k / 64.0), st.floats(0.001, 0.999)),
+    st.sampled_from(("near", "edge", "grid", "frac")), st.floats(0.0, 1.0),
+    st.sampled_from((1.0, -1.0)), st.booleans())
+
+
+@st.composite
+def _threshold_envs(draw):
+    # up to 64 charges off the axis: near it, on the diamond's edge, on the
+    # 1/64 grid or a drawn fraction of the height, some mirrored to (x, -y),
+    # whose tent entropy is the same float; weights flat (distinct
+    # integers, whose sums tie) or heavy-tailed
+    xs, ys = [], []
+    for x, kind, t, sign, mirrored in draw(st.lists(_CHARGE, min_size=1, max_size=32)):
+        h = min(x, 1.0 - x)
+        y = {"near": 2e-12 + t * 1e-6, "edge": h, "grid": math.floor(h * 64.0) / 64.0 or h,
+             "frac": max(t, 0.01) * h}[kind]
+        for s in ((sign, -sign) if mirrored else (sign,)):
+            xs.append(x)
+            ys.append(s * y)
+    k = len(xs)
+    if draw(st.booleans()):
+        w = sorted(draw(st.lists(st.integers(1, 4 * k), min_size=k, max_size=k, unique=True)),
+                   reverse=True)
+    else:
+        w = np.arange(1, k + 1) ** (-1.0 / draw(st.sampled_from((0.3, 0.8, 1.5))))
+    return PolymerEnvironment(np.array(xs), np.array(ys), np.array(w, dtype=float), 1.0)
+
+
+@given(_threshold_envs())
+@example(PolymerEnvironment(np.array([0.25, 0.25, 0.5, 0.75]), np.array([0.25, -0.25, 1e-9, 0.1]),
+                            np.array([4.0, 3.0, 2.0, 1.0]), 1.0))
+@settings(max_examples=300, deadline=None)
+def test_pruned_threshold_matches_full_dinkelbach(env):
+    # the charges the tent bound drops change neither the Dinkelbach
+    # iterates nor the float they land on
+    assert polymer_beta_critical(env) == _full_threshold(env)
+
+
+def test_pruned_threshold_matches_full_at_the_benchmark_draws():
+    # environments drawn as the threshold-polymer runner draws them: the
+    # chain-thresholds benchmark's alpha = 0.8 and k, seeds 1-5, its first and
+    # last replica, and alpha = 0.3, where the bound keeps the most charges.
+    # The tent entropies are the floats of the single-charge bounds.
+    for alpha in (0.8, 0.3):
+        for seed in range(1, 6):
+            for r in (0, 24):
+                env = PolymerEnvironment.sample(alpha, 512, substream(seed, "threshold-polymer", r))
+                for k in (32, 128, 512):
+                    sub = env.truncate(k)
+                    ex, ey, ws = _sorted_nodes(sub)
+                    column = _segment_entropy_matrix(ex, ey)
+                    single = np.array([column(j)[0] for j in range(1, k + 1)]) + column(k + 1)[1:]
+                    assert tent_entropy(ex[1:-1], ey[1:-1]).tobytes() == single.tobytes()
+                    assert polymer_beta_critical(sub) == min_ratio(ws, column, 1.0, "auto"), (
+                        alpha, seed, r, k)
+
+
+def test_oracles_run_over_every_charge(monkeypatch):
+    # the tent bound serves the Dinkelbach iteration only: enumerate and
+    # bisect read the cost table of all k charges
+    seen, real = [], pinlab.polymer.min_ratio
+    monkeypatch.setattr(pinlab.polymer, "min_ratio",
+                        lambda w, column, c, method: seen.append((method, w.size))
+                        or real(w, column, c, method))
+    env = PolymerEnvironment.sample(0.8, 16, substream(18, "oracles"))
+    for method in ("auto", "parametric", "enumerate", "bisect"):
+        polymer_beta_critical(env, method)
+    (_, kept), _, *oracles = seen
+    assert kept < 16 and seen[1] == ("parametric", kept)
+    assert oracles == [("enumerate", 16), ("bisect", 16)]

@@ -51,7 +51,6 @@ UNREACHED = {
     "polymer.path_entropy": "solve_polymer's values (test_polymer)",
     "polymer.solve_polymer": "the polymer DP oracle (test_polymer, test_chain)",
     "polymer.solve_polymer_bruteforce": "the polymer enumeration oracle (test_polymer)",
-    "polymer.tent_entropy": "TRACED, criterion 8",
     "renewal.subexp_diagnostics": "TRACED, test_renewal",
     "subordinator.MarkedPointSet.size": "the growth oracle in conftest",
     "subordinator.edge_jump_times": "TRACED, the growth oracle in conftest",
