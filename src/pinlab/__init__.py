@@ -25,9 +25,7 @@ from .gibbs import (
 )
 from .polymer import (
     PolymerEnvironment,
-    PolymerPath,
     binary_entropy_rate,
-    path_entropy,
     polymer_beta_critical,
     solve_polymer,
     solve_polymer_bruteforce,

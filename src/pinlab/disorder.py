@@ -1,9 +1,9 @@
 """Heavy-tailed disorder under a single coupling.
 
-One exponential/uniform stream drives both the discrete size-N order
-statistics and their continuum limit, so per-index convergence holds
-pathwise: the i-th rescaled maximum M_disc[i] -> M_inf[i] = T_i^(-1/alpha)
-and the grid position Y_disc[i] -> Y_inf[i] as N grows.
+One exponential/uniform stream (T, Y) drives both the discrete size-N
+order statistics and their continuum limit, so per-index convergence holds
+pathwise: the i-th rescaled maximum M_disc[i] -> T_i^(-1/alpha) and the
+grid position Y_disc[i] -> Y_i as N grows.
 """
 
 from __future__ import annotations
@@ -49,27 +49,24 @@ def compute_b_N(law: DisorderLaw, N: int) -> float:
 
 @dataclass(frozen=True)
 class CoupledDisorder:
-    """Discrete and continuum rescaled maxima built from one random stream.
+    """The size-N disorder built from one random stream (T, Y).
 
-    T holds cumulative sums of unit-mean exponentials; M_inf[i] = T[i]^(-1/alpha)
-    exactly, while M_disc uses the order-statistics representation
-    b_N^(-1) * quantile(1 - T_i/T_N), so its marginal law equals that of
-    ranked i.i.d. Pareto maxima divided by b_N.  slots is a bijection onto
-    the interior sites 1..N-1 obtained by snapping Y_inf, and Y_disc = slots/N.
+    M_disc uses the order-statistics representation b_N^(-1) * quantile(1 -
+    T_i/T_N), so its marginal law equals that of ranked i.i.d. Pareto maxima
+    divided by b_N.  slots is a bijection onto the interior sites 1..N-1
+    obtained by snapping Y, and Y_disc = slots/N.  The continuum side, the
+    marks T_i^(-1/alpha) at Y_i, is the stream itself.
     """
 
     law: DisorderLaw
     N: int
-    T: np.ndarray
-    M_inf: np.ndarray
-    Y_inf: np.ndarray
     M_disc: np.ndarray
     Y_disc: np.ndarray
     slots: np.ndarray
     b_N: float
 
     def __post_init__(self):
-        for name in ("T", "M_inf", "Y_inf", "M_disc", "Y_disc", "slots"):
+        for name in ("M_disc", "Y_disc", "slots"):
             getattr(self, name).setflags(write=False)
 
     @property
@@ -122,26 +119,22 @@ def _assign_grid(y_inf: np.ndarray, N: int) -> np.ndarray:
     return slots
 
 
-def couple(law: DisorderLaw, T: np.ndarray, Y_inf: np.ndarray, N: int) -> CoupledDisorder:
-    """Build the coupled pair of disorders from shared base randomness.
+def couple(law: DisorderLaw, T: np.ndarray, Y: np.ndarray, N: int) -> CoupledDisorder:
+    """Build the size-N disorder from the shared base randomness (T, Y).
 
-    T and Y_inf must have length >= N; reusing the same base across several
+    T and Y must have length >= N; reusing the same base across several
     N values is what makes the discrete-to-continuum convergence hold per
     index on a single realization.
     """
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
-    if T.shape[0] < N or Y_inf.shape[0] < N:
-        raise ValueError(f"base buffer too short: need {N}, have {T.shape[0]}")
+    if T.shape[0] < N or Y.shape[0] < N:
+        raise ValueError(f"base buffer too short: need {N}, have {min(T.shape[0], Y.shape[0])}")
     b_N = compute_b_N(law, N)
-    M_inf = T ** (-1.0 / law.alpha)
     M_disc = pareto_quantile(law, 1.0 - T[: N - 1] / T[N - 1]) / b_N
-    slots = _assign_grid(Y_inf, N)
-    Y_disc = slots / float(N)
-    return CoupledDisorder(
-        law=law, N=N, T=T.copy(), M_inf=M_inf, Y_inf=Y_inf.copy(),
-        M_disc=M_disc, Y_disc=Y_disc, slots=slots, b_N=b_N,
-    )
+    slots = _assign_grid(Y, N)
+    return CoupledDisorder(law=law, N=N, M_disc=M_disc, Y_disc=slots / float(N), slots=slots,
+                           b_N=b_N)
 
 
 def sample_coupled(law: DisorderLaw, N: int, rng: np.random.Generator) -> CoupledDisorder:

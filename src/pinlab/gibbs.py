@@ -221,13 +221,14 @@ _Z95 = 1.959963984540054
 
 
 def wilson_interval(successes: int, n: int) -> tuple[float, float]:
-    """95% Wilson score interval for a binomial proportion."""
+    """95% Wilson score interval for a binomial proportion; exactly 0.0 and
+    1.0 at no and at n successes, its exact ends, which rounding misses."""
     z = _Z95
     p = successes / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    return (0.0 if successes == 0 else center - half), (1.0 if successes == n else center + half)
 
 
 def concentration_probability(model: PinningModel, ref: PinnedSet, delta: float,

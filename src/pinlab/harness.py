@@ -652,7 +652,7 @@ SPECS = {
         "Gibbs exceedance probability of the favorite set vs N",
         {"N_list": (64, 128, 256, 512, 1024, 2048), "replicas": 1},
         ("N_list", "alpha", "beta_hat", "c", "delta", "gamma", "h", "n_max", "n_samples", "rho"),
-        _concentration_cells, _concentration_summary, schema=1),
+        _concentration_cells, _concentration_summary, schema=2),
     "threshold-pinning": Spec(
         "distribution of the pinning critical coupling over realizations",
         {"k_list": (128, 512), "replicas": 500},

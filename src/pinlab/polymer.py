@@ -4,7 +4,9 @@ Charges live in the diamond D = {(x,y): |y| <= min(x, 1-x)}; a path is
 1-Lipschitz, pinned to height 0 at both ends, and pays the binary-entropy
 rate of its slope.  Because that rate is convex, an optimal path is
 piecewise linear with vertices on the charges it collects, which reduces
-the ground-state problem to a DP over charges sorted by x.
+the ground-state problem to a DP over charges sorted by x.  A ground state
+is the tuple of indices into the environment of the charges its path
+collects, in path order, and objective scores such a tuple.
 """
 
 from __future__ import annotations
@@ -93,45 +95,6 @@ class PolymerEnvironment:
         return PolymerEnvironment(self.x[:k], self.y[:k], self.w[:k], self.alpha)
 
 
-@dataclass(frozen=True)
-class PolymerPath:
-    """Piecewise-linear 1-Lipschitz path from (0,0) to (1,0)."""
-
-    vertices: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.vertices, dtype=float)
-        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 2:
-            raise ValueError("vertices must be an (m,2) array with m >= 2")
-        if tuple(v[0]) != (0.0, 0.0) or tuple(v[-1]) != (1.0, 0.0):
-            raise ValueError("path must run from (0,0) to (1,0)")
-        dx = np.diff(v[:, 0])
-        dy = np.diff(v[:, 1])
-        if not np.all(dx > 0.0):
-            raise ValueError("x must be strictly increasing (no zero-length segments)")
-        if not np.all(np.abs(dy) <= dx):
-            raise ValueError("segments must satisfy |dy| <= dx (1-Lipschitz)")
-        v.setflags(write=False)
-        object.__setattr__(self, "vertices", v)
-
-    @classmethod
-    def through(cls, points) -> "PolymerPath":
-        """Path with the given interior vertices, endpoints added."""
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        return cls(np.vstack([[0.0, 0.0], pts, [1.0, 0.0]]))
-
-    @classmethod
-    def flat(cls) -> "PolymerPath":
-        return cls(np.array([[0.0, 0.0], [1.0, 0.0]]))
-
-
-def path_entropy(p: PolymerPath) -> float:
-    """Integral of the slope entropy rate: sum over segments of dx * e(dy/dx)."""
-    dx = np.diff(p.vertices[:, 0])
-    dy = np.diff(p.vertices[:, 1])
-    return float(np.sum(dx * binary_entropy_rate(dy / dx)))
-
-
 def tent_entropy(x, y):
     """Entropy of the tent through (x,y): x e(y/x) + (1-x) e(y/(1-x)).
 
@@ -176,15 +139,21 @@ def _segment_entropy_matrix(ex, ey):
         ex[j0:j1, None] - ex[None, :j1], ey[j0:j1, None] - ey[None, :j1]))
 
 
-def _solution(ex, ey, ws, beta, sel) -> tuple[PolymerPath, float]:
-    """Path through the selected charges and its value."""
-    nodes = [0, *(i + 1 for i in sel), ex.size - 1]
-    path = PolymerPath(np.column_stack([ex[nodes], ey[nodes]]))
-    return path, beta * float(np.sum(ws[list(sel)])) - path_entropy(path)
+def objective(env: PolymerEnvironment, beta: float, idx) -> float:
+    """beta * (weight collected) - (path entropy) of the path from (0,0) through
+    the charges idx of env, in path order, to (1,0); -inf if no 1-Lipschitz
+    path visits them in that order."""
+    i = list(idx)
+    dx = np.diff(np.concatenate(([0.0], env.x[i], [1.0])))
+    dy = np.diff(np.concatenate(([0.0], env.y[i], [0.0])))
+    return beta * float(np.sum(env.w[i])) - float(np.sum(_segment_entropy(dx, dy)))
 
 
-def solve_polymer(env: PolymerEnvironment, beta: float) -> tuple[PolymerPath, float]:
-    """Ground-state path and value u = max(beta * collected - entropy) >= 0.
+def solve_polymer(env: PolymerEnvironment, beta: float) -> tuple[int, ...]:
+    """Indices into env of the charges a ground-state path collects, in path
+    order; objective(env, beta, idx) is its value u = max(beta * collected -
+    entropy) >= 0, and () is the flat path.  The DP runs over _sorted_nodes'
+    (x, y) order, which is path order on any chain (a path's x increases).
 
     Vertices are restricted to charge locations: straightening a path
     between the charges it touches never loses energy and never raises the
@@ -195,16 +164,16 @@ def solve_polymer(env: PolymerEnvironment, beta: float) -> tuple[PolymerPath, fl
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
     ex, ey, ws = _sorted_nodes(env)
     sel = chain_dp(ws, beta, lambda j: _segment_entropy(ex[j] - ex[:j], ey[j] - ey[:j]))
-    return _solution(ex, ey, ws, beta, sel)
+    return tuple(np.lexsort((env.y, env.x))[list(sel)].tolist())
 
 
-def solve_polymer_bruteforce(env: PolymerEnvironment, beta: float) -> tuple[PolymerPath, float]:
+def solve_polymer_bruteforce(env: PolymerEnvironment, beta: float) -> tuple[int, ...]:
     """Exhaustive search over feasible charge chains (oracle, small k only)."""
     if env.size > ENUM_MAX:
         raise ValueError(f"brute force capped at {ENUM_MAX} charges")
     ex, ey, ws = _sorted_nodes(env)
     sel = enumerate_best(ws, beta, _segment_entropy_matrix(ex, ey))
-    return _solution(ex, ey, ws, beta, sel)
+    return tuple(np.lexsort((env.y, env.x))[list(sel)].tolist())
 
 
 def _prune(ex, ey, ws) -> np.ndarray:

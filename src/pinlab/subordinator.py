@@ -37,10 +37,6 @@ class MarkedPointSet:
         object.__setattr__(self, "marks", marks)
         object.__setattr__(self, "locations", loc)
 
-    @property
-    def size(self) -> int:
-        return int(self.marks.size)
-
 
 def edge_process(points: MarkedPointSet, t: float) -> float:
     """Mark mass within distance t of either endpoint of [0,1].

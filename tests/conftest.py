@@ -35,7 +35,8 @@ def _growth_oracle(points, alpha, q, t_lo, t_hi):
     jumps = edge_jump_times(points)
     ts = np.concatenate(([t_lo], jumps[(jumps > t_lo) & (jumps <= t_hi)], [t_hi]))
     ratios = np.array([edge_process(points, float(t)) for t in ts]) / _envelope(ts, alpha, q)
-    gamma_n = points.size * 2.0**-53 / (1.0 - points.size * 2.0**-53)
+    n = points.marks.size
+    gamma_n = n * 2.0**-53 / (1.0 - n * 2.0**-53)
     return float(ratios.max()), 2.0 * gamma_n / (1.0 - gamma_n)
 
 

@@ -47,11 +47,12 @@ def test_chunked_enumeration_matches_one_chunk(monkeypatch):
             sol = solve_bruteforce(L)
             pinning.append((sol, objective(L, sol),
                             beta_critical(L.positions, L.weights, L.gamma, method="enumerate")))
-        polymer = []
+        paths = []
         for env in envs:
-            path, value = solve_polymer_bruteforce(env, 0.8)
-            polymer.append((path.vertices.tolist(), value, polymer_beta_critical(env, method="enumerate")))
-        return pinning, polymer
+            idx = solve_polymer_bruteforce(env, 0.8)
+            paths.append((idx, polymer.objective(env, 0.8, idx),
+                            polymer_beta_critical(env, method="enumerate")))
+        return pinning, paths
 
     one_chunk = results()
     for bits in (1, 2):

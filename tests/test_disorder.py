@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from pinlab.disorder import (
+    BUFFER_MIN,
     DisorderLaw,
     _assign_grid,
     compute_b_N,
@@ -54,7 +55,7 @@ def test_couple_closed_forms():
     T = np.array([1.0, 2.0])
     Y = np.array([0.3, 0.6])
     d = couple(law, T, Y, N=2)
-    assert d.M_inf == pytest.approx([1.0, 0.25], rel=1e-12)
+    assert d.M_disc == pytest.approx([1.0], rel=1e-12)  # (T_1/T_2)^(-2) / b_2
     # N=4 with T_1=1, T_4=4: top rescaled maximum is exactly 1
     T = np.array([1.0, 2.0, 3.0, 4.0])
     Y = np.array([0.3, 0.6, 0.9, 0.2])
@@ -67,14 +68,20 @@ def test_coupled_structure():
     law = DisorderLaw(0.5)
     rng = np.random.default_rng(0)
     d = sample_coupled(law, N=64, rng=rng)
-    assert d.T.size >= 4096  # buffer floor
-    assert np.all(np.diff(d.M_inf) < 0)
+    # the buffer floor: the uniforms follow max(N, BUFFER_MIN) exponentials
+    T, Y = draw_base(max(64, BUFFER_MIN), np.random.default_rng(0))
+    want = couple(law, T, Y, 64)
+    for name in ("M_disc", "Y_disc", "slots"):
+        assert getattr(d, name).tobytes() == getattr(want, name).tobytes(), name
+    assert np.all(np.diff(T ** (-1.0 / law.alpha)) < 0)
     assert np.all(np.diff(d.M_disc) <= 0)
     # Y_disc is a bijection onto the interior grid
     slots = np.rint(d.Y_disc * 64).astype(int)
     assert sorted(slots) == list(range(1, 64))
     with pytest.raises(ValueError):
         sample_coupled(law, N=1, rng=rng)
+    with pytest.raises(ValueError, match="need 64, have 63"):  # the shorter of T and Y
+        couple(law, T, Y[:63], 64)
 
 
 
@@ -136,7 +143,7 @@ def test_order_statistics_beta_marginals(i):
 
 
 def test_pathwise_coupling_convergence():
-    # per-index gaps |M_disc - M_inf|, |Y_disc - Y_inf| shrink along N on a
+    # per-index gaps |M_disc - T^(-1/alpha)|, |Y_disc - Y| shrink along N on a
     # shared base, medians monotone up to a 2 N^(-1/4) fluctuation allowance
     law = DisorderLaw(0.5)
     N_grid = [2**e for e in range(6, 13)]
@@ -148,8 +155,8 @@ def test_pathwise_coupling_convergence():
         T, Y = draw_base(4096, rng)
         for j, N in enumerate(N_grid):
             d = couple(law, T, Y, N)
-            gaps_m[s, j] = np.abs(d.M_disc[:5] - d.M_inf[:5])
-            gaps_y[s, j] = np.abs(d.Y_disc[:5] - d.Y_inf[:5])
+            gaps_m[s, j] = np.abs(d.M_disc[:5] - T[:5] ** (-1.0 / law.alpha))
+            gaps_y[s, j] = np.abs(d.Y_disc[:5] - Y[:5])
     for arr in (gaps_m, gaps_y):
         med = np.median(arr, axis=0)  # (N, index)
         for j in range(len(N_grid) - 1):
@@ -159,10 +166,8 @@ def test_pathwise_coupling_convergence():
 
 def test_continuum_sum_increments_small_past_1000():
     for alpha in (0.5, 0.8):
-        law = DisorderLaw(alpha)
-        rng = np.random.default_rng(3)
-        d = sample_coupled(law, N=2, rng=rng)
-        assert np.all(d.M_inf[1000:] < 1e-2)
+        T, _ = draw_base(BUFFER_MIN, np.random.default_rng(3))
+        assert np.all(T[1000:] ** (-1.0 / alpha) < 1e-2)
 
 
 def test_replica_streams_reproducible():

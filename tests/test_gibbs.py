@@ -208,12 +208,11 @@ def test_wilson_interval_known_value():
     lo, hi = wilson_interval(5, 10)
     assert lo == pytest.approx(0.2365930, abs=1e-6)
     assert hi == pytest.approx(0.7634070, abs=1e-6)
-    # all or no successes: the clip keeps the interval within [0, 1]; the
-    # formula alone passes 1 at n = 16 and drops below 0 at n = 21
+    # all or no successes end the interval exactly at 1 and 0; the formula
+    # alone passes 1 at n = 16, drops below 0 at n = 21 and falls short of 1
+    # by 2^-53 at n = 10
     for n in range(1, 200):
-        assert wilson_interval(n, n)[1] <= 1.0 and wilson_interval(0, n)[0] >= 0.0, n
-    assert wilson_interval(16, 16)[1] == 1.0
-    assert wilson_interval(0, 21)[0] == 0.0
+        assert wilson_interval(n, n)[1] == 1.0 and wilson_interval(0, n)[0] == 0.0, n
 
 
 def test_enumeration_cap_is_checked_before_any_configuration(term):

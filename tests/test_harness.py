@@ -280,14 +280,14 @@ def test_config_key_hashes_the_read_keys_and_the_schema():
         for name in EXPERIMENTS}
     assert keys == {
         "convergence": "b7a625e02839",
-        "concentration": "1f8b3e639482",
+        "concentration": "a900f0c9754e",
         "threshold-pinning": "791f5f5d0386",
         "threshold-polymer": "1b0794ba07fc",
         "renewal-asymptotics": "5eabd499415e",
         "subordinator-growth": "d93a0e932740",
     }
     assert {name: harness.SPECS[name].schema for name in EXPERIMENTS} == {
-        "convergence": 0, "concentration": 1, "threshold-pinning": 0,
+        "convergence": 0, "concentration": 2, "threshold-pinning": 0,
         "threshold-polymer": 0, "renewal-asymptotics": 2, "subordinator-growth": 1}
     cfg = ExperimentConfig(experiment="subordinator-growth", seed=1, **_SMALL[
         "subordinator-growth"])

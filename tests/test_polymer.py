@@ -15,11 +15,10 @@ import pinlab
 from pinlab.chain import min_ratio
 from pinlab.polymer import (
     PolymerEnvironment,
-    PolymerPath,
     _segment_entropy_matrix,
     _sorted_nodes,
     binary_entropy_rate,
-    path_entropy,
+    objective,
     polymer_beta_critical,
     solve_polymer,
     solve_polymer_bruteforce,
@@ -50,25 +49,25 @@ def test_entropy_rate_even_convex_accurate():
         assert binary_entropy_rate(s) == pytest.approx(s * s / 2, rel=1e-6)
 
 
+def _entropy(x, y):
+    # entropy of the path through the charges at (x, y), in order: the
+    # objective at beta = 0, negated
+    return -objective(PolymerEnvironment(x, y, np.arange(len(x), 0.0, -1.0), 1.0), 0.0,
+                      range(len(x)))
+
+
 def test_path_entropy_examples():
-    assert path_entropy(PolymerPath.flat()) == 0.0
-    assert path_entropy(PolymerPath.through([[0.5, 0.5]])) == pytest.approx(
-        math.log(2.0), rel=1e-12)
-    assert path_entropy(PolymerPath.through([[0.5, 0.25]])) == pytest.approx(E_HALF, rel=1e-12)
+    assert _entropy([], []) == 0.0
+    assert _entropy([0.5], [0.5]) == pytest.approx(math.log(2.0), rel=1e-12)
+    assert _entropy([0.5], [0.25]) == pytest.approx(E_HALF, rel=1e-12)
+    # charges that no 1-Lipschitz path visits in the given order score -inf
+    assert _entropy([0.5, 0.25], [0.25, 0.0]) == math.inf
+    assert _entropy([0.25, 0.3], [0.0, 0.2]) == math.inf
     assert tent_entropy(0.5, 0.25) == pytest.approx(E_HALF, rel=1e-12)
     # elementwise over arrays, with the scalar floats and 0.0 on the axis
     xs, ys = np.array([0.0, 0.5, 0.25, 0.7, 1.0]), np.array([0.0, 0.25, -0.125, 0.0, 0.0])
     assert tent_entropy(xs, ys).tolist() == [tent_entropy(x, y) for x, y in zip(xs, ys)]
     assert tent_entropy(xs, ys)[[0, 3, 4]].tolist() == [0.0, 0.0, 0.0]
-
-
-def test_path_validation():
-    with pytest.raises(ValueError):
-        PolymerPath(np.array([[0.0, 0.0], [0.5, 0.6], [1.0, 0.0]]))  # slope > 1
-    with pytest.raises(ValueError):
-        PolymerPath(np.array([[0.0, 0.0], [0.5, 0.1], [0.5, 0.2], [1.0, 0.0]]))
-    with pytest.raises(ValueError):
-        PolymerPath(np.array([[0.0, 0.1], [1.0, 0.0]]))
 
 
 def test_tent_optimality():
@@ -89,24 +88,22 @@ def test_tent_optimality():
             if lim_lo > lim_hi:
                 continue
             y2 = float(rng.uniform(lim_lo, lim_hi))
-            pts = sorted([(x, y), (x2, y2)])
-            detour = PolymerPath.through(pts)
-            assert path_entropy(detour) >= base - 1e-12
+            (xa, ya), (xb, yb) = sorted([(x, y), (x2, y2)])
+            assert _entropy([xa, xb], [ya, yb]) >= base - 1e-12
 
 
 def test_solve_single_charge():
     env = PolymerEnvironment(np.array([0.5]), np.array([0.25]), np.array([1.0]), 0.5)
-    path, u = solve_polymer(env, 1.0)
-    assert np.allclose(path.vertices, [[0, 0], [0.5, 0.25], [1, 0]])
+    assert solve_polymer(env, 1.0) == (0,)
+    u = objective(env, 1.0, (0,))
     assert u == pytest.approx(1.0 - E_HALF, rel=1e-12)
     assert u == pytest.approx(0.8691879640, abs=1e-9)
 
 
 def test_solve_zero_beta_is_flat():
     env = PolymerEnvironment.sample(0.5, 20, substream(1, "flat"))
-    path, u = solve_polymer(env, 0.0)
-    assert u == 0.0
-    assert path.vertices.shape == (2, 2)
+    assert solve_polymer(env, 0.0) == ()
+    assert objective(env, 0.0, ()) == 0.0
 
 
 def test_dp_equals_bruteforce():
@@ -116,17 +113,17 @@ def test_dp_equals_bruteforce():
         k = int(rng.integers(1, 13))
         env = PolymerEnvironment.sample(alpha, k, rng)
         beta = float(rng.uniform(0.0, 2.0))
-        p1, u1 = solve_polymer(env, beta)
-        p2, u2 = solve_polymer_bruteforce(env, beta)
-        assert u1 == u2
-        assert np.array_equal(p1.vertices, p2.vertices)
-        assert u1 >= 0.0
+        idx = solve_polymer(env, beta)
+        assert idx == solve_polymer_bruteforce(env, beta)
+        # path order: x increases along the tuple
+        assert np.all(np.diff(env.x[list(idx)]) > 0.0)
+        assert objective(env, beta, idx) >= 0.0
 
 
 def test_value_monotone_convex_in_beta():
     env = PolymerEnvironment.sample(0.7, 24, substream(11, "conv"))
     betas = np.linspace(0.0, 1.0, 21)
-    vals = np.array([solve_polymer(env, b)[1] for b in betas])
+    vals = np.array([objective(env, b, solve_polymer(env, b)) for b in betas])
     assert np.all(np.diff(vals) >= -1e-12)
     assert np.all(np.diff(vals, 2) >= -1e-9)
     assert np.all(vals >= 0.0)
@@ -157,10 +154,9 @@ def test_threshold_dichotomy():
     for _ in range(20):
         env = PolymerEnvironment.sample(0.6, int(rng.integers(2, 12)), rng)
         bc = polymer_beta_critical(env)
-        _, below = solve_polymer(env, max(bc - 1e-9, 0.0))
-        _, above = solve_polymer(env, bc + 1e-9)
-        assert below == 0.0
-        assert above > 0.0
+        below, above = max(bc - 1e-9, 0.0), bc + 1e-9
+        assert objective(env, below, solve_polymer(env, below)) == 0.0
+        assert objective(env, above, solve_polymer(env, above)) > 0.0
 
 
 def test_threshold_dichotomy_at_large_k():
@@ -169,10 +165,8 @@ def test_threshold_dichotomy_at_large_k():
     for r in range(20):
         env = PolymerEnvironment.sample(0.8, 512, substream(17, "dichotomy", 512, r))
         bc = polymer_beta_critical(env)
-        below, _ = solve_polymer(env, bc * (1.0 - 1e-9))
-        above, _ = solve_polymer(env, bc * (1.0 + 1e-9))
-        assert below.vertices.shape[0] == 2, r
-        assert above.vertices.shape[0] > 2, r
+        assert solve_polymer(env, bc * (1.0 - 1e-9)) == (), r
+        assert solve_polymer(env, bc * (1.0 + 1e-9)) != (), r
 
 
 def _full_threshold(env):

@@ -35,7 +35,7 @@ RUNS = (
 UNREACHED = {
     "chain._subsets": "enumerate_best's subset chunks",
     "chain.enumerate_best": "the enumeration oracle (test_chain, test_varmax, test_polymer)",
-    "disorder.sample_coupled": "the README example",
+    "disorder.sample_coupled": "criterion 3, test_gibbs, test_subordinator",
     "geometry.PinnedSet.__eq__": "test_varmax's pinned_set examples and reflection check",
     "geometry.PinnedSet.gaps": "set_entropy",
     "geometry.PinnedSet.insert": "criterion 8's entropy monotonicity",
@@ -44,15 +44,10 @@ UNREACHED = {
     "gibbs.enumerate_distribution": "the Gibbs oracle (test_gibbs, criterion 3)",
     "gibbs.exact_sample": "the README example, TRACED",
     "gibbs.set_log_weight": "the Gibbs oracle (test_gibbs, criterion 3)",
-    "polymer.PolymerPath.__post_init__": "solve_polymer's paths",
-    "polymer.PolymerPath.flat": "test_polymer's path entropy examples",
-    "polymer.PolymerPath.through": "test_polymer's tent optimality oracle",
-    "polymer._solution": "solve_polymer, solve_polymer_bruteforce",
-    "polymer.path_entropy": "solve_polymer's values (test_polymer)",
+    "polymer.objective": "the polymer value checks in test_polymer and test_chain",
     "polymer.solve_polymer": "the polymer DP oracle (test_polymer, test_chain)",
     "polymer.solve_polymer_bruteforce": "the polymer enumeration oracle (test_polymer)",
     "renewal.subexp_diagnostics": "TRACED, test_renewal",
-    "subordinator.MarkedPointSet.size": "the growth oracle in conftest",
     "subordinator.edge_jump_times": "TRACED, the growth oracle in conftest",
     "subordinator.edge_process": "TRACED, the growth oracle in conftest (criterion 9)",
     "varmax.objective": "the value checks in test_varmax and test_chain",

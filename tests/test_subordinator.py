@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from pinlab.disorder import DisorderLaw, draw_base, sample_coupled
+from pinlab.disorder import BUFFER_MIN, draw_base
 from pinlab.polymer import PolymerEnvironment
 from pinlab.streams import substream
 from pinlab.subordinator import (
@@ -158,13 +158,12 @@ def test_band_increment_homogeneity():
 def test_poisson_exceedance_counts():
     # number of continuum marks above z is Poisson(z^-alpha)
     alpha = 0.5
-    law = DisorderLaw(alpha)
     for z in (1.0, 2.0):
         lam = z ** -alpha
         counts = []
         for r in range(1000):
-            d = sample_coupled(law, 4, substream(13, "pois", int(z * 10), r))
-            counts.append(int(np.sum(d.M_inf[:64] > z)))
+            T, _ = draw_base(64, substream(13, "pois", int(z * 10), r))
+            counts.append(int(np.sum(T ** (-1.0 / alpha) > z)))
         counts = np.array(counts)
         kmax = 5
         observed = np.bincount(np.minimum(counts, kmax), minlength=kmax + 1)
@@ -181,6 +180,6 @@ def test_marked_point_set_validation():
         MarkedPointSet(np.array([1.0]), np.array([1.5]))
     with pytest.raises(ValueError):
         MarkedPointSet(np.array([1.0]), np.array([[0.5, 0.1]]))  # locations are 1-d
-    d = sample_coupled(DisorderLaw(0.5), 8, substream(1, "mpsa"))
-    mps = MarkedPointSet(d.M_inf[:16], d.Y_inf[:16])
-    assert mps.size == 16
+    T, Y = draw_base(BUFFER_MIN, substream(1, "mpsa"))
+    mps = MarkedPointSet(T[:16] ** -2.0, Y[:16])
+    assert mps.marks.size == 16

@@ -8,7 +8,7 @@ import pytest
 
 from pinlab.disorder import DisorderLaw, compute_b_N, pareto_quantile
 from pinlab.gibbs import PinningModel
-from pinlab.polymer import PolymerEnvironment, PolymerPath, binary_entropy_rate, solve_polymer
+from pinlab.polymer import PolymerEnvironment, binary_entropy_rate, solve_polymer
 from pinlab.renewal import build_law
 from pinlab.subordinator import MarkedPointSet
 from pinlab.varmax import EnergyLandscape, beta_critical
@@ -28,8 +28,6 @@ LAW = build_law(0.5, 1.0, 0.0, 0.0, n_max=2000)
     lambda: beta_critical([nan, 0.5], [1.0, 1.0], 0.5),
     lambda: PolymerEnvironment([nan], [0.1], [1.0], 1.0),
     lambda: PolymerEnvironment([0.5], [nan], [1.0], 1.0),
-    lambda: PolymerPath([[0.0, 0.0], [nan, 0.0], [1.0, 0.0]]),
-    lambda: PolymerPath([[0.0, 0.0], [0.5, nan], [1.0, 0.0]]),
     lambda: solve_polymer(PolymerEnvironment([0.5], [0.1], [1.0], 1.0), nan),
     lambda: solve_polymer(PolymerEnvironment([0.5], [0.1], [1.0], 1.0), inf),
     lambda: binary_entropy_rate(nan),
@@ -40,7 +38,7 @@ LAW = build_law(0.5, 1.0, 0.0, 0.0, n_max=2000)
     lambda: dataclasses.replace(LAW, K=np.where(np.arange(2001) == 7, nan, LAW.K)),
 ], ids=["landscape-first", "landscape-inner", "landscape-beta", "landscape-c",
         "landscape-beta-inf", "landscape-c-inf", "beta_critical-c-inf", "beta_critical",
-        "environment-x", "environment-y", "path-x", "path-y", "solve_polymer-beta",
+        "environment-x", "environment-y", "solve_polymer-beta",
         "solve_polymer-beta-inf", "entropy-rate", "marked-location", "pareto-level", "b_N",
         "law-c", "law-K"])
 def test_range_checks_reject_nan(call):
@@ -61,7 +59,6 @@ def test_caller_arrays_stay_writeable_and_apart():
         (MarkedPointSet, [np.array([2.0, 1.0]), np.array([0.25, 0.5])], (), ("marks", "locations")),
         (PolymerEnvironment, [np.array([0.25, 0.5]), np.array([0.1, -0.2]), np.array([2.0, 1.0])],
          (1.0,), ("x", "y", "w")),
-        (PolymerPath, [np.array([[0.0, 0.0], [0.5, 0.25], [1.0, 0.0]])], (), ("vertices",)),
         (lambda om: PinningModel(LAW, om, 1.0, 4), [np.array([0.5, 1.0, 2.0])], (), ("omega",)),
         (lambda K: dataclasses.replace(LAW, K=K), [LAW.K.copy()], (), ("K",)),
     ]
