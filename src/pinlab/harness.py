@@ -22,6 +22,7 @@ import contextlib
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -255,13 +256,21 @@ Spec = namedtuple("Spec", "description defaults keys cells summarize schema", de
 # file plumbing
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write text to path atomically: concurrent reruns see either the old
-    file or the full new one, and a failed write leaves no temporary file."""
+#: Rows of a cell formatted or parsed at a time, so a cell's text is never
+#: held whole: a write or a resume holds the cell's float columns and one
+#: block's strings.
+_CELL_BLOCK = 1024
+
+
+def _write_atomic(path: str, chunks: typing.Iterable[str]) -> None:
+    """Write the concatenated chunks to path atomically: concurrent reruns
+    see either the old file or the full new one, and a failed write, also
+    one that fails while the chunks are being produced, leaves no temporary
+    file and the old file as it was."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -269,30 +278,58 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
+def _cell_text(header: list[str], columns: list[np.ndarray]) -> typing.Iterator[str]:
+    """The header line, then the rows _CELL_BLOCK at a time, each value as
+    repr over its column's tolist() (str of an int, repr of a float) and
+    every line ended by a newline."""
+    yield ",".join(header) + "\n"
+    for r0 in range(0, len(columns[0]), _CELL_BLOCK):
+        rows = zip(*(map(repr, col[r0 : r0 + _CELL_BLOCK].tolist()) for col in columns))
+        yield "".join([",".join(row) + "\n" for row in rows])
+
+
+def _read_cell(path: str, cell: Cell) -> dict | None:
+    """The float columns of the cell on disk by header name, or None unless
+    the file is UTF-8 with the expected header and row count, every row of
+    the header's width and every value a finite float.  Lines are those of
+    str.splitlines over the whole text read with universal newlines: no \\r
+    is left, so each newline-ended line splits on its own.  The rows are
+    parsed by float() _CELL_BLOCK at a time into preallocated columns."""
+    cols = np.empty((len(cell.header), cell.rows))
+    r0 = 0
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = (part for line in fh for part in line.splitlines())
+            if next(lines, "").split(",") != cell.header:
+                return None
+            while rows := [line.split(",") for line in itertools.islice(lines, _CELL_BLOCK)]:
+                r1 = r0 + len(rows)
+                if r1 > cell.rows or any(len(row) != len(cell.header) for row in rows):
+                    return None
+                for col, values in zip(cols, zip(*rows)):
+                    col[r0:r1] = [float(v) for v in values]
+                if not np.isfinite(cols[:, r0:r1]).all():
+                    return None
+                r0 = r1
+    except ValueError:  # a value that is not a float, or bytes that are not UTF-8
+        return None
+    return dict(zip(cell.header, cols)) if r0 == cell.rows else None
+
+
 def _ensure_cell(path: str, cell: Cell) -> dict:
     """Return the cell's float columns by header name, computing and writing
-    the cell only if it is absent or malformed.  A cell on disk is reused only
-    if it is UTF-8 with the expected header and row count, every row of the
-    header's width and every value a finite float, as every computed value
-    is; repr-written floats read back exactly.  A computed column is written
-    as repr over its array's tolist() (str of an int, repr of a float) and
-    returned as float without a parse-back."""
+    the cell only if it is absent or malformed (_read_cell); repr-written
+    floats read back exactly.  A computed cell is streamed to disk
+    _CELL_BLOCK rows at a time (_cell_text) and its columns are returned as
+    float without a parse-back, so neither a write nor a resume holds the
+    cell's text whole."""
     if os.path.exists(path):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                rows = [line.split(",") for line in fh.read().splitlines()]
-            if (rows[:1] == [cell.header] and len(rows) == cell.rows + 1
-                    and all(len(r) == len(cell.header) for r in rows)):
-                cols = {h: np.array([float(v) for v in col])
-                        for h, col in zip(cell.header, zip(*rows[1:]))}
-                if all(np.isfinite(col).all() for col in cols.values()):
-                    return cols
-        except ValueError:  # a value that is not a float, or bytes that are not UTF-8
-            pass
+        cols = _read_cell(path, cell)
+        if cols is not None:
+            return cols
         log.warning("recomputing malformed cell %s", path)
     columns = [np.asarray(col) for col in cell.compute()]
-    rows = zip(*(map(repr, col.tolist()) for col in columns))
-    _write_atomic(path, "\n".join([",".join(cell.header), *map(",".join, rows)]) + "\n")
+    _write_atomic(path, _cell_text(cell.header, columns))
     return {h: col.astype(float, copy=False) for h, col in zip(cell.header, columns)}
 
 
@@ -577,11 +614,12 @@ def _renewal_summary(cfg: ExperimentConfig, tables: list[dict]) -> dict:
     n_eval = cfg.n_eval
     # the n = n_eval row holds renewal.subexp_diagnostics' ratios
     (t,) = tables
+    q_n, q_next = law.q(n_eval, n_eval + 2)
     diag = {
         "u_over_K": float(t["u_over_K"][-1]),
         "conv2_ratio": float(t["q2_over_q"][-1]),
         "conv3_ratio": float(t["q3_over_q"][-1]),
-        "shift_ratio": float(law.q[n_eval + 1] / law.q[n_eval]),
+        "shift_ratio": float(q_next / q_n),
     }
     target = 1.0 / law.K_inf**2 if law.K_inf**2 > 0 else math.inf  # inf below K_inf ~ 1e-154
     return {
@@ -706,5 +744,5 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "summary": summary,
     }
     _write_atomic(os.path.join(out, "summary.json"),
-                  json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
+                  [json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"])
     return ExperimentReport(config=cfg, summary=summary, cells=tuple(path for path, _ in cells))

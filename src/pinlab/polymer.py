@@ -28,16 +28,28 @@ def binary_entropy_rate(x):
 
     Even and convex with e(0) = 0 and e(+-1) = log 2; slopes outside [-1,1]
     are Lipschitz violations and rejected.  Uses log1p so the ~x^2/2 behavior
-    near 0 survives the cancellation between the two terms.
+    near 0 survives the cancellation between the two terms.  Computed in
+    three arrays of x's size, each product and sum in place, with the
+    operands of the formula as written, so in the same floats.
     """
     arr = np.asarray(x, dtype=float)
-    ax = np.abs(arr)
-    if not np.all(ax <= 1.0):
+    safe = np.abs(arr).reshape(-1)
+    if not np.all(safe <= 1.0):
         raise ValueError("slope outside [-1,1]")
-    safe = np.where(ax == 1.0, 0.0, arr)
-    val = 0.5 * ((1.0 + safe) * np.log1p(safe) + (1.0 - safe) * np.log1p(-safe))
-    out = np.where(ax == 1.0, math.log(2.0), val)
-    return float(out) if out.ndim == 0 else out
+    edge = safe == 1.0
+    np.copyto(safe, arr.reshape(-1))
+    safe[edge] = 0.0
+    out = np.log1p(safe)
+    rest = np.add(1.0, safe)
+    out *= rest
+    np.negative(safe, out=rest)
+    np.log1p(rest, out=rest)
+    np.subtract(1.0, safe, out=safe)
+    rest *= safe
+    out += rest
+    out *= 0.5
+    out[edge] = math.log(2.0)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 @dataclass(frozen=True)
@@ -124,10 +136,16 @@ def _segment_entropy(dx, dy):
     """Entropy cost dx * e(dy/dx) of straight segments; +inf where infeasible.
 
     The entropy rate is evaluated on the feasible segments only, those with
-    dx > 0 and |dy| <= dx (for uniform charges, about half of each column)."""
-    f = (dx > 0.0) & (np.abs(dy) <= dx)
+    dx > 0 and |dy| <= dx (for uniform charges, about half of each column),
+    and the slope and the product are formed in place on those."""
+    f = np.abs(dy) <= dx
+    f &= dx > 0.0
     out = np.full(dx.shape, np.inf)
-    out[f] = dx[f] * binary_entropy_rate(dy[f] / dx[f])
+    dxf, slope = dx[f], dy[f]
+    slope /= dxf
+    cost = binary_entropy_rate(slope)
+    cost *= dxf
+    out[f] = cost
     return out
 
 

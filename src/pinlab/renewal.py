@@ -27,9 +27,10 @@ _MAX_TERMS = 1_000_000
 #: they ask for is longer.
 _BLOCK = 1024
 
-#: Largest support build_law takes: it holds about five float arrays of
-#: n_max + 1 entries at once (40 MB at the cap), and renewal_function's time
-#: grows as n^2 (about 1 s at n = 1.28e5, so a minute at the cap).
+#: Largest support build_law takes: it holds two float arrays of n_max + 1
+#: entries at once (16 MB at the cap, the traced peak of build_law there),
+#: and renewal_function's time grows as n^2 (about 1 s at n = 1.28e5, so a
+#: minute at the cap).
 MAX_SUPPORT = 10**6
 
 
@@ -79,12 +80,13 @@ class RenewalLaw:
             raise ValueError("K table is inconsistent with its stretched-exponential shape")
         self.K.setflags(write=False)
 
-    @property
-    def q(self) -> np.ndarray:
-        """Conditional law on finite values, q = K / (1 - K_inf)."""
+    def q(self, lo: int, hi: int) -> np.ndarray:
+        """Conditional law on finite values, q(n) = K(n) / (1 - K_inf), for
+        lo <= n < hi: each entry the one division of the whole table, and
+        only the entries asked for formed."""
         if self.K_inf >= 1.0:
             raise ValueError("conditional law undefined: the atom carries all mass")
-        return self.K / (1.0 - self.K_inf)
+        return self.K[lo:hi] / (1.0 - self.K_inf)
 
 
 def _log_upper_gamma(s: float, y: float) -> float:
@@ -178,15 +180,23 @@ def build_law(gamma: float, c: float, rho: float = 0.0, K_inf_target: float = 0.
     if rho > 0.0 and c * gamma * n_max**gamma <= rho:
         raise ValueError("density not yet decreasing at n_max; enlarge n_max")
 
-    n = np.arange(0, n_max + 1, dtype=float)
-    logk = np.full(n_max + 1, -np.inf)
-    logk[1:] = rho * np.log(n[1:]) - c * n[1:] ** gamma
-    m = logk[1:].max()
-    raw_sum = float(np.exp(logk[1:] - m).sum())
+    # in two arrays, K and log K, each step one operation of the formula
+    # log K(n) = rho log n - c n^gamma, K = exp(log K + log_norm), in place
+    K = np.arange(0, n_max + 1, dtype=float)
+    n = K[1:]
+    logk = np.log(n)
+    logk *= rho
+    n **= gamma
+    n *= c
+    logk -= n
+    m = logk.max()
+    np.subtract(logk, m, out=n)
+    raw_sum = float(np.exp(n, out=n).sum())
     log_norm = math.log1p(-K_inf_target) - (m + math.log(raw_sum))
-    K = np.exp(logk + log_norm)
-    K[0] = 0.0
-    if np.any(K[1:] == 0.0):
+    np.add(logk, log_norm, out=n)
+    del logk
+    np.exp(n, out=n)
+    if n.min() == 0.0:
         raise ValueError("K underflows before n_max; reduce n_max or c")
     # exact renormalization so the law invariant holds to 1e-12
     K[1:] *= (1.0 - K_inf_target) / K[1:].sum()
@@ -291,7 +301,7 @@ def ratio_table(law: RenewalLaw, n: int) -> tuple[np.ndarray, ...]:
         raise ValueError("need n >= 3 for the convolution ratios")
     u = renewal_function(law, n)[1:]
     K = law.K[1 : n + 1]
-    q = law.q[1 : n + 1]  # q[i] = q(i+1)
+    q = law.q(1, n + 1)  # q[i] = q(i+1)
     conv2 = _convolve_head(q, q, n - 1)  # index j <-> mass at j+2
     conv3 = _convolve_head(conv2, q, n - 2)  # index j <-> mass at j+3
     q2 = np.concatenate(([0.0], conv2))
@@ -309,8 +319,9 @@ def subexp_diagnostics(law: RenewalLaw, n: int) -> dict[str, float]:
     if n + 1 > law.n_max:
         raise ValueError(f"n + 1 = {n + 1} exceeds n_max={law.n_max}")
     _, _, u_over_K, conv2_ratio, conv3_ratio = ratio_table(law, n)
+    q_n, q_next = law.q(n, n + 2)
     return {
-        "shift_ratio": float(law.q[n + 1] / law.q[n]),
+        "shift_ratio": float(q_next / q_n),
         "conv2_ratio": float(conv2_ratio[-1]),
         "conv3_ratio": float(conv3_ratio[-1]),
         "u_over_K": float(u_over_K[-1]),

@@ -2,18 +2,22 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
+import tracemalloc
 import typing
+import unittest.mock
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -23,6 +27,7 @@ from pinlab.cli import main
 from pinlab.disorder import BUFFER_MIN, DisorderLaw, couple, draw_base
 from pinlab.geometry import hausdorff
 from pinlab.harness import (
+    _CELL_BLOCK,
     ConfigError,
     EXPERIMENTS,
     ExperimentConfig,
@@ -197,6 +202,181 @@ def test_malformed_cells_are_recomputed(tmp_path, caplog):
     assert all(c in logged for c in rep1.cells)
 
 
+def _whole_text_cell(header, columns):
+    """The cell writer as one string over the whole cell: repr over every
+    column's tolist(), lines joined by newlines."""
+    rows = zip(*(map(repr, np.asarray(col).tolist()) for col in columns))
+    return ("\n".join([",".join(header), *map(",".join, rows)]) + "\n").encode()
+
+
+def _read_whole_text(path, cell):
+    """The cell reader over the whole text: fh.read().splitlines()."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()]
+        if (rows[:1] == [cell.header] and len(rows) == cell.rows + 1
+                and all(len(r) == len(cell.header) for r in rows)):
+            cols = {h: np.array([float(v) for v in col])
+                    for h, col in zip(cell.header, zip(*rows[1:]))}
+            if all(np.isfinite(col).all() for col in cols.values()):
+                return cols
+    except ValueError:
+        pass
+    return None
+
+
+def _unused():
+    raise AssertionError("a well-formed cell on disk is not recomputed")
+
+
+@pytest.mark.parametrize("rows", [1, _CELL_BLOCK - 1, _CELL_BLOCK, _CELL_BLOCK + 1,
+                                  2 * _CELL_BLOCK + 1])
+def test_streamed_cell_bytes_match_the_whole_text(tmp_path, rows):
+    # ints, and floats of either sign over the whole exponent range, with
+    # subnormals and integral values; read back to the same columns
+    rng = np.random.default_rng(rows)
+    header = ["n", "size", "x", "y"]
+    columns = [range(1, rows + 1), [rows] * rows,
+               rng.standard_normal(rows) * 10.0 ** rng.integers(-320, 300, rows),
+               np.floor(rng.standard_normal(rows) * 1e6).tolist()]
+    path = str(tmp_path / "cell.csv")
+    written = harness._ensure_cell(path, harness.Cell("cell.csv", header, rows, lambda: columns))
+    with open(path, "rb") as fh:
+        assert fh.read() == _whole_text_cell(header, columns)
+    read = harness._ensure_cell(path, harness.Cell("cell.csv", header, rows, _unused))
+    for h, col in zip(header, columns):
+        want = np.asarray(col, dtype=float).tobytes()
+        assert written[h].tobytes() == read[h].tobytes() == want
+
+
+#: what a corruption inserts: line ends that universal newlines translate and
+#: those only str.splitlines knows, characters that are not line ends, commas,
+#: and pieces of values float() accepts or rejects
+_INSERTS = ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029",
+            " ", "\xa0", "\t", ",", "", "nan", "inf", "_", "x", "e", "-", "\ufeff")
+_BAD_BYTES = (b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xe2\x80")
+
+
+def _corruption(**kwargs):
+    """One cell of the reader test: one row, no edit unless given."""
+    args = dict(values=[(1, 0.5, 2.0)], inserts=[], deletes=[], ending="", bad=None,
+                declared=0, block=1)
+    return example(**dict(args, **kwargs))
+
+
+@_corruption(inserts=[(15, "\r")])  # a row ended by \r\n: accepted
+@_corruption(inserts=[(15, "\r"), (6, "\r")])  # a blank line from \r\r\n
+@_corruption(inserts=[(9, "\x0c")])
+@_corruption(inserts=[(9, "\x85")])
+@_corruption(inserts=[(6, " ")])  # float(" 1") is 1.0: accepted
+@_corruption(inserts=[(9, "\u2028")])
+@_corruption(ending="drop final newline")  # accepted
+@_corruption(ending="extra blank line")
+@_corruption(ending="empty file")
+@_corruption(bad=(9, b"\xff"))
+@given(values=st.lists(st.tuples(st.integers(0, 10**6), st.floats(allow_nan=False, allow_infinity=False),
+                                 st.floats(-1e3, 1e3)), min_size=1, max_size=6),
+       inserts=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(_INSERTS)), max_size=3),
+       deletes=st.lists(st.integers(0, 10**6), max_size=2),
+       ending=st.sampled_from(["", "drop final newline", "extra blank line", "empty file"]),
+       bad=st.one_of(st.none(), st.tuples(st.integers(0, 10**6), st.sampled_from(_BAD_BYTES))),
+       declared=st.integers(-1, 1), block=st.integers(1, 3))
+def test_streamed_cell_reader_matches_the_whole_text_reader(values, inserts, deletes, ending,
+                                                            bad, declared, block):
+    # a cell edited by inserts, deletions, a changed ending and bytes that are
+    # not UTF-8 gets the same verdict and the same columns from both readers,
+    # with blocks of 1 to 3 rows so corruptions fall across block edges
+    header = ["n", "a", "b"]
+    text = "".join(f"{n},{a!r},{b!r}\n" for n, a, b in values)
+    text = "n,a,b\n" + text
+    for pos, piece in inserts:
+        pos %= len(text) + 1
+        text = text[:pos] + piece + text[pos:]
+    for pos in deletes:
+        pos %= len(text)
+        text = text[:pos] + text[pos + 1:]
+    if ending == "drop final newline":
+        text = text.removesuffix("\n")
+    elif ending == "extra blank line":
+        text += "\n"
+    elif ending == "empty file":
+        text = ""
+    data = text.encode("utf-8")
+    if bad is not None:
+        pos, piece = bad
+        pos %= len(data) + 1
+        data = data[:pos] + piece + data[pos:]
+    cell = harness.Cell("cell.csv", header, max(1, len(values) + declared), _unused)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cell.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        want = _read_whole_text(path, cell)
+        with unittest.mock.patch.object(harness, "_CELL_BLOCK", block):
+            got = harness._read_cell(path, cell)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert list(got) == list(want)
+        assert all(got[h].tobytes() == want[h].tobytes() for h in header)
+
+
+def test_failed_cell_write_leaves_the_old_cell_and_no_temporary_file(tmp_path, monkeypatch):
+    # an error while the second block of rows is formatted stops the write:
+    # the malformed cell on disk stays as it was and no .tmp file is left
+    old = b"n,x\n1,nan\n"
+    (tmp_path / "cell.csv").write_bytes(old)
+    rows = 2 * _CELL_BLOCK + 1
+    calls = itertools.count()
+
+    def failing_repr(value):
+        if next(calls) == 2 * _CELL_BLOCK + 5:
+            raise RuntimeError("formatting failed")
+        return repr(value)
+
+    monkeypatch.setattr(harness, "repr", failing_repr, raising=False)
+    cell = harness.Cell("cell.csv", ["n", "x"], rows, lambda: [range(rows), np.ones(rows)])
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        harness._ensure_cell(str(tmp_path / "cell.csv"), cell)
+    assert next(calls) > 2 * _CELL_BLOCK + 5  # the stream had started
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cell.csv"]
+    assert (tmp_path / "cell.csv").read_bytes() == old
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _computed_renewal_cell(n_eval):
+    cfg = ExperimentConfig(experiment="renewal-asymptotics", n_eval=n_eval, n_max=20_000)
+    (cell,) = harness._renewal_cells(cfg)
+    columns = cell.compute()
+    return cell._replace(compute=lambda: columns)
+
+
+@pytest.mark.parametrize("resume", [False, True], ids=["write", "resume"])
+def test_renewal_cell_io_memory_stays_within_one_block(tmp_path, resume):
+    # from n_eval = 4096 to 4x that, the traced peak of writing the renewal
+    # cell, or of reading it back, may grow only by its six float columns
+    # and one block, measured as the same operation on a cell of one block's
+    # rows.  Joining or reading the cell's text whole breaks this.
+    def peak(n_eval):
+        cell = _computed_renewal_cell(n_eval)
+        path = str(tmp_path / f"renewal_{n_eval}.csv")
+        if resume:
+            harness._ensure_cell(path, cell)
+            cell = cell._replace(compute=_unused)
+        return _traced_peak(lambda: harness._ensure_cell(path, cell))
+
+    n = 4096
+    columns = 6 * 8 * (4 * n - n)
+    assert peak(4 * n) - peak(n) <= columns + peak(_CELL_BLOCK)
+
+
 def _cell_bytes(report):
     return [open(c, "rb").read() for c in report.cells]
 
@@ -225,7 +405,7 @@ def _renewal_cell_by_rows(cfg):
     law = build_law(cfg.gamma, cfg.c, cfg.rho, cfg.k_inf, n_max=cfg.n_max)
     n_eval = cfg.n_eval
     u = renewal_function(law, n_eval)
-    q = law.q[1 : n_eval + 1]
+    q = (law.K / (1.0 - law.K_inf))[1 : n_eval + 1]
     conv2 = _convolve_head(q, q, n_eval - 1)
     conv3 = _convolve_head(conv2, q, n_eval - 2)
     text = "n,K,u,u_over_K,q2_over_q,q3_over_q\n"

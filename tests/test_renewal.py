@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import mpmath
@@ -76,6 +77,50 @@ def test_build_errors():
         build_law(0.5, 1.0, K_inf_target=1.0)
     with pytest.raises(ValueError, match="n_max must lie in"):
         build_law(0.5, 1.0, n_max=MAX_SUPPORT + 1)  # checked before any allocation
+
+
+def _build_law_by_formula(gamma, c, rho, k_inf, n_max):
+    """K and log C by build_law's formula as written out over whole arrays,
+    or the ValueError it raises first (the underflow or the tail check)."""
+    n = np.arange(0, n_max + 1, dtype=float)
+    logk = np.full(n_max + 1, -np.inf)
+    logk[1:] = rho * np.log(n[1:]) - c * n[1:] ** gamma
+    m = logk[1:].max()
+    raw_sum = float(np.exp(logk[1:] - m).sum())
+    log_norm = math.log1p(-k_inf) - (m + math.log(raw_sum))
+    K = np.exp(logk + log_norm)
+    K[0] = 0.0
+    if np.any(K[1:] == 0.0):
+        return "underflows"
+    K[1:] *= (1.0 - k_inf) / K[1:].sum()
+    return K, math.exp(log_norm)
+
+
+def test_build_law_is_the_formula_in_two_arrays():
+    # in place, build_law gives the formula's floats bit for bit, and its
+    # traced peak is its two arrays of n_max + 1 floats (K and log K)
+    built = 0
+    for gamma, c, rho, k_inf, n_max in itertools.product(
+            (0.1, 0.3, 0.5, 0.75, 0.9), (0.05, 1.0, 2.5), (-1.5, 0.0, 0.7),
+            (0.0, 0.3, 0.9), (10, 11, 4097, 100_000)):
+        want = _build_law_by_formula(gamma, c, rho, k_inf, n_max)
+        try:
+            law = build_law(gamma, c, rho, k_inf, n_max=n_max)
+        except ValueError as exc:
+            assert want == "underflows" or "n_max" in str(exc), exc
+            continue
+        K, norm_const = want
+        assert law.K.tobytes() == K.tobytes()
+        assert law.norm_const == norm_const
+        built += 1
+    assert built > 75
+    tracemalloc.start()
+    try:
+        law = build_law(0.3, 1.0, 0.0, 0.3, n_max=MAX_SUPPORT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * law.K.nbytes + 2**14
 
 
 def test_tilt(proper_law):
@@ -179,7 +224,7 @@ def test_diagnostics_shift_ratio_closed_form():
 def test_diagnostics_convolutions(terminating_law):
     # explicit double-sum oracle at a small n
     n = 300
-    q = terminating_law.q
+    q = terminating_law.q(0, n + 1)
     q2 = sum(q[j] * q[n - j] for j in range(1, n))
     q3 = sum(
         q[i] * q[j] * q[n - i - j]
@@ -238,7 +283,7 @@ def test_convolution_ratios_match_exact_sums():
     # and q*3(n) = sum_k C_k Q_(n-3-k) 2^-3E; the ratios are formed at 50 digits
     n_max = 20_000
     law = build_law(0.5, 1.0, 0.0, 0.3, n_max=n_max + 1)
-    q = law.q[1 : n_max + 1]
+    q = law.q(1, n_max + 1)
     *_, q2_over_q, q3_over_q = ratio_table(law, n_max)
     fractions = [x.as_integer_ratio() for x in q.tolist()]
     E = max(den.bit_length() - 1 for _, den in fractions)
@@ -302,8 +347,15 @@ def test_tilt_consistency_weighted_series(proper_law):
 
 
 def test_q_requires_mass(terminating_law):
-    q = terminating_law.q
-    assert q[1:].sum() == pytest.approx(1.0, abs=1e-12)
+    law = terminating_law
+    q = law.q(1, law.n_max + 1)
+    assert q.sum() == pytest.approx(1.0, abs=1e-12)
+    # any slice holds the entries of the one division over the whole table
+    whole = law.K / (1.0 - law.K_inf)
+    assert q.tobytes() == whole[1:].tobytes()
+    assert law.q(2000, 2002).tobytes() == whole[2000:2002].tobytes()
+    with pytest.raises(ValueError, match="atom carries all mass"):
+        tilt(law, 40.0).q(1, 2)  # the finite mass e^-40 0.7 rounds away: K_inf = 1.0
 
 
 def _log_norm(gamma, c, rho, k_inf, n_max):
