@@ -1,9 +1,10 @@
 """Stretched-exponential inter-arrival laws with a possible atom at infinity.
 
 Provides exact construction of K(n) = C n^rho exp(-c n^gamma) on a truncated
-support with a certified tail-mass budget, exponential tilting into a
-terminating law, the renewal function by a blocked convolution recursion,
-and the heavy-tail convolution diagnostics q^{*m}(n)/q(n) -> m.
+support whose dropped tail mass a closed-form upper bound keeps within
+budget, exponential tilting into a terminating law, the renewal function by
+a blocked convolution recursion, and the heavy-tail convolution diagnostics
+q^{*m}(n)/q(n) -> m.
 """
 
 from __future__ import annotations
@@ -17,11 +18,6 @@ import numpy as np
 TAIL_BUDGET = 1e-10
 
 _NORM_TOL = 1e-12
-
-_EPS = 2.0**-52
-_TINY = 1e-300
-_LN2 = math.log(2.0)
-_MAX_TERMS = 1_000_000
 
 #: Block length of renewal_function and _convolve_head: no BLAS dot product
 #: they ask for is longer.
@@ -89,70 +85,15 @@ class RenewalLaw:
         return self.K[lo:hi] / (1.0 - self.K_inf)
 
 
-def _log_upper_gamma(s: float, y: float) -> float:
-    """log Gamma(s, y), the upper incomplete gamma function, for real s and y > 0.
-
-    - y >= max(1, s + 1), or s <= -20: Legendre's continued fraction,
-      evaluated by the modified Lentz method.
-    - s > 1 otherwise: Gamma(s) minus the lower series gamma(s, y).
-    - -1 < s <= 1 otherwise (so y < 2): Gamma(s, 2) plus
-      int_y^2 u^(s-1) e^(-u) du = sum_n (-1)^n / n! (2^t - y^t) / t, t = s + n.
-    - -20 < s <= -1 otherwise (so y < 1): the recurrence
-      Gamma(a, y) = (y^a e^(-y) - Gamma(a+1, y)) / (-a), from s + floor(-s)
-      down to s; for a <= -1 cancellation costs at most a factor 3.
-
-    Everything is carried in logs, so no branch overflows.
-    """
+def _log_upper_gamma_bound(s: float, y: float) -> float:
+    """An upper bound on log Gamma(s, y), for real s and y > 0, in the three
+    closed-form cases that build_law's docstring proves."""
     log_y = math.log(y)
-    if s <= -20.0 or (y >= 1.0 and y >= s + 1.0):
-        b = y + (1.0 - s)
-        c, d = 1.0 / _TINY, 1.0 / b
-        h = d
-        for i in range(1, _MAX_TERMS):
-            an = -i * (i - s)
-            b += 2.0
-            d = an * d + b
-            d = 1.0 / (d if abs(d) >= _TINY else _TINY)
-            c = b + an / c
-            c = c if abs(c) >= _TINY else _TINY
-            h *= d * c
-            if abs(d * c - 1.0) <= _EPS:
-                return s * log_y - y + math.log(h)
-    elif s > 1.0:
-        term = total = 1.0 / s
-        for i in range(1, _MAX_TERMS):
-            term *= y / (s + i)
-            total += term
-            if term <= _EPS * total:
-                log_lower = s * log_y - y + math.log(total)
-                return math.lgamma(s) + math.log1p(-math.exp(log_lower - math.lgamma(s)))
-    elif s > -1.0:
-        # the n = 0 term, 2^s L expm1(x)/x with L = log(2/y) and x = -s L, is
-        # the only one that can be large; |term n| < 2^(n+1) / n! after it
-        big_l = _LN2 - log_y
-        x = -s * big_l
-        if x == 0.0:
-            log_ratio = 0.0
-        elif x < 700.0:
-            log_ratio = math.log(math.expm1(x) / x)
-        else:
-            log_ratio = x - math.log(x)
-        log_first = s * _LN2 + math.log(big_l) + log_ratio
-        rest = math.exp(_log_upper_gamma(s, 2.0))
-        coef = 1.0
-        for n in range(1, 40):
-            coef /= -n
-            t = s + n
-            rest -= coef * 2.0**t * math.expm1(-t * big_l) / t
-        return log_first + math.log1p(rest * math.exp(-log_first))
-    else:
-        k = math.floor(-s)
-        log_g = _log_upper_gamma(s + k, y)
-        for a in (s + j for j in range(k - 1, -1, -1)):
-            log_lead = a * log_y - y
-            log_g = log_lead + math.log1p(-math.exp(log_g - log_lead)) - math.log(-a)
-        return log_g
-    raise ValueError(f"incomplete gamma Gamma({s}, {y}) did not converge")
+    if s > 1.0:
+        gap = y - (s - 1.0)
+        return s * log_y - y - math.log(gap) if gap > 0.0 else math.lgamma(s)
+    log_bound = (s - 1.0) * log_y - y + math.log((y + 1.0) / (y + 2.0 - s))
+    return min(log_bound, s * log_y - math.log(-s)) if s < 0.0 else log_bound
 
 
 def build_law(gamma: float, c: float, rho: float = 0.0, K_inf_target: float = 0.0,
@@ -160,12 +101,28 @@ def build_law(gamma: float, c: float, rho: float = 0.0, K_inf_target: float = 0.
     """Normalize K(n) = C n^rho exp(-c n^gamma) over 1..n_max to mass 1 - K_inf.
 
     n_max is checked against MAX_SUPPORT before anything is allocated.  The
-    analytic tail mass beyond n_max (an integral bound, valid where the
-    density is decreasing) must stay below TAIL_BUDGET of the finite mass,
-    otherwise n_max is too small and construction fails.  The bound is the
-    closed form C * Gamma(s, y) / (gamma c^s) of C * int_{n_max}^inf
-    x^rho exp(-c x^gamma) dx, with s = (rho+1)/gamma and y = c n_max^gamma
-    (substitute u = c x^gamma).
+    tail mass beyond n_max must stay below TAIL_BUDGET of the finite mass,
+    otherwise n_max is too small and construction fails.  Where the density
+    is decreasing, that mass is at most C * int_{n_max}^inf x^rho
+    exp(-c x^gamma) dx = C * Gamma(s, y) / (gamma c^s), with s = (rho+1)/gamma
+    and y = c n_max^gamma (substitute u = c x^gamma).  The check needs only
+    an upper bound on Gamma(s, y) = int_y^inf u^(s-1) e^(-u) du, so it takes
+    one in closed form (_log_upper_gamma_bound), never below the exact value:
+
+    - s > 1, y > s - 1: Gamma(s, y) <= y^s e^(-y) / (y + 1 - s).  For any a
+      and y + 1 - a > 0, G(y) = Gamma(a, y) - y^a e^(-y) / (y + 1 - a) has
+      G'(y) = -y^(a-1) e^(-y) (1 - a) / (y + 1 - a)^2 and G(inf) = 0; at
+      a = s > 1, G' > 0 on (s - 1, inf), so G < 0 there.
+    - s > 1, y <= s - 1: Gamma(s, y) <= Gamma(s), the whole integral.
+    - s <= 1: by parts, Gamma(s, y) = y^(s-1) e^(-y) + (s - 1) Gamma(s - 1, y).
+      At a = s - 1 < 1 the same G has G' < 0, so G > 0: Gamma(s - 1, y) >=
+      y^(s-1) e^(-y) / (y + 2 - s), and as s - 1 <= 0,
+      Gamma(s, y) <= y^(s-1) e^(-y) (y + 1) / (y + 2 - s), exact at s = 1.
+      For s < 0 also Gamma(s, y) <= int_y^inf u^(s-1) du = y^s / (-s), and
+      the smaller bound is taken.
+
+    Everything is carried in logs, so no case overflows.  A bound can only
+    make the check stricter than the exact tail would.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0,1), got {gamma}")
@@ -203,12 +160,12 @@ def build_law(gamma: float, c: float, rho: float = 0.0, K_inf_target: float = 0.
 
     norm_const = math.exp(log_norm)
     s = (rho + 1.0) / gamma
-    log_tail = (log_norm + _log_upper_gamma(s, c * n_max**gamma)
+    log_tail = (log_norm + _log_upper_gamma_bound(s, c * n_max**gamma)
                 - math.log(gamma) - s * math.log(c))
     tail = math.exp(log_tail) if log_tail < 709.0 else math.inf
     if tail > TAIL_BUDGET * (1.0 - K_inf_target):
         raise ValueError(
-            f"tail mass beyond n_max is {tail:.3e}, "
+            f"tail mass beyond n_max is at most {tail:.3e}, "
             f"over budget {TAIL_BUDGET * (1.0 - K_inf_target):.3e}; n_max too small"
         )
     return RenewalLaw(gamma=gamma, c=c, rho=rho, K=K, K_inf=K_inf_target,
@@ -290,12 +247,13 @@ def _convolve_head(a: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
 def ratio_table(law: RenewalLaw, n: int) -> tuple[np.ndarray, ...]:
     """Columns K, u, u/K, q*2/q and q*3/q over 1..n for q = K/(1-K_inf).
 
-    q*2 and q*3 are summed directly and read as 0 below 2 and 3; needs
-    n >= 3.  Only their values up to n are formed (_convolve_head): each
-    value is a sum over blocks of _BLOCK positions of the first factor, so
-    for n > _BLOCK + 1 the summation order differs from a single
-    np.convolve (within a relative 4 n 2^-53, all terms being positive),
-    and the bytes are the same at any BLAS thread count.
+    q*2 and q*3 are summed directly and read as 0 below 2 and 3, so their
+    ratio columns start with one and two zeros; needs n >= 3.  Only their
+    values up to n are formed (_convolve_head): each value is a sum over
+    blocks of _BLOCK positions of the first factor, so for n > _BLOCK + 1
+    the summation order differs from a single np.convolve (within a
+    relative 4 n 2^-53, all terms being positive), and the bytes are the
+    same at any BLAS thread count.
     """
     if n < 3:
         raise ValueError("need n >= 3 for the convolution ratios")
@@ -304,9 +262,12 @@ def ratio_table(law: RenewalLaw, n: int) -> tuple[np.ndarray, ...]:
     q = law.q(1, n + 1)  # q[i] = q(i+1)
     conv2 = _convolve_head(q, q, n - 1)  # index j <-> mass at j+2
     conv3 = _convolve_head(conv2, q, n - 2)  # index j <-> mass at j+3
-    q2 = np.concatenate(([0.0], conv2))
-    q3 = np.concatenate(([0.0, 0.0], conv3))
-    return K, u, u / K, q2 / q, q3 / q
+    q2_over_q = np.zeros(n)
+    np.divide(conv2, q[1:], out=q2_over_q[1:])
+    del conv2
+    q3_over_q = np.zeros(n)
+    np.divide(conv3, q[2:], out=q3_over_q[2:])
+    return K, u, u / K, q2_over_q, q3_over_q
 
 
 def subexp_diagnostics(law: RenewalLaw, n: int) -> dict[str, float]:
