@@ -36,7 +36,6 @@ from .subordinator import (
     MarkedPointSet,
     band_area_phi,
     band_process,
-    band_u,
     edge_jump_times,
     edge_process,
     growth_check,

@@ -84,30 +84,34 @@ def draw_base(size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarr
     return T, Y
 
 
-def _find(nxt: list[int], j: int) -> int:
-    """Follow "next free slot" pointers from j, halving the path as it goes."""
-    while nxt[j] != j:
-        nxt[j] = nxt[nxt[j]]
+def _find(nxt: dict[int, int], j: int) -> int:
+    """Follow "next free slot" pointers from j, halving the path as it goes;
+    an absent key points to itself."""
+    while (k := nxt.get(j, j)) != j:
+        nxt[j] = nxt.get(k, k)
         j = nxt[j]
     return j
 
 
-def _assign_grid(y_inf: np.ndarray, N: int) -> np.ndarray:
-    """Snap each rank's uniform position to the nearest free interior grid slot.
+def _assign_grid(y_inf: np.ndarray, N: int, count: int) -> np.ndarray:
+    """Snap each of the first count ranks' uniform positions to the nearest
+    free interior grid slot.
 
-    Slots are taken in order of distance to x = N*y, preferring the left
-    side on exact distance ties; with N-1 ranks and N-1 slots this is a
-    bijection.  The nearest free slot L <= floor(x) and R > floor(x) come
-    from union-find pointers over the slots (0 and N are sentinels for "no
-    free slot"), and L wins when x - L <= R - x: float subtraction is
-    monotone, so this is exactly the slot an outward scan would reach first.
+    Slots are taken in rank order and, for each rank, in order of distance
+    to x = N*y, preferring the left side on exact distance ties; with
+    count = N-1 ranks and N-1 slots this is a bijection.  A rank's slot
+    depends only on the ranks before it, so the first count slots are those
+    of the full assignment.  The nearest free slot L <= floor(x) and
+    R > floor(x) come from union-find pointers over the slots, kept in two
+    dicts in which an absent key is a free slot (0 and N are sentinels for
+    "no free slot"), so the work and memory follow count, not N.  L wins
+    when x - L <= R - x: float subtraction is monotone, so this is exactly
+    the slot an outward scan would reach first.
     """
-    left = list(range(N + 1))   # left[j]: largest free slot <= j, or 0
-    right = list(range(N + 1))  # right[j]: smallest free slot >= j, or N
-    left[N] = N - 1
-    right[0] = 1
-    slots = np.empty(N - 1, dtype=np.int64)
-    xs = N * y_inf[: N - 1]
+    left: dict[int, int] = {}   # left[j]: largest free slot <= j, or 0
+    right: dict[int, int] = {}  # right[j]: smallest free slot >= j, or N
+    slots = np.empty(count, dtype=np.int64)
+    xs = N * y_inf[:count]
     for i, (x, lo) in enumerate(zip(xs.tolist(), np.floor(xs).tolist())):
         lo = int(lo)
         L = _find(left, min(max(lo, 0), N))
@@ -119,22 +123,29 @@ def _assign_grid(y_inf: np.ndarray, N: int) -> np.ndarray:
     return slots
 
 
+def rescaled_maxima(law: DisorderLaw, T: np.ndarray, N: int) -> np.ndarray:
+    """M_disc over the ranks 1..N-1: quantile(1 - T_i/T_N) / b_N, the ranked
+    maxima of N-1 i.i.d. Pareto draws over b_N, non-increasing in rank."""
+    return pareto_quantile(law, 1.0 - T[: N - 1] / T[N - 1]) / compute_b_N(law, N)
+
+
 def couple(law: DisorderLaw, T: np.ndarray, Y: np.ndarray, N: int) -> CoupledDisorder:
     """Build the size-N disorder from the shared base randomness (T, Y).
 
     T and Y must have length >= N; reusing the same base across several
     N values is what makes the discrete-to-continuum convergence hold per
-    index on a single realization.
+    index on a single realization.  Every rank gets its grid slot
+    (_assign_grid over N-1 ranks), since the site disorder omega holds them
+    all; a caller that needs only the leading ranks' slots takes
+    rescaled_maxima and _assign_grid itself.
     """
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
     if T.shape[0] < N or Y.shape[0] < N:
         raise ValueError(f"base buffer too short: need {N}, have {min(T.shape[0], Y.shape[0])}")
-    b_N = compute_b_N(law, N)
-    M_disc = pareto_quantile(law, 1.0 - T[: N - 1] / T[N - 1]) / b_N
-    slots = _assign_grid(Y, N)
-    return CoupledDisorder(law=law, N=N, M_disc=M_disc, Y_disc=slots / float(N), slots=slots,
-                           b_N=b_N)
+    slots = _assign_grid(Y, N, N - 1)
+    return CoupledDisorder(law=law, N=N, M_disc=rescaled_maxima(law, T, N),
+                           Y_disc=slots / float(N), slots=slots, b_N=compute_b_N(law, N))
 
 
 def sample_coupled(law: DisorderLaw, N: int, rng: np.random.Generator) -> CoupledDisorder:

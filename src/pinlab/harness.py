@@ -9,11 +9,13 @@ loop: it reuses each well-formed cell on disk, computes and atomically
 writes the others, hands summarize the cells' float columns by header name,
 and atomically writes a summary JSON embedding the config and library version.
 Reports are a pure function of (config, seed): replica r of experiment E
-always uses the RNG substream (seed, E, cell, r), and replicas run one
-after another in replica order.  A config takes its experiment's default
-grids when it is built; validate rejects bad input before anything is
-allocated, and a weight T^(-1/alpha) that a kernel rejects, which only the
-run can see, stops the run with a ConfigError as well.
+always draws from the RNG substreams keyed by (seed, E, r), once for all
+the sizes of the config, and replicas run one after another in replica
+order, each over every size before the next starts.  A config takes its
+experiment's default grids when it is built; validate rejects bad input
+before anything is allocated, and a weight T^(-1/alpha) that a kernel
+rejects, which only the run can see, stops the run with a ConfigError as
+well.
 """
 
 from __future__ import annotations
@@ -36,14 +38,22 @@ import numpy as np
 import numpy.ma  # np.median loads it on first call; load it with pinlab, not in a run
 
 from . import __version__
-from .disorder import BUFFER_MIN, DisorderLaw, compute_b_N, couple, draw_base
+from .disorder import (
+    BUFFER_MIN,
+    DisorderLaw,
+    _assign_grid,
+    compute_b_N,
+    couple,
+    draw_base,
+    rescaled_maxima,
+)
 from .geometry import hausdorff
 from .gibbs import PinningModel, concentration_probability
 from .polymer import PolymerEnvironment, polymer_beta_critical
 from .renewal import build_law, ratio_table, tilt
 from .streams import substream
 from .subordinator import MarkedPointSet, band_process, growth_check
-from .varmax import EnergyLandscape, beta_critical, pinned_set, solve_dp
+from .varmax import EnergyLandscape, beta_critical, grid_ranks, pinned_set, solve_dp
 
 log = logging.getLogger(__name__)
 
@@ -86,7 +96,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # -0.0 reads as 0.0 everywhere but in json.dumps, which would key it apart
-        for key, kind in typing.get_type_hints(ExperimentConfig).items():
+        for key, kind in _KINDS.items():
             if kind is float and getattr(self, key) == 0.0:
                 object.__setattr__(self, key, abs(getattr(self, key)))
         # an unset grid (empty, or 0 replicas) takes the experiment's default
@@ -100,13 +110,12 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; choose from {', '.join(EXPERIMENTS)}"
             )
-        kinds = typing.get_type_hints(ExperimentConfig)
-        for key, kind in kinds.items():
+        for key, kind in _KINDS.items():
             if kind is float and not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite, got {getattr(self, key)!r}")
         # an unread field keeps its default, as repr writes it: _config_key does not hash it
         default = ExperimentConfig(self.experiment)
-        for key in sorted(kinds.keys() - {*SPECS[self.experiment].keys, "seed", "out_dir"}):
+        for key in sorted(_KINDS.keys() - {*SPECS[self.experiment].keys, "seed", "out_dir"}):
             want = getattr(default, key)
             if repr(getattr(self, key)) != repr(want):
                 raise ConfigError(f"{self.experiment} does not read {key}: keep it at {want!r}")
@@ -169,6 +178,11 @@ class ExperimentConfig:
                 raise ConfigError(f"renewal law rejected: {exc}") from exc
 
 
+#: Each config field's annotated type, read once: get_type_hints evaluates
+#: the string annotations anew on every call.
+_KINDS = typing.get_type_hints(ExperimentConfig)
+
+
 def _coerce(kind: type, value):
     """value as kind; a bool is not a number, and an int takes no fraction."""
     if isinstance(value, bool) and kind is not str:
@@ -182,15 +196,14 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
     """Build and validate a config, coercing each value to its field's
     annotated type; a tuple field also takes a comma- or space-separated
     string.  Booleans and non-integral numbers for int fields are rejected."""
-    kinds = typing.get_type_hints(ExperimentConfig)
-    unknown = set(data) - set(kinds)
+    unknown = set(data) - set(_KINDS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     if "experiment" not in data:
         raise ConfigError("config must name an experiment")
     kwargs = {}
     for key, value in data.items():
-        kind = kinds[key]
+        kind = _KINDS[key]
         try:
             if typing.get_origin(kind) is tuple:
                 if isinstance(value, str):
@@ -335,11 +348,19 @@ def _ensure_cell(path: str, cell: Cell) -> dict:
 
 def _replica_cells(cfg: ExperimentConfig, stem: str, header: list[str], sizes, one) -> list[Cell]:
     """One cell per size of a one-value-per-replica experiment, with the rows
-    (size, replica, one(size, replica))."""
+    (size, replica, value).  one(r) returns replica r's values at every
+    size, in size order, so a replica's randomness is drawn once for all
+    sizes.  The replicas x sizes table is computed when the first cell that
+    is not on disk asks for it, in replica order, and kept for the others;
+    a cell on disk is read, never rewritten."""
     n = cfg.replicas
-    return [Cell(f"{stem}{s}.csv", header, n,
-                 lambda s=s: [[s] * n, range(n), [one(s, r) for r in range(n)]])
-            for s in sizes]
+
+    @functools.cache
+    def table() -> np.ndarray:
+        return np.array([one(r) for r in range(n)], dtype=float).reshape(n, len(sizes))
+
+    return [Cell(f"{stem}{s}.csv", header, n, lambda i=i, s=s: [[s] * n, range(n), table()[:, i]])
+            for i, s in enumerate(sizes)]
 
 
 @functools.lru_cache(maxsize=4)
@@ -465,22 +486,31 @@ def _slope_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 
 def _convergence_cells(cfg: ExperimentConfig) -> list[Cell]:
+    """d_H between the size-N maximizer and the continuum one over the k
+    leading marks.  The size-N landscape holds only the R leading ranks
+    that varmax.grid_ranks keeps, with their grid slots; solve_dp on it
+    returns the maximizer over all N - 1 ranks (proof there), so only R
+    slots are assigned."""
     k = cfg.k_list[0]
-    refs = {}  # replica -> continuum maximizer, which does not depend on N
+    law = DisorderLaw(cfg.alpha)
 
-    def one(N: int, r: int) -> float:
+    def one(r: int) -> list[float]:
         rng = substream(cfg.seed, "convergence", r)
         T, Y = draw_base(max(max(cfg.N_list), k, BUFFER_MIN), rng)
-        if r not in refs:
-            with _too_small(cfg.alpha):
-                ref_land = EnergyLandscape.from_marks(
-                    Y[:k], T[:k] ** (-1.0 / cfg.alpha), cfg.beta_hat, cfg.gamma, cfg.c
-                )
-            refs[r] = pinned_set(ref_land, solve_dp(ref_land))
         with _too_small(cfg.alpha):
-            d = couple(DisorderLaw(cfg.alpha), T, Y, N)
-            land = EnergyLandscape.from_marks(d.Y_disc, d.M_disc, cfg.beta_hat, cfg.gamma, cfg.c)
-        return hausdorff(pinned_set(land, solve_dp(land)), refs[r])
+            ref_land = EnergyLandscape.from_marks(
+                Y[:k], T[:k] ** (-1.0 / cfg.alpha), cfg.beta_hat, cfg.gamma, cfg.c
+            )
+        ref = pinned_set(ref_land, solve_dp(ref_land))
+        out = []
+        for N in cfg.N_list:
+            with _too_small(cfg.alpha):
+                M = rescaled_maxima(law, T, N)
+                R = grid_ranks(M, cfg.beta_hat, cfg.gamma, cfg.c, N)
+                land = EnergyLandscape.from_marks(_assign_grid(Y, N, R) / float(N), M[:R],
+                                                  cfg.beta_hat, cfg.gamma, cfg.c)
+            out.append(hausdorff(pinned_set(land, solve_dp(land)), ref))
+        return out
 
     return _replica_cells(cfg, "convergence_N", ["N", "replica", "d_H"], cfg.N_list, one)
 
@@ -512,9 +542,13 @@ def _convergence_summary(cfg: ExperimentConfig, tables: list[dict]) -> dict:
 def _concentration_cells(cfg: ExperimentConfig) -> list[Cell]:
     terminating = _renewal_law(cfg)
 
+    @functools.cache
+    def base() -> tuple[np.ndarray, np.ndarray]:  # one disorder for every N, drawn once
+        return draw_base(max(max(cfg.N_list), BUFFER_MIN),
+                         substream(cfg.seed, "concentration", "disorder"))
+
     def columns(N: int) -> list:
-        rng_dis = substream(cfg.seed, "concentration", "disorder")
-        T, Y = draw_base(max(max(cfg.N_list), BUFFER_MIN), rng_dis)
+        T, Y = base()
         with _too_small(cfg.alpha):
             d = couple(DisorderLaw(cfg.alpha), T, Y, N)
             land = EnergyLandscape.from_marks(d.Y_disc, d.M_disc, cfg.beta_hat, cfg.gamma, cfg.c)
@@ -550,11 +584,12 @@ def _concentration_summary(cfg: ExperimentConfig, tables: list[dict]) -> dict:
 
 
 def _threshold_pinning_cells(cfg: ExperimentConfig) -> list[Cell]:
-    def one(k: int, r: int) -> float:
+    def one(r: int) -> list[float]:
         rng = substream(cfg.seed, "threshold-pinning", r)
         T, Y = draw_base(max(max(cfg.k_list), BUFFER_MIN), rng)
         with _too_small(cfg.alpha):
-            return beta_critical(Y[:k], T[:k] ** (-1.0 / cfg.alpha), cfg.gamma, cfg.c)
+            return [beta_critical(Y[:k], T[:k] ** (-1.0 / cfg.alpha), cfg.gamma, cfg.c)
+                    for k in cfg.k_list]
 
     return _replica_cells(cfg, "threshold_pinning_k", ["k", "replica", "beta_c"], cfg.k_list, one)
 
@@ -581,11 +616,11 @@ def _threshold_pinning_summary(cfg: ExperimentConfig, tables: list[dict]) -> dic
 
 
 def _threshold_polymer_cells(cfg: ExperimentConfig) -> list[Cell]:
-    def one(k: int, r: int) -> float:
+    def one(r: int) -> list[float]:
         rng = substream(cfg.seed, "threshold-polymer", r)
         with _too_small(cfg.alpha):
             env = PolymerEnvironment.sample(cfg.alpha, max(cfg.k_list), rng)
-        return polymer_beta_critical(env.truncate(k))
+        return [polymer_beta_critical(env.truncate(k)) for k in cfg.k_list]
 
     return _replica_cells(cfg, "threshold_polymer_k", ["k", "replica", "beta_c"], cfg.k_list, one)
 
@@ -633,10 +668,12 @@ def _renewal_summary(cfg: ExperimentConfig, tables: list[dict]) -> dict:
 
 def _subordinator_cells(cfg: ExperimentConfig) -> list[Cell]:
     """sup_coarse and sup_fine both hold the growth supremum over
-    [t_lo, t_hi]; the header stays as readers of the cell format pin it."""
+    [t_lo, t_hi]; the header stays as readers of the cell format pin it.
+    The band process is read in one call per replica, at the 11 grid times
+    of min_w_minus_u, then at t0 + 1/32 and at t0 for the increments."""
     k = cfg.k_list[0]
-    inc_ts = (0.0, 1.0 / 16.0, 1.0 / 8.0)
-    s = 1.0 / 32.0
+    inc_ts = np.array([0.0, 1.0 / 16.0, 1.0 / 8.0])
+    ts = np.concatenate((np.linspace(0.0, 0.25, 11), inc_ts + 1.0 / 32.0, inc_ts))
 
     def one(r: int) -> list:
         rng = substream(cfg.seed, "subordinator-growth", r)
@@ -646,16 +683,8 @@ def _subordinator_cells(cfg: ExperimentConfig) -> list[Cell]:
             env = PolymerEnvironment.sample(cfg.alpha, k,
                                             substream(cfg.seed, "subordinator-band", r))
         sup = growth_check(points, cfg.alpha, cfg.q, cfg.t_lo, cfg.t_hi)
-        wu_min = math.inf
-        for t in np.linspace(0.0, 0.25, 11):
-            U, W = band_process(env, float(t))
-            wu_min = min(wu_min, W - U)
-        incs = []
-        for t0 in inc_ts:
-            _, w1 = band_process(env, t0 + s)
-            _, w0 = band_process(env, t0)
-            incs.append(w1 - w0)
-        return [r, sup, sup, wu_min] + incs
+        U, W = band_process(env, ts)
+        return [r, sup, sup, float((W[:11] - U[:11]).min()), *(W[11:14] - W[14:]).tolist()]
 
     header = ["replica", "sup_coarse", "sup_fine", "min_w_minus_u", "inc0", "inc1", "inc2"]
     return [Cell("subordinator_growth.csv", header, cfg.replicas,
@@ -705,12 +734,12 @@ SPECS = {
         "renewal-function and convolution-ratio diagnostics",
         {"replicas": 1},
         ("c", "gamma", "k_inf", "n_eval", "n_max", "rho"),
-        _renewal_cells, _renewal_summary, schema=2),
+        _renewal_cells, _renewal_summary, schema=3),
     "subordinator-growth": Spec(
         "growth envelopes and band-process checks",
         {"k_list": (1000,), "replicas": 1000},
         ("alpha", "k_list", "q", "replicas", "t_hi", "t_lo"),
-        _subordinator_cells, _subordinator_summary, schema=1),
+        _subordinator_cells, _subordinator_summary, schema=2),
 }
 EXPERIMENTS = tuple(SPECS)
 

@@ -197,18 +197,37 @@ def renewal_function(law: RenewalLaw, n: int) -> np.ndarray:
     horizons are split into blocks [b0, b1) of _BLOCK, b0 = 1, 1 + _BLOCK,
     ...  For each block, the finished prefix u[0:b0] is added first, as one
     np.convolve(..., mode="valid") per chunk of _BLOCK entries of the
-    prefix.  Then each u(m) of the block is finished in order, adding
-    K[1:m-b0+1] @ u[m-1:b0-1:-1], a dot product over a negative-stride view
-    that numpy sums term by term from j = 1.  In the first block the prefix
-    is u(0) = 1 alone, so u(m) = K(m) + sum_{j<m} K(j) u(m-j) in the row
-    order, and u(0..n) is bit-equal to the row loop
-    u[m] = K[1:m+1] @ u[m-1::-1] for n <= _BLOCK.  Past that the order
-    differs.  All terms being positive, a value's relative error is at most
-    its inputs' largest times 1 + gamma_m, gamma_m = m 2^-53 / (1 - m 2^-53),
-    so either table is within prod_{i<=m} (1 + gamma_i) - 1 of the exact
-    u(m).  No dot product numpy hands to BLAS is longer than _BLOCK, below
-    OpenBLAS's threading cut-off, so the bytes do not depend on the BLAS
-    thread count.
+    prefix, into old(i) = sum_{j > i} K(j) u(b0+i-j), i = b1 - b0 - 1 at
+    most.  The first block's prefix is u(0) = 1 alone, so old(i) = K(i+1),
+    and it is finished row by row: u(m) = K(m) + K[1:m] @ u[m-1:0:-1], a
+    dot product over a negative-stride view that numpy sums term by term
+    from j = 1, so u(m) = K(m) + sum_{j<m} K(j) u(m-j) in the row order, and
+    u(0..n) is bit-equal to the row loop u[m] = K[1:m+1] @ u[m-1::-1] for
+    n <= _BLOCK.  Inside any block v(i) = u(b0+i) solves the renewal
+    equation v = old + K*v, whose solution is v = u*old: so each later block
+    is v(i) = sum_{l<=i} u(l) old(i-l), one np.convolve(u[:B], old)[:B] over
+    values of the first block (B = b1 - b0 <= _BLOCK < b0), with no step
+    per n.
+
+    Error.  All terms are positive, so a computed sum of k products is the
+    exact sum over its computed inputs times 1 + theta, |theta| <= gamma_k =
+    k 2^-53 / (1 - k 2^-53), and (1 + gamma_a)(1 + gamma_b) <= 1 +
+    gamma_{a+b} (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., lemma 3.3).  In the row order, u(m) is thus within e_m =
+    prod_{k<=m} (1 + gamma_k) - 1 of the exact value.  The blocked table
+    keeps this bound: the first block is the row order; old(i) sums b0
+    products of values within e_{b0-1}; v(0) = 1 * old(0) is exact in
+    old(0), and for 1 <= i < B, v(i) sums i + 1 products of old with u(l),
+    l <= i, each within e_i <= gamma_{i(i+1)/2}.  So the factor 1 + e_{b0-1}
+    of the prefix grows to at most (1 + gamma_{b0})(1 + e_i)(1 +
+    gamma_{i+1}) <= 1 + gamma_S, S = b0 + i + 1 + i(i+1)/2, where the row
+    order allows prod_{k=b0}^{b0+i} (1 + gamma_k) >= 1 + (i+1) b0 2^-53.
+    As i < B <= b0 - 1, (i+1) b0 - S = i (b0 - 1 - (i+1)/2) - 1 >= 511 i,
+    far more than gamma_S's excess S^2 2^-106 / (1 - S 2^-53) over S 2^-53
+    for any n up to MAX_SUPPORT, so every u(m) stays within e_m of the
+    exact value.  No dot product numpy hands to BLAS is longer than _BLOCK,
+    below OpenBLAS's threading cut-off, so the bytes do not depend on the
+    BLAS thread count.
     """
     if n > law.n_max:
         raise ValueError(f"horizon {n} exceeds law support n_max={law.n_max}")
@@ -217,14 +236,15 @@ def renewal_function(law: RenewalLaw, n: int) -> np.ndarray:
     u = np.empty(n + 1)
     u[0] = 1.0
     K = law.K
-    for b0 in range(1, n + 1, _BLOCK):
+    for m in range(1, min(1 + _BLOCK, n + 1)):
+        u[m] = K[m] + K[1:m] @ u[m - 1 : 0 : -1]
+    for b0 in range(1 + _BLOCK, n + 1, _BLOCK):
         b1 = min(b0 + _BLOCK, n + 1)
         old = np.zeros(b1 - b0)
         for c0 in range(0, b0, _BLOCK):
             c1 = min(c0 + _BLOCK, b0)
             old += np.convolve(K[b0 - c1 + 1 : b1 - c0], u[c0:c1], mode="valid")
-        for m in range(b0, b1):
-            u[m] = old[m - b0] + K[1 : m - b0 + 1] @ u[m - 1 : b0 - 1 : -1]
+        u[b0:b1] = np.convolve(u[: b1 - b0], old)[: b1 - b0]
     return u
 
 

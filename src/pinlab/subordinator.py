@@ -100,25 +100,38 @@ def _envelope(ts: np.ndarray, alpha: float, q: float) -> np.ndarray:
         return ts ** (1.0 / alpha) * np.log(1.0 / ts) ** (q / alpha)
 
 
-def band_area_phi(t: float) -> float:
-    """Reparameterization 1/2 (1 - sqrt(1 - 4t)) of the band half-width.
+def band_area_phi(t):
+    """Reparameterization 1/2 (1 - sqrt(1 - 4t)) of the band half-width, of
+    a float or elementwise over an array.
 
     Maps [0, 1/4] onto [0, 1/2] with phi(t) > t in between; composing the
     band process with phi makes its increments homogeneous in t (each mark
     enters at a time uniform over [0, 1/4]).
     """
-    if not 0.0 <= t <= 0.25:
+    ts = np.asarray(t, dtype=float)
+    if not np.all((ts >= 0.0) & (ts <= 0.25)):
         raise ValueError(f"t must lie in [0, 1/4], got {t}")
-    return 0.5 * (1.0 - math.sqrt(1.0 - 4.0 * t))
+    out = 0.5 * (1.0 - np.sqrt(1.0 - 4.0 * ts))
+    return float(out) if out.ndim == 0 else out
 
 
-def band_u(env: PolymerEnvironment, t: float) -> float:
-    """Charge mass of the horizontal band |y| <= t of the diamond."""
-    if not 0.0 <= t <= 0.5:
-        raise ValueError(f"t must lie in [0, 1/2], got {t}")
-    return float(np.sum(env.w[np.abs(env.y) <= t]))
+def band_process(env: PolymerEnvironment, t):
+    """(U_t, W_t) at a time t in [0, 1/4], or elementwise over an array of
+    them: U_t is the charge mass of the horizontal band |y| <= t of the
+    diamond, and W_t = U_{phi(t)}.
 
-
-def band_process(env: PolymerEnvironment, t: float) -> tuple[float, float]:
-    """(U_t, W_t) with W_t = U_{phi(t)}; W_t >= U_t pointwise since phi(t) >= t."""
-    return band_u(env, t), band_u(env, band_area_phi(t))
+    |y| is sorted once (stable) and the weights summed in that order, so U
+    at any t is one entry of that cumulative sum, at the count of charges
+    with |y| <= t (searchsorted "right").  W reads it at max(phi(t), t):
+    phi(t) >= t, and the max only covers a float phi(t) that rounds below t
+    (where 4t is under 2^-53).  Its index is then at least U's, and the
+    cumulative sum of positive weights never falls, so W_t >= U_t holds
+    exactly, not only up to rounding.
+    """
+    ts = np.asarray(t, dtype=float)
+    phi = np.maximum(band_area_phi(ts), ts)
+    dist = np.abs(env.y)
+    order = np.argsort(dist, kind="stable")
+    mass = np.concatenate(([0.0], np.cumsum(env.w[order])))
+    U, W = (mass[dist[order].searchsorted(x, "right")] for x in (ts, phi))
+    return (float(U), float(W)) if ts.ndim == 0 else (U, W)

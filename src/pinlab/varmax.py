@@ -158,6 +158,43 @@ def _prune(positions, weights, beta: float, gamma: float, c: float) -> np.ndarra
     return keep
 
 
+def grid_ranks(weights, beta: float, gamma: float, c: float, N: int) -> int:
+    """How many leading ranks may lie on a maximizer, for weights in
+    non-increasing order that sit on distinct sites j/N of the grid: one
+    past the last rank with beta * w_j >= c * (2 - 2^gamma) * N^(-gamma) -
+    tol, where tol = 8 (m + 16) 2^-53 P is _prune's over all m = N - 1
+    weights (0 if none passes).
+
+    Exactness.  Every position is a float j/N within 2^-54 of j/N, so two
+    of them, or one and an endpoint, lie at least g >= 1/N - 2^-53 apart,
+    and in any chain a point's gaps a, b to its neighbours satisfy
+    D(a, b) >= D(g, g) = (2 - 2^gamma) g^gamma, as D grows in both gaps.
+    With u = 2^-53: g^gamma >= N^(-gamma) (1 - N u) costs at most
+    c N^(1-gamma) u <= uP; the computed bound (2 - 2^gamma is exact by
+    Sterbenz, 2^gamma and N^(-gamma) within 4 ulp) is within 19uc <= 19uP
+    of the exact one, and beta * w_j within uP.  So a rank j past the count
+    gains more than tol - 21uP = (8m + 107)uP > (8m + 71)uP in the exact
+    score when it leaves any chain, and removing such ranks one at a time
+    leaves every remaining gap at least g, so each removal gains that much.
+    That is the margin _prune's proof needs, with the same m and P: every
+    chain through a rank past the count scores strictly below the same
+    chain without it, in floats, and by solve_dp's argument the DP over the
+    leading ranks picks the chain the DP over all N - 1 picks, with the
+    same tie sets in the same order (both landscapes order their points by
+    position).  solve_dp on the landscape of the leading ranks thus returns
+    the maximizer over all ranks, the empty chain {0, 1} when the count is
+    0.  Weights that are not all positive and finite raise ValueError, as
+    the landscape over all ranks would.
+    """
+    w = np.asarray(weights, dtype=float)
+    if not np.all((w > 0.0) & np.isfinite(w)):
+        raise ValueError("weights must be positive and finite")
+    P = beta * float(np.sum(w)) + c * N ** (1.0 - gamma)
+    tol = 8 * (N + 15) * 2.0**-53 * P
+    above = np.flatnonzero(beta * w >= c * (2.0 - 2.0**gamma) * float(N) ** -gamma - tol)
+    return int(above[-1]) + 1 if above.size else 0
+
+
 def solve_dp(L: EnergyLandscape) -> tuple[int, ...]:
     """Indices of the exact maximizer by dynamic programming; agrees with
     solve_bruteforce.

@@ -206,15 +206,20 @@ def _assign_grid_scan(y_inf, N):
 
 
 @given(N=st.integers(2, 300), extra=st.integers(0, 8), half=st.floats(0.0, 1.0),
-       seed=st.integers(0, 2**32 - 1))
+       share=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=300)
-def test_assign_grid_matches_outward_scan(N, extra, half, seed):
+def test_assign_grid_matches_outward_scan(N, extra, half, share, seed):
     # buffers longer than N; a share `half` of positions sit on exact
-    # half-integers (and integers) of N*y, where the left-on-ties rule decides
+    # half-integers (and integers) of N*y, where the left-on-ties rule decides.
+    # Stopped after any count R of ranks, the kernel gives the full scan's
+    # first R slots (R = 0, a `share` of the ranks, and all N - 1)
     rng = np.random.default_rng(seed)
     y = rng.uniform(0.0, 1.0, N - 1 + extra)
     on_grid = rng.random(y.size) < half
     y[on_grid] = rng.integers(0, 2 * N, on_grid.sum()) / (2.0 * N)
-    slots = _assign_grid(y, N)
-    assert np.array_equal(slots, _assign_grid_scan(y, N))
+    scan = _assign_grid_scan(y, N)
+    slots = _assign_grid(y, N, N - 1)
+    assert np.array_equal(slots, scan)
     assert sorted(slots.tolist()) == list(range(1, N))
+    for R in (0, int(share * (N - 1))):
+        assert np.array_equal(_assign_grid(y, N, R), scan[:R])

@@ -1,5 +1,6 @@
 """Config parsing, CLI exit codes, determinism, and resumability."""
 
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -26,6 +27,7 @@ from pinlab import harness
 from pinlab.cli import main
 from pinlab.disorder import BUFFER_MIN, DisorderLaw, couple, draw_base
 from pinlab.geometry import hausdorff
+from pinlab.polymer import PolymerEnvironment
 from pinlab.harness import (
     _CELL_BLOCK,
     ConfigError,
@@ -383,9 +385,9 @@ def _cell_bytes(report):
 
 @pytest.mark.parametrize("name", EXPERIMENTS)
 def test_resumed_run_matches_fresh_run(tmp_path, name):
-    # a resumed run recomputes one deleted cell (for convergence, with the
-    # reference maximizers computed lazily from the replicas) and writes the
-    # same bytes; summaries agree whether their columns were computed or
+    # a resumed run recomputes one deleted cell (for the replica experiments,
+    # from the replicas x sizes table the first missing cell asks for) and
+    # writes the same bytes; summaries agree whether their columns were computed or
     # parsed back from the cells on disk
     cfg = ExperimentConfig(experiment=name, seed=11, out_dir=str(tmp_path / "resumed"),
                            **_SMALL[name])
@@ -433,13 +435,13 @@ def test_schema_version_keys_renewal_cells_apart(tmp_path, monkeypatch):
     cfg = ExperimentConfig(experiment="renewal-asymptotics", out_dir=str(tmp_path),
                            **_SMALL["renewal-asymptotics"])
     spec = harness.SPECS["renewal-asymptotics"]
-    assert spec.schema == 2
+    assert spec.schema == 3
     with monkeypatch.context() as m:
-        m.setitem(harness.SPECS, "renewal-asymptotics", spec._replace(schema=1))
+        m.setitem(harness.SPECS, "renewal-asymptotics", spec._replace(schema=2))
         old = run_experiment(cfg)
     (old_cell,) = old.cells
     with open(old_cell) as fh:
-        stale = fh.read().replace("0.", "1.", 1)  # well formed, but not what version 2 writes
+        stale = fh.read().replace("0.", "1.", 1)  # well formed, but not what version 3 writes
     with open(old_cell, "w") as fh:
         fh.write(stale)
     calls, ratio_table = [], harness.ratio_table
@@ -463,15 +465,15 @@ def test_config_key_hashes_the_read_keys_and_the_schema():
         "concentration": "a900f0c9754e",
         "threshold-pinning": "791f5f5d0386",
         "threshold-polymer": "1b0794ba07fc",
-        "renewal-asymptotics": "5eabd499415e",
-        "subordinator-growth": "d93a0e932740",
+        "renewal-asymptotics": "8d08aa6a9682",
+        "subordinator-growth": "6e17f4fd545c",
     }
     assert {name: harness.SPECS[name].schema for name in EXPERIMENTS} == {
         "convergence": 0, "concentration": 2, "threshold-pinning": 0,
-        "threshold-polymer": 0, "renewal-asymptotics": 2, "subordinator-growth": 1}
+        "threshold-polymer": 0, "renewal-asymptotics": 3, "subordinator-growth": 2}
     cfg = ExperimentConfig(experiment="subordinator-growth", seed=1, **_SMALL[
         "subordinator-growth"])
-    want = {"experiment": "subordinator-growth", "seed": 1, "schema": 1, "alpha": 0.5,
+    want = {"experiment": "subordinator-growth", "seed": 1, "schema": 2, "alpha": 0.5,
             "k_list": [64], "q": 1.5, "replicas": 12, "t_hi": 0.1, "t_lo": 0.0001}
     text = json.dumps(want, sort_keys=True).encode()
     assert harness._config_key(cfg) == hashlib.sha1(text).hexdigest()[:12]
@@ -848,6 +850,36 @@ def test_fresh_renewal_run_builds_the_law_once(tmp_path, monkeypatch):
                                "n_eval": 50, "n_max": 3000, "out_dir": str(tmp_path)})
     run_experiment(cfg)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("data, want", [
+    ({"experiment": "threshold-pinning", "k_list": [8, 16, 32], "replicas": 3},
+     {"draw_base": 3, "substream": 3}),
+    ({"experiment": "threshold-polymer", "k_list": [4, 8, 16], "replicas": 2},
+     {"sample": 2, "substream": 2}),
+    ({"experiment": "convergence", "N_list": [16, 32, 64], "k_list": [8], "replicas": 2},
+     {"draw_base": 2, "substream": 2}),
+    ({"experiment": "concentration", "N_list": [16, 24, 32], "n_samples": 10, "n_max": 2000},
+     {"draw_base": 1, "substream": 4}),
+], ids=["threshold-pinning", "threshold-polymer", "convergence", "concentration"])
+def test_each_replica_is_drawn_once_per_config(tmp_path, monkeypatch, data, want):
+    # a replica's base, environment and substream serve every size of its
+    # config; concentration draws one disorder for all N, plus one sampling
+    # stream per N
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(harness, "draw_base", counting("draw_base", harness.draw_base))
+    monkeypatch.setattr(harness, "substream", counting("substream", harness.substream))
+    monkeypatch.setattr(PolymerEnvironment, "sample",
+                        classmethod(counting("sample", PolymerEnvironment.sample.__func__)))
+    run_experiment(config_from_mapping(dict(data, out_dir=str(tmp_path))))
+    assert dict(calls) == want
 
 
 def test_failed_summary_write_leaves_no_temporary_file(tmp_path, monkeypatch):

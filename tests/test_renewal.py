@@ -13,7 +13,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -197,10 +197,29 @@ def test_renewal_function_matches_the_row_loop(gamma, tail, rho, k_inf, h, n):
     got, want = renewal_function(law, n), _renewal_rows(law, n)
     if n <= _BLOCK:
         assert got.tobytes() == want.tobytes()
-    m = np.arange(1, n + 1)
+    _assert_within_e_m(got, want)
+
+
+def _assert_within_e_m(got, want):
+    """Both tables within e_m of the exact u(m), so within 2 e_m / (1 - e_m)
+    of each other."""
+    m = np.arange(1, got.size)
     e = np.expm1(np.cumsum(np.log1p(m * 2.0**-53 / (1.0 - m * 2.0**-53))))
     assert got[0] == 1.0
     assert np.all(np.abs(got[1:] - want[1:]) <= 2.0 * e / (1.0 - e) * want[1:])
+
+
+@given(gamma=st.floats(0.3, 0.9), tail=st.floats(50.0, 300.0), k_inf=st.floats(0.0, 0.95),
+       n=st.one_of(st.integers(2 * _BLOCK + 1, 6 * _BLOCK),
+                   st.sampled_from([3 * _BLOCK, 3 * _BLOCK + 1, 5 * _BLOCK + 1, 6 * _BLOCK])))
+@settings(max_examples=20, deadline=None)
+def test_renewal_function_matches_the_row_loop_over_many_blocks(gamma, tail, k_inf, n):
+    # later blocks are finished by one convolution each (v = u * old, the
+    # renewal equation inside the block); three to six of them stay within
+    # the row loop's e_m bound, as the docstring proves
+    n_max = 6 * _BLOCK + 8
+    law = build_law(gamma, tail / n_max**gamma, 0.0, k_inf, n_max=n_max)
+    _assert_within_e_m(renewal_function(law, n), _renewal_rows(law, n))
 
 
 def test_renewal_function_horizon_error(terminating_law):

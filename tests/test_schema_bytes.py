@@ -38,8 +38,8 @@ DIGESTS = {
     ("convergence", 0): "a2038ed341d311dd98242a18c03d56096b22dbe9cc8181c8217cd89ad6c99401",
     ("threshold-pinning", 0): "295293fba93adec716d4c85f2b7ce57e4d664a1ed9c41cb15d9d292ce8d5a51e",
     ("threshold-polymer", 0): "69c064fc9d7edf50482dd26398d3777e801a3db7d98306c96221d37c8df4f442",
-    ("renewal-asymptotics", 2): "f15212c6468b9650c56b6f345f0ff550aaa5b9628748c0191edd066db2881674",
-    ("subordinator-growth", 1): "bae626f12211d4cde65f87475e7f0b9876d11b7e9790fc0c267c402334b4fcd9",
+    ("renewal-asymptotics", 3): "1cb5fb59a05edad9d8a2bb3e53399597ea7efdc8a31167850127c42b23e6aea6",
+    ("subordinator-growth", 2): "496d7ed4673652a8a5ffb1627782ed1a9a1e66c461d36ded1616810f08bedeba",
 }
 
 

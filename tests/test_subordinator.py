@@ -15,7 +15,6 @@ from pinlab.subordinator import (
     MarkedPointSet,
     band_area_phi,
     band_process,
-    band_u,
     edge_jump_times,
     edge_process,
     growth_check,
@@ -124,13 +123,43 @@ def test_band_area_phi_values():
 
 def test_band_process_examples():
     env = PolymerEnvironment(x=np.array([0.5]), y=np.array([0.2]), w=np.array([3.0]), alpha=0.5)
-    assert band_u(env, 0.1) == 0.0
-    assert band_u(env, 0.3) == 3.0
-    assert band_u(env, 0.5) == 3.0
     U, W = band_process(env, 0.1)
     assert U == 0.0 and W == 0.0
-    U, W = band_process(env, 0.2)
+    U, W = band_process(env, 0.2)  # |y| <= t holds at t = |y|
     assert U == 3.0 and W == 3.0
+    U, W = band_process(env, 0.19)  # phi(0.19) = 0.2616 reaches the charge
+    assert U == 0.0 and W == 3.0
+    U, W = band_process(env, np.array([0.1, 0.19, 0.2, 0.25]))
+    assert U.tolist() == [0.0, 0.0, 3.0, 3.0] and W.tolist() == [0.0, 3.0, 3.0, 3.0]
+    for bad in (-0.01, 0.26, np.array([0.1, 0.3])):
+        with pytest.raises(ValueError, match=r"\[0, 1/4\]"):
+            band_process(env, bad)
+
+
+@given(k=st.integers(0, 300), dup=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200)
+def test_band_process_matches_the_masked_sum(k, dup, seed):
+    # the oracle sums the weights of |y| <= t by np.sum over a mask, the
+    # cumulative sum adds the same positive weights in another order: each
+    # is within gamma_k = k 2^-53 / (1 - k 2^-53) of the exact sum, so they
+    # differ by at most 2 gamma_k / (1 - gamma_k) relative.  Some |y| sit on
+    # a grid of 1/64, ties and times on a charge's |y| included; W >= U holds
+    # exactly
+    rng = np.random.default_rng(seed)
+    y = rng.uniform(-0.5, 0.5, k)
+    on_grid = rng.random(k) < dup
+    y[on_grid] = rng.integers(-32, 33, on_grid.sum()) / 64.0
+    w = np.cumsum(rng.standard_exponential(k)) ** -2.0  # heavy-tailed, decreasing
+    env = PolymerEnvironment(x=np.full(k, 0.5), y=y, w=w, alpha=0.5)
+    ts = np.concatenate((rng.uniform(0.0, 0.25, 20), np.arange(17) / 64.0, [0.0, 0.25]))
+    U, W = band_process(env, ts)
+    assert np.all(W >= U)
+    g = k * 2.0**-53 / (1.0 - k * 2.0**-53)
+    for t, u, w in zip(ts.tolist(), U, W):
+        for got, width in ((u, t), (w, band_area_phi(t))):
+            want = np.sum(env.w[np.abs(env.y) <= width])
+            assert abs(got - want) <= 2.0 * g / (1.0 - g) * want
+        assert band_process(env, t) == (u, w)
 
 
 def test_w_dominates_u():

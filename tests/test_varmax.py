@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import pinlab.varmax as varmax
 from pinlab.chain import chain_dp, min_ratio
-from pinlab.disorder import BUFFER_MIN, draw_base
+from pinlab.disorder import BUFFER_MIN, DisorderLaw, _assign_grid, couple, draw_base
 from pinlab.geometry import PinnedSet, hausdorff
 from pinlab.streams import substream
 from pinlab.varmax import (
@@ -19,6 +19,7 @@ from pinlab.varmax import (
     _gap_column,
     _prune,
     beta_critical,
+    grid_ranks,
     objective,
     pinned_set,
     solve_bruteforce,
@@ -310,6 +311,58 @@ def test_pruned_solve_dp_matches_full_dp(m, alpha, gamma, beta, c, seed):
     assert keep.tolist() == _prune_one_at_a_time(L)
     if beta == 0.0:  # no point pays its entropy
         assert keep.size == 0 and sol == ()
+
+
+def _top_ranks_maximizer(M, Y, N, beta, gamma, c):
+    """The convergence cell's maximizer: the landscape of the grid_ranks
+    leading ranks only, with their grid slots."""
+    R = grid_ranks(M, beta, gamma, c, N)
+    top = EnergyLandscape.from_marks(_assign_grid(Y, N, R) / float(N), M[:R], beta, gamma, c)
+    return pinned_set(top, solve_dp(top)), R
+
+
+@given(N=st.integers(2, 700), alpha=st.floats(0.3, 0.95), gamma=st.floats(0.05, 0.95),
+       beta=st.one_of(st.just(0.0), st.floats(1e-3, 20.0)), c=st.floats(0.1, 5.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(N=4500, alpha=0.5, gamma=0.5, beta=1.0, c=1.0, seed=1)
+@example(N=1000, alpha=0.8, gamma=0.8, beta=1.0, c=1.0, seed=2)
+@settings(max_examples=150, deadline=None)
+def test_top_ranks_give_the_maximizer_over_all_ranks(N, alpha, gamma, beta, c, seed):
+    # bit for bit against the unpruned DP over every rank, at sizes that are
+    # not powers of two (grid positions j/N rounded) and at beta = 0 (R = 0)
+    T, Y = draw_base(N, np.random.default_rng(seed))
+    d = couple(DisorderLaw(alpha), T, Y, N)
+    full = EnergyLandscape.from_marks(d.Y_disc, d.M_disc, beta, gamma, c)
+    got, R = _top_ranks_maximizer(d.M_disc, Y, N, beta, gamma, c)
+    assert got.points.tobytes() == pinned_set(full, _full_dp(full)).points.tobytes()
+    if beta == 0.0:
+        assert R == 0 and got.points.tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("step", [-1, 0, 1])
+def test_top_ranks_keep_the_tie_order(step):
+    # one leading weight 1 at site 2/8, gamma = 1/2, c = 1: at beta = r - 1/2,
+    # r = sqrt(3/4), the DP's sums (beta - 1/2) - r and 0 - 1 are both
+    # exactly -1 (every step is exact by Sterbenz), so {1/4} ties with the
+    # empty chain and fewer points win, in both landscapes; 2^-50 above it
+    # (16 ulp of beta, the sum then -1 + 2^-50 exactly) the point is taken
+    N = 8
+    r = math.sqrt(0.75)
+    beta = r - 0.5 + step * 2.0**-50
+    assert (beta - 0.5) - r == -1.0 + step * 2.0**-50
+    M = np.array([1.0, *([1e-9] * 6)])
+    Y = np.array([2.0, 1.0, 3.0, 4.0, 5.0, 6.0, 7.0]) / N
+    full = EnergyLandscape.from_marks(Y, M, beta, 0.5, 1.0)
+    got, R = _top_ranks_maximizer(M, Y, N, beta, 0.5, 1.0)
+    assert R == 1
+    assert got.points.tobytes() == pinned_set(full, _full_dp(full)).points.tobytes()
+    assert got.points.tolist() == ([0.0, 0.25, 1.0] if step > 0 else [0.0, 1.0])
+
+
+def test_grid_ranks_rejects_weights_that_are_not_positive_and_finite():
+    for bad in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            grid_ranks(np.array([2.0, 1.0, bad]), 1.0, 0.5, 1.0, 4)
 
 
 @given(m=st.integers(1, 40), alpha=st.sampled_from(GRID), gamma=st.sampled_from(GRID),
