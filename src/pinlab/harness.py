@@ -3,9 +3,10 @@
 The experiments are one table, SPECS, keyed by name.  Each entry holds a
 description, the default grids, the config keys it reads (other fields but
 seed and out_dir keep their defaults), cells(cfg) and summarize(cfg, tables).
-cells(cfg) lists every CSV cell as (file name, header, row count, compute),
-where compute() returns the cell's columns.  run_experiment is the only cell
-loop: it reuses each well-formed cell on disk, computes and atomically
+cells(cfg, present) lists every CSV cell as (file name, header, row count,
+compute), where compute() returns the cell's columns and present(cell) tells
+whether a well-formed copy of a cell is on disk.  run_experiment is the only
+cell loop: it reuses each well-formed cell on disk, computes and atomically
 writes the others, hands summarize the cells' float columns by header name,
 and atomically writes a summary JSON embedding the config and library version.
 Reports are a pure function of (config, seed): replica r of experiment E
@@ -48,7 +49,7 @@ from .disorder import (
     rescaled_maxima,
 )
 from .geometry import hausdorff
-from .gibbs import PinningModel, concentration_probability
+from .gibbs import K_FLOOR, PinningModel, concentration_probability
 from .polymer import PolymerEnvironment, polymer_beta_critical
 from .renewal import build_law, ratio_table, tilt
 from .streams import substream
@@ -173,9 +174,12 @@ class ExperimentConfig:
                 raise ConfigError(f"subordinator.growth_check rejected the config: {exc}") from exc
         if self.experiment in ("renewal-asymptotics", "concentration"):
             try:
-                _renewal_law(self)
+                law = _renewal_law(self)
             except ValueError as exc:
                 raise ConfigError(f"renewal law rejected: {exc}") from exc
+        if self.experiment == "concentration" and law.K[1 : max(self.N_list) + 1].min() < K_FLOOR:
+            raise ConfigError("gibbs.PinningModel requires K(j) >= 2^-969 for j <= N; "
+                              "lower c or the largest N")
 
 
 #: Each config field's annotated type, read once: get_type_hints evaluates
@@ -259,7 +263,9 @@ class ExperimentReport:
 #: One CSV cell of an experiment; compute() returns its columns.
 Cell = namedtuple("Cell", "name header rows compute")
 #: One experiment; keys name the config fields it reads besides experiment and
-#: seed, and summarize(cfg, tables) reads cells(cfg)'s float columns by header.
+#: seed, and summarize(cfg, tables) reads cells(cfg, present)'s float columns
+#: by header.  Only the replica ladders (_replica_cells) read present: cells
+#: computed together compute only those missing from disk.
 #: schema is the cell-schema version, raised by any change that may alter the
 #: experiment's cell bytes, so cells of older code are never reused.
 Spec = namedtuple("Spec", "description defaults keys cells summarize schema", defaults=(0,))
@@ -346,21 +352,30 @@ def _ensure_cell(path: str, cell: Cell) -> dict:
     return {h: col.astype(float, copy=False) for h, col in zip(cell.header, columns)}
 
 
-def _replica_cells(cfg: ExperimentConfig, stem: str, header: list[str], sizes, one) -> list[Cell]:
+def _replica_cells(cfg: ExperimentConfig, stem: str, header: list[str], sizes, one,
+                   present) -> list[Cell]:
     """One cell per size of a one-value-per-replica experiment, with the rows
-    (size, replica, value).  one(r) returns replica r's values at every
-    size, in size order, so a replica's randomness is drawn once for all
-    sizes.  The replicas x sizes table is computed when the first cell that
-    is not on disk asks for it, in replica order, and kept for the others;
-    a cell on disk is read, never rewritten."""
+    (size, replica, value).  one(r, ks) returns replica r's values at the
+    sizes ks, in size order, and draws replica r's randomness once for all
+    of them.  The first cell that is not on disk computes the replicas x
+    sizes table, in replica order, over its own size and every size whose
+    cell present(cell) does not find on disk (all sizes when present is
+    None), and keeps the columns for those cells; a cell on disk is read,
+    never recomputed."""
     n = cfg.replicas
+    columns = {}
 
-    @functools.cache
-    def table() -> np.ndarray:
-        return np.array([one(r) for r in range(n)], dtype=float).reshape(n, len(sizes))
+    def compute(i: int) -> list:
+        if i not in columns:
+            todo = [j for j, cell in enumerate(cells)
+                    if j == i or present is None or not present(cell)]
+            table = np.array([one(r, [sizes[j] for j in todo]) for r in range(n)], dtype=float)
+            columns.update(zip(todo, table.reshape(n, len(todo)).T))
+        return [[sizes[i]] * n, range(n), columns.pop(i)]
 
-    return [Cell(f"{stem}{s}.csv", header, n, lambda i=i, s=s: [[s] * n, range(n), table()[:, i]])
-            for i, s in enumerate(sizes)]
+    cells = [Cell(f"{stem}{s}.csv", header, n, functools.partial(compute, i))
+             for i, s in enumerate(sizes)]
+    return cells
 
 
 @functools.lru_cache(maxsize=4)
@@ -485,7 +500,7 @@ def _slope_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 # experiments
 
 
-def _convergence_cells(cfg: ExperimentConfig) -> list[Cell]:
+def _convergence_cells(cfg: ExperimentConfig, present=None) -> list[Cell]:
     """d_H between the size-N maximizer and the continuum one over the k
     leading marks.  The size-N landscape holds only the R leading ranks
     that varmax.grid_ranks keeps, with their grid slots; solve_dp on it
@@ -494,7 +509,7 @@ def _convergence_cells(cfg: ExperimentConfig) -> list[Cell]:
     k = cfg.k_list[0]
     law = DisorderLaw(cfg.alpha)
 
-    def one(r: int) -> list[float]:
+    def one(r: int, Ns: list[int]) -> list[float]:
         rng = substream(cfg.seed, "convergence", r)
         T, Y = draw_base(max(max(cfg.N_list), k, BUFFER_MIN), rng)
         with _too_small(cfg.alpha):
@@ -503,7 +518,7 @@ def _convergence_cells(cfg: ExperimentConfig) -> list[Cell]:
             )
         ref = pinned_set(ref_land, solve_dp(ref_land))
         out = []
-        for N in cfg.N_list:
+        for N in Ns:
             with _too_small(cfg.alpha):
                 M = rescaled_maxima(law, T, N)
                 R = grid_ranks(M, cfg.beta_hat, cfg.gamma, cfg.c, N)
@@ -512,7 +527,8 @@ def _convergence_cells(cfg: ExperimentConfig) -> list[Cell]:
             out.append(hausdorff(pinned_set(land, solve_dp(land)), ref))
         return out
 
-    return _replica_cells(cfg, "convergence_N", ["N", "replica", "d_H"], cfg.N_list, one)
+    return _replica_cells(cfg, "convergence_N", ["N", "replica", "d_H"], cfg.N_list, one,
+                          present)
 
 
 def _convergence_summary(cfg: ExperimentConfig, tables: list[dict]) -> dict:
@@ -539,7 +555,7 @@ def _convergence_summary(cfg: ExperimentConfig, tables: list[dict]) -> dict:
     }
 
 
-def _concentration_cells(cfg: ExperimentConfig) -> list[Cell]:
+def _concentration_cells(cfg: ExperimentConfig, present=None) -> list[Cell]:
     terminating = _renewal_law(cfg)
 
     @functools.cache
@@ -583,15 +599,16 @@ def _concentration_summary(cfg: ExperimentConfig, tables: list[dict]) -> dict:
     return summary
 
 
-def _threshold_pinning_cells(cfg: ExperimentConfig) -> list[Cell]:
-    def one(r: int) -> list[float]:
+def _threshold_pinning_cells(cfg: ExperimentConfig, present=None) -> list[Cell]:
+    def one(r: int, ks: list[int]) -> list[float]:
         rng = substream(cfg.seed, "threshold-pinning", r)
         T, Y = draw_base(max(max(cfg.k_list), BUFFER_MIN), rng)
         with _too_small(cfg.alpha):
             return [beta_critical(Y[:k], T[:k] ** (-1.0 / cfg.alpha), cfg.gamma, cfg.c)
-                    for k in cfg.k_list]
+                    for k in ks]
 
-    return _replica_cells(cfg, "threshold_pinning_k", ["k", "replica", "beta_c"], cfg.k_list, one)
+    return _replica_cells(cfg, "threshold_pinning_k", ["k", "replica", "beta_c"], cfg.k_list, one,
+                          present)
 
 
 def _threshold_pinning_summary(cfg: ExperimentConfig, tables: list[dict]) -> dict:
@@ -615,14 +632,15 @@ def _threshold_pinning_summary(cfg: ExperimentConfig, tables: list[dict]) -> dic
     return summary
 
 
-def _threshold_polymer_cells(cfg: ExperimentConfig) -> list[Cell]:
-    def one(r: int) -> list[float]:
+def _threshold_polymer_cells(cfg: ExperimentConfig, present=None) -> list[Cell]:
+    def one(r: int, ks: list[int]) -> list[float]:
         rng = substream(cfg.seed, "threshold-polymer", r)
         with _too_small(cfg.alpha):
             env = PolymerEnvironment.sample(cfg.alpha, max(cfg.k_list), rng)
-        return [polymer_beta_critical(env.truncate(k)) for k in cfg.k_list]
+        return [polymer_beta_critical(env.truncate(k)) for k in ks]
 
-    return _replica_cells(cfg, "threshold_polymer_k", ["k", "replica", "beta_c"], cfg.k_list, one)
+    return _replica_cells(cfg, "threshold_polymer_k", ["k", "replica", "beta_c"], cfg.k_list, one,
+                          present)
 
 
 def _threshold_polymer_summary(cfg: ExperimentConfig, tables: list[dict]) -> dict:
@@ -637,7 +655,7 @@ def _threshold_polymer_summary(cfg: ExperimentConfig, tables: list[dict]) -> dic
     }
 
 
-def _renewal_cells(cfg: ExperimentConfig) -> list[Cell]:
+def _renewal_cells(cfg: ExperimentConfig, present=None) -> list[Cell]:
     n = cfg.n_eval
     header = ["n", "K", "u", "u_over_K", "q2_over_q", "q3_over_q"]
     return [Cell("renewal_asymptotics.csv", header, n,
@@ -666,7 +684,7 @@ def _renewal_summary(cfg: ExperimentConfig, tables: list[dict]) -> dict:
     }
 
 
-def _subordinator_cells(cfg: ExperimentConfig) -> list[Cell]:
+def _subordinator_cells(cfg: ExperimentConfig, present=None) -> list[Cell]:
     """sup_coarse and sup_fine both hold the growth supremum over
     [t_lo, t_hi]; the header stays as readers of the cell format pin it.
     The band process is read in one call per replica, at the 11 grid times
@@ -719,7 +737,7 @@ SPECS = {
         "Gibbs exceedance probability of the favorite set vs N",
         {"N_list": (64, 128, 256, 512, 1024, 2048), "replicas": 1},
         ("N_list", "alpha", "beta_hat", "c", "delta", "gamma", "h", "n_max", "n_samples", "rho"),
-        _concentration_cells, _concentration_summary, schema=2),
+        _concentration_cells, _concentration_summary, schema=3),
     "threshold-pinning": Spec(
         "distribution of the pinning critical coupling over realizations",
         {"k_list": (128, 512), "replicas": 500},
@@ -765,7 +783,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
         raise OSError(f"cannot create output directory {out}: {exc}") from exc
-    cells = [(os.path.join(out, cell.name), cell) for cell in spec.cells(cfg)]
+
+    def present(cell: Cell) -> bool:
+        path = os.path.join(out, cell.name)
+        return os.path.exists(path) and _read_cell(path, cell) is not None
+
+    cells = [(os.path.join(out, cell.name), cell) for cell in spec.cells(cfg, present)]
     summary = spec.summarize(cfg, [_ensure_cell(path, cell) for path, cell in cells])
     report = {
         "config": dataclasses.asdict(cfg),

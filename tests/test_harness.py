@@ -15,6 +15,7 @@ import tracemalloc
 import typing
 import unittest.mock
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +101,12 @@ def test_validation_names_module_preconditions():
         config_from_mapping({"experiment": "subordinator-growth", "q": 0.5})
     with pytest.raises(ConfigError, match="renewal.ratio_table"):
         config_from_mapping({"experiment": "renewal-asymptotics", "n_eval": 2, "n_max": 2000})
+    # a steep K falls below the floor of forward_table's bound before N = 2200
+    with pytest.raises(ConfigError, match="gibbs.PinningModel"):
+        config_from_mapping({"experiment": "concentration", "c": 15.0, "N_list": [64, 2200],
+                             "n_max": 2300})
+    config_from_mapping({"experiment": "concentration", "c": 15.0, "N_list": [64, 2048],
+                         "n_max": 2300})
     # polymer admits alpha up to 2
     cfg = config_from_mapping({"experiment": "threshold-polymer", "alpha": 1.5})
     assert cfg.alpha == 1.5
@@ -462,14 +469,14 @@ def test_config_key_hashes_the_read_keys_and_the_schema():
         for name in EXPERIMENTS}
     assert keys == {
         "convergence": "b7a625e02839",
-        "concentration": "a900f0c9754e",
+        "concentration": "6d0f7e613048",
         "threshold-pinning": "791f5f5d0386",
         "threshold-polymer": "1b0794ba07fc",
         "renewal-asymptotics": "8d08aa6a9682",
         "subordinator-growth": "6e17f4fd545c",
     }
     assert {name: harness.SPECS[name].schema for name in EXPERIMENTS} == {
-        "convergence": 0, "concentration": 2, "threshold-pinning": 0,
+        "convergence": 0, "concentration": 3, "threshold-pinning": 0,
         "threshold-polymer": 0, "renewal-asymptotics": 3, "subordinator-growth": 2}
     cfg = ExperimentConfig(experiment="subordinator-growth", seed=1, **_SMALL[
         "subordinator-growth"])
@@ -477,6 +484,34 @@ def test_config_key_hashes_the_read_keys_and_the_schema():
             "k_list": [64], "q": 1.5, "replicas": 12, "t_hi": 0.1, "t_lo": 0.0001}
     text = json.dumps(want, sort_keys=True).encode()
     assert harness._config_key(cfg) == hashlib.sha1(text).hexdigest()[:12]
+
+
+def test_resume_computes_only_the_missing_cells_of_a_ladder(tmp_path):
+    # with the k = 16 cell of a threshold-pinning ladder deleted, a resume
+    # draws each replica once and solves only k = 16; the cells come back
+    # with the cold run's bytes
+    cfg = ExperimentConfig(experiment="threshold-pinning", seed=3, k_list=(16, 128, 512),
+                           replicas=5, out_dir=str(tmp_path))
+    cold = run_experiment(cfg)
+    written = {path: Path(path).read_bytes() for path in cold.cells}
+    os.unlink(cold.cells[0])
+    sizes, draws = [], []
+    real_solve, real_draw = harness.beta_critical, harness.draw_base
+
+    def solve(Y, *args):
+        sizes.append(len(Y))
+        return real_solve(Y, *args)
+
+    def draw(*args):
+        draws.append(args[0])
+        return real_draw(*args)
+
+    with unittest.mock.patch.object(harness, "beta_critical", solve), \
+            unittest.mock.patch.object(harness, "draw_base", draw):
+        warm = run_experiment(cfg)
+    assert sizes == [16] * cfg.replicas
+    assert draws == [max(512, BUFFER_MIN)] * cfg.replicas
+    assert {path: Path(path).read_bytes() for path in warm.cells} == written
 
 
 def test_all_experiments_run_small(tmp_path):

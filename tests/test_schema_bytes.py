@@ -34,7 +34,7 @@ CONFIGS = {
 
 #: (experiment, schema) -> sha256 of CONFIGS[experiment]'s output at seed 1
 DIGESTS = {
-    ("concentration", 2): "806d523ed80c828fdb2791c32c4da97e809badf06d302f3411b95085d717bdcc",
+    ("concentration", 3): "bf346bfe7d5169f5c2de6fa92856550c156f702b81d1f0ba45e1c944352336f1",
     ("convergence", 0): "a2038ed341d311dd98242a18c03d56096b22dbe9cc8181c8217cd89ad6c99401",
     ("threshold-pinning", 0): "295293fba93adec716d4c85f2b7ce57e4d664a1ed9c41cb15d9d292ce8d5a51e",
     ("threshold-polymer", 0): "69c064fc9d7edf50482dd26398d3777e801a3db7d98306c96221d37c8df4f442",
